@@ -5,15 +5,19 @@
 
 A result set is a directory of the JSON files `perfbench/run.py` stores
 (`.bench_build/results/` by default), typically one file per workload, seed
-and trace mode. Runs are joined by (workload, trace mode, size); for every
-metric the medians over seeds are compared. End-to-end metrics are judged
-against their `bound` from BENCHMARK.json (the share of the base median by
-which the metric may get worse); per-layer metrics are printed without a
-verdict. Results whose host provenance differs, within a set or between the
-two sets, are refused: they measure different programs or machines.
+and trace mode. Runs are joined by (workload, trace mode, size, seconds); for
+every metric the medians over seeds are compared. End-to-end metrics are
+judged against their `bound` from BENCHMARK.json (the share of the base median
+by which the metric may get worse). The verdict is `unresolved` instead when
+the base runs cannot resolve the bound: fewer than 3 of them, or their own
+spread (interquartile range over median) is larger than the bound. Per-layer
+metrics are printed without a verdict. Results whose host provenance differs,
+within a set or between the two sets, are refused: they measure different
+programs or machines.
 
-Exit status: 0 when no end-to-end metric regressed past its bound, 1 when one
-did or a run failed its correctness checks, 2 on refused or unusable input.
+Exit status: 0 when no end-to-end metric regressed past its bound (unresolved
+ones included), 1 when one did or a run failed its correctness checks, 2 on
+refused or unusable input.
 """
 import argparse
 import glob
@@ -27,7 +31,7 @@ RUN_FIELDS = {"workload"}
 
 
 def load_set(path):
-    """{(workload, trace, size): [record, ...]} from one results directory."""
+    """{(workload, trace, size, seconds): [record, ...]} from one results directory."""
     groups = {}
     files = sorted(glob.glob(os.path.join(path, "*.json")))
     if not files:
@@ -35,7 +39,7 @@ def load_set(path):
     for f in files:
         with open(f) as fh:
             rec = json.load(fh)
-        key = (rec["workload"], rec["trace"], rec["size"])
+        key = (rec["workload"], rec["trace"], rec["size"], rec["seconds"])
         groups.setdefault(key, []).append(rec)
     return groups
 
@@ -65,13 +69,22 @@ def check_provenance(base, new):
 
 
 def medians(recs):
+    """({metric: median}, {metric: spread}, {metric: unit}) over `recs`; the
+    spread is IQR/median, None with fewer than 3 runs or a zero median."""
     values = {}
     units = {}
     for rec in recs:
         for name, m in rec["result"]["metrics"].items():
             values.setdefault(name, []).append(m["value"])
             units[name] = m["unit"]
-    return {k: statistics.median(v) for k, v in values.items()}, units
+    med = {k: statistics.median(v) for k, v in values.items()}
+    spread = {}
+    for k, v in values.items():
+        spread[k] = None
+        if len(v) >= 3 and med[k] != 0:
+            q1, _, q3 = statistics.quantiles(v, n=4)
+            spread[k] = (q3 - q1) / abs(med[k])
+    return med, spread, units
 
 
 def main():
@@ -99,15 +112,16 @@ def main():
     specs.update({m["name"]: (m, False) for m in bench["per_layer"]})
     status = 0
     for key in sorted(set(base) & set(new)):
-        workload, trace, size = key
-        bmed, units = medians(base[key])
-        nmed, _ = medians(new[key])
+        workload, trace, size, seconds = key
+        bmed, bspread, units = medians(base[key])
+        nmed, _, _ = medians(new[key])
         bfail = sum(r["result"]["failed"] for r in base[key])
         nfail = sum(r["result"]["failed"] for r in new[key])
         ncorrect = all(r["result"]["correct"] for r in new[key])
-        print("%s  trace=%d size=%s  runs: base %d, new %d  failed: base %d, new %d%s" % (
-            workload, trace, size, len(base[key]), len(new[key]), bfail, nfail,
-            "" if ncorrect else "  NEW RUNS INCORRECT"))
+        print("%s  trace=%d size=%s seconds=%g  runs: base %d, new %d  "
+              "failed: base %d, new %d%s" % (
+                  workload, trace, size, seconds, len(base[key]), len(new[key]), bfail, nfail,
+                  "" if ncorrect else "  NEW RUNS INCORRECT"))
         if not ncorrect:
             status = 1
         # End-to-end metrics first, then per-layer ones, each by name.
@@ -123,10 +137,16 @@ def main():
                 delta_txt = "%+7.2f%%" % (100 * delta)
                 verdict = ""
                 if e2e:
-                    verdict = "REGRESSION" if worse > spec["bound"] else "ok"
+                    spread = bspread[name]
+                    if spread is None or spread > spec["bound"]:
+                        verdict = "unresolved"
+                        verdict += " (base spread %s)" % (
+                            "n/a" if spread is None else "%.0f%%" % (100 * spread))
+                    else:
+                        verdict = "REGRESSION" if worse > spec["bound"] else "ok"
+                        if worse > spec["bound"]:
+                            status = 1
                     verdict += " (bound %.0f%%)" % (100 * spec["bound"])
-                    if worse > spec["bound"]:
-                        status = 1
             print("  %-34s %14.6g -> %-14.6g %-6s %s  %s" % (
                 name, b, n, units.get(name, ""), delta_txt, verdict))
     only = sorted(set(base) ^ set(new))

@@ -22,6 +22,9 @@ namespace {
 using parmis::graph::CrsMatrix;
 
 constexpr double kTolerance = 1e-8;
+/// Percentile of `op_ms_tail`: a 25 s traced run holds about 50 untraced
+/// ops, which leaves at least 10 beyond p75 (p90 would need 100).
+constexpr double kTailPercentile = 75;
 
 struct OpOutput {
   bool ok = false;
@@ -105,7 +108,8 @@ Result run_amg_setup_powerlaw(const RunConfig& cfg) {
   OpOutput last;
   const Clock::time_point start = Clock::now();
   for (std::int64_t i = 0; seconds_since(start) < cfg.seconds; ++i) {
-    const bool traced = cfg.trace && i % 2 == 1;
+    // Every third op of the traced run is traced (see coarsen_rgg).
+    const bool traced = cfg.trace && i % 3 == 2;
     const TraceScope trace(traced);
     auto [o, ms] = run_one(i, rhs++);
     (traced ? traced_ms : untraced_ms).push_back(ms);
@@ -130,12 +134,12 @@ Result run_amg_setup_powerlaw(const RunConfig& cfg) {
   parmis::obs::clear_events();
   const double p50 = percentile(untraced_ms, 50);
   const auto& hs = last.hs;
-  res.set("op_ms_tail", percentile(untraced_ms, 90), "ms");
-  res.set("multilevel.aggregation.ms_p50", percentile(agg_ms, 50), "ms");
-  res.set("multilevel.galerkin.ms_p50", percentile(galerkin_ms, 50), "ms");
-  res.set("solver.prec_setup.ms_p50", percentile(layers.self_ms("solver.prec_setup"), 50), "ms");
+  set_percentile(res, "op_ms_tail", untraced_ms, kTailPercentile);
+  set_percentile(res, "multilevel.aggregation.ms_p50", agg_ms, 50);
+  set_percentile(res, "multilevel.galerkin.ms_p50", galerkin_ms, 50);
+  set_percentile(res, "solver.prec_setup.ms_p50", layers.self_ms("solver.prec_setup"), 50);
   res.set("graph.spgemm_rows_traversed", mean(rows), "count");
-  res.set("solver.solve.ms_p50", percentile(layers.self_ms("solver.solve"), 50), "ms");
+  set_percentile(res, "solver.solve.ms_p50", layers.self_ms("solver.solve"), 50);
   res.set("solver.iterations", mean(iterations), "count");
   res.set("multilevel.levels", hs.levels, "count");
   res.set("multilevel.operator_complexity", hs.operator_complexity, "ratio");

@@ -4,19 +4,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string_view>
 
 #include "check/digest.hpp"
+#include "obs/telemetry.hpp"
 
 namespace perfbench {
 
 double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  const double rank = std::ceil(q / 100.0 * static_cast<double>(v.size()));
-  const std::size_t idx = rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return v[std::min(idx, v.size() - 1)];
+  return parmis::obs::percentile(v, q / 100.0);
+}
+
+void set_percentile(Result& res, const std::string& name, std::vector<double> v, double q) {
+  const std::size_t n = v.size();
+  const std::size_t rank = static_cast<std::size_t>(std::ceil(q / 100.0 * static_cast<double>(n)));
+  const std::size_t beyond = n - std::min(n, rank);
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "p%g of %zu samples, %zu beyond", q, n, beyond);
+  res.note(name + ".samples", buf);
+  if (beyond < kMinBeyond) {
+    std::fprintf(stderr, "perfbench: %s rests on %zu samples beyond p%g (want %zu)\n",
+                 name.c_str(), beyond, q, kMinBeyond);
+  }
+  res.set(name, percentile(std::move(v), q), "ms");
 }
 
 double median(std::vector<double> v) {

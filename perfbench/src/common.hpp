@@ -90,8 +90,15 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Nearest-rank percentile (q in [0, 100]) of `v`; 0 for an empty sample.
+/// Nearest-rank percentile (q in [0, 100]) of `v` by `obs::percentile`; 0
+/// for an empty sample.
 [[nodiscard]] double percentile(std::vector<double> v, double q);
+/// Fewest samples a reported percentile may have beyond it.
+constexpr std::size_t kMinBeyond = 10;
+/// Report percentile `q` of `v` as metric `name` (unit ms) and note the
+/// sample count behind it; warn on stderr when fewer than `kMinBeyond`
+/// samples lie beyond it (a run too short for that percentile).
+void set_percentile(Result& res, const std::string& name, std::vector<double> v, double q);
 [[nodiscard]] double median(std::vector<double> v);
 [[nodiscard]] double mean(const std::vector<double>& v);
 

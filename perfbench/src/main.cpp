@@ -55,13 +55,14 @@ constexpr LayerMetric kPerLayer[] = {
     {"solver.iterations_mean", "count"},
     {"serve.generator_lag.ms_p99", "ms"},
     {"serve.customize.ms_p50", "ms"},
+    {"serve.write_time_frac", "ratio"},
     {"serve.pool.warm_hit_ratio", "ratio"},
     {"serve.pool.acquires", "count"},
     {"serve.pool.level_adoptions", "count"},
     {"serve.pool.prec_builds", "count"},
     {"serve.worker_busy_frac", "ratio"},
     {"serve.batch_wave.ms_p50", "ms"},
-    {"serve.batch_wave.ms_p99", "ms"},
+    {"serve.batch_wave.ms_p95", "ms"},
     {"serve.wave_width_mean", "count"},
     {"solver.block_iterations_mean", "count"},
     {"bench.trace_overhead_frac", "ratio"},

@@ -2,12 +2,13 @@
 /// \brief The two serving workloads, both through `serve::Service` with one
 /// pool entry per worker thread (serial contexts, the pool default).
 ///
-///  - `serve_mesh`: open loop on a fixed ladder of arrival rates against a
-///    CG+AMG service on a 3D Laplacian. Workers claim the next scheduled
-///    item by atomic index and wait until it is due; every `kWriteEvery`-th
-///    item is a `Service::customize` write and reads are pinned to epochs
-///    by index. Exercises the single-RHS solve path and the serve layer
-///    (lease, pool, epochs); writes run the warm value-only Galerkin replay.
+///  - `serve_mesh`: open loop against a CG+AMG service on a 3D Laplacian:
+///    reference steps at a fixed rate around a search for the capacity.
+///    Workers claim the next scheduled item by atomic index and wait until
+///    it is due; every `kWriteEvery`-th item is a `Service::customize` write
+///    and reads are pinned to epochs by index. Exercises the single-RHS
+///    solve path and the serve layer (lease, pool, epochs); writes run the
+///    warm value-only Galerkin replay.
 ///  - `serve_batched_powerlaw`: closed loop of K-wide waves through
 ///    `Service::solve_batch` with block-CG+AMG on the hub-skewed power-law
 ///    operator, the only workload that exercises the K-wide layer.
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -36,19 +38,20 @@ using parmis::serve::Service;
 
 constexpr double kTolerance = 1e-8;
 constexpr int kBatchWidth = 8;
+/// Wave tail percentile: each half of a 25 s traced run holds about 750
+/// waves, which leaves at least 10 beyond p95 (p99 would need 1000).
+constexpr double kWaveTailPercentile = 95;
 
-// serve_mesh load shape. The ladder brackets the reference rate; a rate is
-// sustained when its read p99 meets kLatencyLimitMs and the last tenth of
-// its reads also meets it at the median (no growing backlog).
-struct LadderStep {
-  double rate;   ///< arrivals per second
-  double share;  ///< share of the run's seconds spent at this rate
-};
-constexpr LadderStep kLadder[] = {{100.0, 0.2}, {150.0, 0.5}, {200.0, 0.3}};
-constexpr double kReferenceRate = 150.0;
-constexpr double kLatencyLimitMs = 100.0;
-constexpr std::size_t kWriteEvery = 40;  ///< every 40th item is a customize write
-constexpr std::size_t kSampleEvery = 16; ///< every 16th read has its residual checked
+// serve_mesh load shape; perfbench/README.md gives the measurements each
+// number is derived from. A rate is sustained when its read p99 meets
+// kLatencyLimitMs and the median of the last tenth of its reads does too
+// (no growing backlog).
+constexpr double kReferenceRate = 150.0;  ///< about 55% of the measured capacity
+constexpr double kLatencyLimitMs = 100.0; ///< between stable and saturated steps' p99
+constexpr std::size_t kWriteEvery = 15;   ///< customize writes take ~5% of worker time
+constexpr std::size_t kStepReads = 1000;  ///< reads per step: 10 beyond its p99
+constexpr double kSearchFactor = 1.1;     ///< capacity search: first step off the estimate
+constexpr std::size_t kSampleEvery = 16;  ///< every 16th read has its residual checked
 
 struct ServiceBuild {
   std::unique_ptr<Service> service;
@@ -179,13 +182,18 @@ struct StepResult {
   std::vector<double> latency_ms;  ///< read latencies (ms), item order
   double wall_s = 0.0;
   double achieved_rps = 0.0;
+  double busy_frac = 0.0;  ///< worker busy time / (wall time * workers)
   bool sustained = false;
 };
 
+/// Items of a step holding `reads` reads (every kWriteEvery-th item is a write).
+std::size_t step_items(std::size_t reads) {
+  return (reads * kWriteEvery + kWriteEvery - 2) / (kWriteEvery - 1);
+}
+
+/// Run `n_items` scheduled items at `rate` arrivals per second.
 StepResult run_step(Service& svc, const CrsMatrix& base, const RunConfig& cfg, double rate,
-                    double seconds, std::uint64_t& item0, std::uint64_t& writes0) {
-  const std::size_t n_items = std::max<std::size_t>(
-      2 * kWriteEvery, static_cast<std::size_t>(std::llround(rate * seconds)));
+                    std::size_t n_items, std::uint64_t& item0, std::uint64_t& writes0) {
   std::vector<Item> items(n_items);
   std::uint64_t epoch = svc.epoch();
   for (std::size_t i = 0; i < n_items; ++i) {
@@ -302,6 +310,7 @@ StepResult run_step(Service& svc, const CrsMatrix& base, const RunConfig& cfg, d
     if (item >= n_items - n_items / 10) last_tenth.push_back(ms);
   }
   sr.achieved_rps = static_cast<double>(n_items) / sr.wall_s;
+  sr.busy_frac = sr.log.busy_s / (sr.wall_s * static_cast<double>(cfg.workers));
   sr.sustained = sr.log.failed == 0 && percentile(sr.latency_ms, 99) <= kLatencyLimitMs &&
                  median(last_tenth) <= kLatencyLimitMs;
   return sr;
@@ -342,7 +351,6 @@ Result run_serve_mesh(const RunConfig& cfg) {
 
   std::uint64_t item0 = 0;
   std::uint64_t writes0 = 0;
-  std::vector<StepResult> steps;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> digests;
   auto account = [&](const StepResult& sr) {
     res.attempted += sr.log.attempted;
@@ -351,32 +359,66 @@ Result run_serve_mesh(const RunConfig& cfg) {
   };
 
   if (!cfg.trace) {
-    for (const LadderStep& step : kLadder) {
-      steps.push_back(run_step(svc, a, cfg, step.rate, step.share * cfg.seconds, item0, writes0));
-      account(steps.back());
-    }
-    const StepResult* ref = nullptr;
-    double sustained = 0.0;
-    for (const StepResult& sr : steps) {
-      if (sr.rate == kReferenceRate) ref = &sr;
-      if (sr.sustained) sustained = std::max(sustained, sr.achieved_rps);
+    // Two reference steps of half the reads, one opening and one closing
+    // the run, give op_ms_p50, so part of the host's drift over the run
+    // averages out. The opening step's utilisation estimates the capacity; the
+    // search probes there, walks by kSearchFactor until a sustained and an
+    // unsustained rate bracket the capacity, then bisects in log rate while
+    // the run's seconds last. ops_per_s is the achieved rate of the highest
+    // sustained probe.
+    const Clock::time_point run0 = Clock::now();
+    const std::size_t reads = cfg.size == Size::Full ? kStepReads : 40;
+    const std::size_t items = step_items(reads);
+    const std::size_t ref_items = step_items(reads / 2);
+    const StepResult ref = run_step(svc, a, cfg, kReferenceRate, ref_items, item0, writes0);
+    account(ref);
+    auto note_step = [&](const char* key, const StepResult& sr) {
       char buf[160];
-      std::snprintf(buf, sizeof buf, "rate=%.0f achieved=%.2f p50=%.3f p99=%.3f sustained=%d",
-                    sr.rate, sr.achieved_rps, percentile(sr.latency_ms, 50),
-                    percentile(sr.latency_ms, 99), sr.sustained ? 1 : 0);
-      res.note("ladder", buf);
+      std::snprintf(buf, sizeof buf,
+                    "rate=%.1f achieved=%.2f p50=%.3f p99=%.3f busy=%.3f sustained=%d", sr.rate,
+                    sr.achieved_rps, percentile(sr.latency_ms, 50), percentile(sr.latency_ms, 99),
+                    sr.busy_frac, sr.sustained ? 1 : 0);
+      res.note(key, buf);
+    };
+    note_step("reference", ref);
+    double lo = ref.sustained ? kReferenceRate : 0.0;  // highest sustained rate probed
+    double sustained_rps = ref.sustained ? ref.achieved_rps : 0.0;
+    double hi = std::numeric_limits<double>::infinity();  // lowest unsustained rate probed
+    double rate = kReferenceRate / std::max(ref.busy_frac, 1e-3);
+    while (seconds_since(run0) + (static_cast<double>(items) / rate + ref.wall_s) <=
+           cfg.seconds) {
+      const StepResult sr = run_step(svc, a, cfg, rate, items, item0, writes0);
+      account(sr);
+      note_step("probe", sr);
+      if (sr.sustained && rate > lo) {
+        lo = rate;
+        sustained_rps = sr.achieved_rps;
+      } else if (!sr.sustained) {
+        hi = std::min(hi, rate);
+      }
+      if (hi > lo * kSearchFactor * kSearchFactor) {
+        rate = sr.sustained ? lo * kSearchFactor : hi / kSearchFactor;
+      } else {
+        rate = std::sqrt(lo * hi);
+      }
     }
+    const StepResult closing = run_step(svc, a, cfg, kReferenceRate, ref_items, item0, writes0);
+    account(closing);
+    note_step("reference", closing);
+    std::vector<double> latency = ref.latency_ms;
+    latency.insert(latency.end(), closing.latency_ms.begin(), closing.latency_ms.end());
     res.set("setup_s", median(setup), "s");
-    res.set("op_ms_p50", percentile(ref->latency_ms, 50), "ms");
-    res.set("ops_per_s", sustained, "1/s");
+    res.set("op_ms_p50", percentile(latency, 50), "ms");
+    res.set("ops_per_s", sustained_rps, "1/s");
     res.set("peak_rss_mb", peak_rss_mb(), "MiB");
-    res.note("samples", std::to_string(ref->latency_ms.size()));
+    res.note("samples", std::to_string(latency.size()));
     res.note("combined_digest", parmis::check::digest_hex(combined_digest(digests)));
     return res;
   }
 
   // Traced run: the reference rate twice, untraced then traced.
-  const double half = 0.5 * cfg.seconds;
+  const std::size_t half =
+      static_cast<std::size_t>(std::llround(0.5 * cfg.seconds * kReferenceRate));
   const StepResult plain = run_step(svc, a, cfg, kReferenceRate, half, item0, writes0);
   account(plain);
   StepResult traced;
@@ -393,16 +435,18 @@ Result run_serve_mesh(const RunConfig& cfg) {
                    traced.log.customize_ms.end());
   const std::vector<double> request = layers.self_ms("serve.request");
   const double p50 = percentile(plain.latency_ms, 50);
-  res.set("op_ms_tail", percentile(plain.latency_ms, 99), "ms");
-  res.set("serve.request.ms_p50", percentile(request, 50), "ms");
-  res.set("serve.request.ms_p99", percentile(request, 99), "ms");
-  res.set("serve.queue_wait.ms_p99", percentile(traced.log.queue_ms, 99), "ms");
+  set_percentile(res, "op_ms_tail", plain.latency_ms, 99);
+  set_percentile(res, "serve.request.ms_p50", request, 50);
+  set_percentile(res, "serve.request.ms_p99", request, 99);
+  set_percentile(res, "serve.queue_wait.ms_p99", traced.log.queue_ms, 99);
   res.set("solver.iterations_mean", mean(traced.log.iterations), "count");
-  res.set("serve.generator_lag.ms_p99", percentile(traced.log.lag_ms, 99), "ms");
-  res.set("serve.customize.ms_p50", percentile(customize, 50), "ms");
+  set_percentile(res, "serve.generator_lag.ms_p99", traced.log.lag_ms, 99);
+  set_percentile(res, "serve.customize.ms_p50", customize, 50);
+  double customize_ms = 0.0;
+  for (double ms : plain.log.customize_ms) customize_ms += ms;
+  res.set("serve.write_time_frac", customize_ms * 1e-3 / plain.log.busy_s, "ratio");
   set_pool_metrics(res, pd);
-  res.set("serve.worker_busy_frac",
-          traced.log.busy_s / (traced.wall_s * static_cast<double>(cfg.workers)), "ratio");
+  res.set("serve.worker_busy_frac", traced.busy_frac, "ratio");
   res.set("bench.trace_overhead_frac",
           p50 > 0 ? percentile(traced.latency_ms, 50) / p50 - 1.0 : 0.0, "ratio");
   res.set("bench.untimed_frac", layers.untimed_frac(), "ratio");
@@ -534,9 +578,9 @@ Result run_serve_batched_powerlaw(const RunConfig& cfg) {
   }
   const std::vector<double> wave = layers.self_ms("serve.batch_wave");
   const double p50 = percentile(all.wave_ms, 50);
-  res.set("op_ms_tail", percentile(all.wave_ms, 99), "ms");
-  res.set("serve.batch_wave.ms_p50", percentile(wave, 50), "ms");
-  res.set("serve.batch_wave.ms_p99", percentile(wave, 99), "ms");
+  set_percentile(res, "op_ms_tail", all.wave_ms, kWaveTailPercentile);
+  set_percentile(res, "serve.batch_wave.ms_p50", wave, 50);
+  set_percentile(res, "serve.batch_wave.ms_p95", wave, kWaveTailPercentile);
   res.set("serve.wave_width_mean",
           all.attempted
               ? static_cast<double>(all.columns) / static_cast<double>(all.attempted)

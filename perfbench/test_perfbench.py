@@ -152,8 +152,31 @@ class BenchmarkTests(unittest.TestCase):
         same = subprocess.run(compare + [base, base], capture_output=True, text=True)
         self.assertEqual(same.returncode, 0, same.stdout + same.stderr)
         self.assertIn("op_ms_p50", same.stdout)
+        # One base run cannot resolve a bound; three equal ones can.
+        self.assertIn("unresolved", same.stdout)
+        self.assertNotIn(" ok ", same.stdout)
         foreign = subprocess.run(compare + [base, other], capture_output=True, text=True)
         self.assertEqual(foreign.returncode, 2, foreign.stdout + foreign.stderr)
+        with open(src) as fh:
+            rec = json.load(fh)
+        for seed in (10, 11):
+            rec["seed"] = seed
+            with open(os.path.join(base, "seed%d.json" % seed), "w") as fh:
+                json.dump(rec, fh)
+        three = subprocess.run(compare + [base, base], capture_output=True, text=True)
+        self.assertEqual(three.returncode, 0, three.stdout + three.stderr)
+        self.assertIn(" ok ", three.stdout)
+        self.assertNotIn("unresolved", three.stdout)
+        # Runs of another length are not joined.
+        shutil.rmtree(other)
+        os.makedirs(other)
+        rec["seconds"] = rec["seconds"] + 1
+        with open(os.path.join(other, "longer.json"), "w") as fh:
+            json.dump(rec, fh)
+        longer = subprocess.run(compare + [base, other], capture_output=True, text=True)
+        self.assertEqual(longer.returncode, 0, longer.stdout + longer.stderr)
+        self.assertIn("unmatched", longer.stdout)
+        self.assertNotIn("op_ms_p50", longer.stdout)
         for d in (base, other):
             shutil.rmtree(d, ignore_errors=True)
 
