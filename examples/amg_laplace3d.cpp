@@ -13,9 +13,9 @@
 #include <cstring>
 #include <string>
 
-#include "common/timer.hpp"
 #include "core/coarsener.hpp"
 #include "graph/generators.hpp"
+#include "obs/timer.hpp"
 #include "solver/amg.hpp"
 #include "solver/cg.hpp"
 #include "solver/vector_ops.hpp"

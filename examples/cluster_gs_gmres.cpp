@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/timer.hpp"
 #include "graph/generators.hpp"
+#include "obs/timer.hpp"
 #include "solver/cluster_gs.hpp"
 #include "solver/gauss_seidel.hpp"
 #include "solver/handle.hpp"

@@ -22,9 +22,11 @@
 /// `SolveHandle::solve_batch` call (rhs seeds 1..K, so column 0 is the
 /// unbatched run's system): one table row (or `--json` Report) per RHS
 /// carrying that column's taxonomy status and digest, plus an aggregate
-/// row with the batch wall clock and converged count. Pair with
-/// `--solvers=block-cg` to exercise the fused SpMM cores; the per-column
-/// results are bit-identical to `--solvers=cg` one RHS at a time.
+/// row with the batch wall clock and converged count. "cg" and "gmres"
+/// (and their "block-cg"/"block-gmres" aliases) run one K-wide core for
+/// both paths: a batch runs it at K over fused SpMM, an unbatched row at
+/// K = 1, so column c of a batch is bit-identical to an unbatched solve of
+/// that right-hand side.
 ///
 /// Resilience flags: `--fallback=amg+cg,jacobi+cg,none+gmres` declares a
 /// fallback chain on every row's handle (replacing that row's

@@ -10,10 +10,10 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/timer.hpp"
 #include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "graph/rgg.hpp"
+#include "obs/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmis;

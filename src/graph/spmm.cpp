@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "check/check.hpp"
+#include "graph/spmv.hpp"
 #include "parallel/balanced_for.hpp"
 
 namespace parmis::graph {
@@ -99,6 +100,13 @@ void spmm_run(const CrsMatrix& a, std::span<const scalar_t> x, std::span<scalar_
 }  // namespace
 
 void spmm(const CrsMatrix& a, std::span<const scalar_t> x, std::span<scalar_t> y, int k_count) {
+  // One column is a plain vector: spmv's row loop is the faster code shape
+  // for it (the lane-blocked chunk measured ~1.2x slower at K=1), with the
+  // same per-row accumulation order, so the bits are the same.
+  if (k_count == 1) {
+    spmv(a, x, y);
+    return;
+  }
   assert(k_count > 0);
   assert(x.size() == static_cast<std::size_t>(a.num_cols) * static_cast<std::size_t>(k_count));
   assert(y.size() == static_cast<std::size_t>(a.num_rows) * static_cast<std::size_t>(k_count));

@@ -12,8 +12,4 @@ namespace parmis::graph {
 /// order, so the result is deterministic for any thread count.
 void spmv(const CrsMatrix& a, std::span<const scalar_t> x, std::span<scalar_t> y);
 
-/// y = alpha * A * x + beta * y.
-void spmv(scalar_t alpha, const CrsMatrix& a, std::span<const scalar_t> x, scalar_t beta,
-          std::span<scalar_t> y);
-
 }  // namespace parmis::graph

@@ -2,10 +2,9 @@
 /// \file timer.hpp
 /// \brief Wall-clock stopwatch — the simplest member of the obs layer.
 ///
-/// Moved here from `src/common/timer.hpp` (which remains as a
-/// compatibility alias) so all timing primitives live under `src/obs/`:
-/// `Timer` for coarse phase timings that land in stats structs, `Span`
-/// (trace.hpp) for everything that should show up in a trace.
+/// All timing primitives live under `src/obs/`: `Timer` for coarse phase
+/// timings that land in stats structs, `Span` (trace.hpp) for everything
+/// that should show up in a trace.
 
 #include <chrono>
 

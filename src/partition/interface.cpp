@@ -4,7 +4,7 @@
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
-#include "common/timer.hpp"
+#include "obs/timer.hpp"
 #include "partition/label_prop.hpp"
 #include "partition/streaming.hpp"
 

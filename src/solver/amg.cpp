@@ -6,11 +6,10 @@
 #include <stdexcept>
 
 #include "coloring/d2c_aggregation.hpp"
-#include "common/timer.hpp"
 #include "graph/ops.hpp"
 #include "graph/spgemm.hpp"
 #include "graph/spmm.hpp"
-#include "graph/spmv.hpp"
+#include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
@@ -247,30 +246,10 @@ void AmgHierarchy::finish_setup() {
     bottom_solve_ = "smoother";
   }
 
-  // V-cycle workspaces, including the smoother scratch: apply()/vcycle()
-  // never allocate.
-  work_r_.resize(levels.size());
-  work_bc_.resize(levels.size());
-  work_xc_.resize(levels.size());
-  work_s1_.resize(levels.size());
-  work_s2_.resize(levels.size());
-  work_s3_.resize(levels.size());
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const std::size_t n = static_cast<std::size_t>(levels[i].a.num_rows);
-    work_r_[i].resize(n);
-    work_s1_[i].resize(n);
-    if (opts_.smoother == SmootherType::Chebyshev) {
-      work_s2_[i].resize(n);
-      work_s3_[i].resize(n);
-    }
-    if (i + 1 < levels.size()) {
-      const std::size_t nc = static_cast<std::size_t>(levels[i + 1].a.num_rows);
-      work_bc_[i].resize(nc);
-      work_xc_[i].resize(nc);
-    }
-  }
-  // Multi-vector workspaces are demand-grown by ensure_mwork(); a fresh
-  // setup just resets the width so stale level shapes are never reused.
+  // V-cycle workspaces: demand-grown by ensure_mwork() to the widest batch
+  // seen. A fresh setup resets the width so stale level shapes are never
+  // reused, then sizes them for one column so apply()/vcycle() never
+  // allocate.
   mwork_r_.assign(levels.size(), {});
   mwork_bc_.assign(levels.size(), {});
   mwork_xc_.assign(levels.size(), {});
@@ -278,6 +257,7 @@ void AmgHierarchy::finish_setup() {
   mwork_s2_.assign(levels.size(), {});
   mwork_s3_.assign(levels.size(), {});
   mwork_k_ = 0;
+  ensure_mwork(1);
 }
 
 void AmgHierarchy::ensure_mwork(int k_count) const {
@@ -299,56 +279,6 @@ void AmgHierarchy::ensure_mwork(int k_count) const {
     }
   }
   mwork_k_ = k_count;
-}
-
-void AmgHierarchy::smooth_level(std::size_t lvl, std::span<const scalar_t> rhs,
-                                std::span<scalar_t> sol) const {
-  const AmgLevel& level = handle_.ops()[lvl];
-  if (chebyshev_[lvl]) {
-    for (int s = 0; s < opts_.smoother_sweeps; ++s) {
-      chebyshev_[lvl]->smooth(level.a, rhs, sol, work_s1_[lvl], work_s2_[lvl], work_s3_[lvl]);
-    }
-  } else {
-    jacobi_smooth(level.a, level.inv_diag, rhs, sol, opts_.smoother_sweeps, opts_.jacobi_omega,
-                  work_s1_[lvl]);
-  }
-}
-
-void AmgHierarchy::cycle_level(std::size_t lvl, std::span<const scalar_t> b,
-                               std::span<scalar_t> x) const {
-  const std::vector<AmgLevel>& levels = handle_.ops();
-  const AmgLevel& level = levels[lvl];
-  if (lvl + 1 == levels.size()) {
-    if (coarse_lu_) {
-      coarse_lu_->solve(b, x);
-    } else {
-      smooth_level(lvl, b, x);
-    }
-    return;
-  }
-
-  auto smooth = [&](std::span<const scalar_t> rhs, std::span<scalar_t> sol) {
-    smooth_level(lvl, rhs, sol);
-  };
-
-  // Pre-smooth.
-  smooth(b, x);
-
-  // Coarse-grid correction.
-  std::span<scalar_t> r(work_r_[lvl]);
-  graph::spmv(level.a, x, r);
-  axpby(1.0, b, -1.0, r);  // r = b - A x
-  std::span<scalar_t> bc(work_bc_[lvl]);
-  graph::spmv(level.r, r, bc);
-  std::span<scalar_t> xc(work_xc_[lvl]);
-  fill(xc, 0.0);
-  cycle_level(lvl + 1, bc, xc);
-  // x += P xc
-  graph::spmv(1.0, level.p, xc, 0.0, r);
-  axpby(1.0, r, 1.0, x);
-
-  // Post-smooth.
-  smooth(b, x);
 }
 
 void AmgHierarchy::smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
@@ -387,8 +317,7 @@ void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> 
   // Pre-smooth.
   smooth_level_multi(lvl, b, x, k_count);
 
-  // Coarse-grid correction — one fused kernel per grid transfer; per
-  // column this is exactly the cycle_level op sequence.
+  // Coarse-grid correction — one fused kernel per grid transfer.
   const ordinal_t n = level.a.num_rows;
   std::span<scalar_t> r(mwork_r_[lvl].data(), static_cast<std::size_t>(n) * uk);
   graph::spmm(level.a, x, r, k_count);
@@ -408,12 +337,11 @@ void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> 
 }
 
 void AmgHierarchy::vcycle(std::span<const scalar_t> b, std::span<scalar_t> x) const {
-  cycle_level(0, b, x);
+  cycle_level_multi(0, b, x, 1);
 }
 
 void AmgHierarchy::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  fill(z, 0.0);
-  cycle_level(0, r, z);
+  apply_multi(r, z, handle_.ops().front().a.num_rows, 1, {});
 }
 
 void AmgHierarchy::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,

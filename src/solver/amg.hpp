@@ -126,7 +126,7 @@ class AmgHierarchy final : public Preconditioner {
   /// coarse LU. Throws std::invalid_argument on a structure mismatch.
   void rebuild(const graph::CrsMatrix& a_fine);
 
-  /// One V-cycle on A z = r from z = 0.
+  /// One V-cycle on A z = r from z = 0: `apply_multi` at `k_count = 1`.
   void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
 
   /// Grows the per-level multi-vector workspaces to batch width `k_count`
@@ -137,18 +137,18 @@ class AmgHierarchy final : public Preconditioner {
     return growing;
   }
 
-  /// Batched V-cycle over n x k_count row-major multi-vectors: every grid
-  /// transfer and smoother application is one fused multi-vector kernel,
-  /// and column c of the result is bit-identical to `apply` on the
-  /// gathered column. Multi-vector workspaces are grown lazily the first
-  /// time a given batch width is seen; repeat applications at the same (or
-  /// smaller) width allocate nothing.
+  /// V-cycle over n x k_count row-major multi-vectors: every grid transfer
+  /// and smoother application is one fused multi-vector kernel, and column
+  /// c of the result is bit-identical to the same call on the gathered
+  /// column. The workspaces are sized for one column at setup and grown
+  /// the first time a wider batch is seen; repeat applications at the same
+  /// (or smaller) width allocate nothing.
   void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
                    int k_count, std::span<scalar_t> scratch) const override;
 
   [[nodiscard]] std::string name() const override;
 
-  /// General V-cycle from an arbitrary initial guess (level 0).
+  /// General V-cycle from an arbitrary initial guess (level 0, one column).
   void vcycle(std::span<const scalar_t> b, std::span<scalar_t> x) const;
 
   [[nodiscard]] int num_levels() const { return static_cast<int>(handle_.ops().size()); }
@@ -174,9 +174,6 @@ class AmgHierarchy final : public Preconditioner {
   [[nodiscard]] const char* bottom_solve() const { return bottom_solve_; }
 
  private:
-  void cycle_level(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x) const;
-  void smooth_level(std::size_t lvl, std::span<const scalar_t> rhs,
-                    std::span<scalar_t> sol) const;
   void cycle_level_multi(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x,
                          int k_count) const;
   void smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
@@ -194,14 +191,13 @@ class AmgHierarchy final : public Preconditioner {
   AmgOptions opts_;
   double aggregation_seconds_{0};
   double setup_seconds_{0};
-  // Per-level work vectors for the V-cycle (sized at build, so apply() and
-  // vcycle() perform zero heap allocations — the warm-solve contract).
-  mutable std::vector<std::vector<scalar_t>> work_r_, work_bc_, work_xc_;
-  // Per-level smoother scratch: s1 is the Jacobi double-buffer (always
-  // sized); s2/s3 complete the Chebyshev triple when that smoother is on.
-  mutable std::vector<std::vector<scalar_t>> work_s1_, work_s2_, work_s3_;
-  // Multi-vector twins of the above, grown lazily by ensure_mwork() to the
-  // widest batch seen (apply_multi at width <= mwork_k_ allocates nothing).
+  // Per-level multi-vector work for the V-cycle: residual and coarse
+  // rhs/solution, then smoother scratch (s1 is the Jacobi double-buffer;
+  // s2/s3 complete the Chebyshev triple when that smoother is on). Sized
+  // for one column at setup, so apply() and vcycle() perform zero heap
+  // allocations (the warm-solve contract), and grown by ensure_mwork() to
+  // the widest batch seen (apply_multi at width <= mwork_k_ allocates
+  // nothing).
   mutable std::vector<std::vector<scalar_t>> mwork_r_, mwork_bc_, mwork_xc_;
   mutable std::vector<std::vector<scalar_t>> mwork_s1_, mwork_s2_, mwork_s3_;
   mutable int mwork_k_ = 0;

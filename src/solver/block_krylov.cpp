@@ -1,5 +1,6 @@
 /// \file block_krylov.cpp
-/// \brief Fused block CG and block GMRES cores ("block-cg"/"block-gmres").
+/// \brief The CG and GMRES cores behind "cg"/"gmres" (and their
+/// "block-cg"/"block-gmres" aliases), for one right-hand side or K.
 ///
 /// Both cores advance K right-hand sides in lockstep over one `spmm` per
 /// matrix application, while every column runs its *own* scalar recurrence
@@ -8,14 +9,15 @@
 /// single-vector reductions bit for bit per column and every masked update
 /// is an explicit branch (never a zero coefficient), each column's iterate
 /// sequence — and therefore its digest, iteration count, history, and
-/// taxonomy status — is bit-identical to running the single-RHS core on
-/// that column alone.
+/// taxonomy status — is bit-identical to a K = 1 solve of that column
+/// alone. A single-RHS solve *is* the K = 1 instance: there is no separate
+/// single-vector core.
 ///
 /// Deflation: a column that converges, breaks down, or trips its guard is
 /// *frozen* — dropped from the active mask so no kernel writes its lanes
-/// again — and finalized with the same epilogue the single core runs. The
-/// remaining columns keep iterating; this is the per-RHS failure-isolation
-/// contract (one poisoned column gets one poisoned status).
+/// again — and finalized with its own epilogue. The remaining columns keep
+/// iterating; this is the per-RHS failure-isolation contract (one poisoned
+/// column gets one poisoned status).
 ///
 /// Block GMRES is the interesting one: restarts desynchronize (column c may
 /// sit at cycle position j[c] while its neighbor restarts), so the core is
@@ -30,11 +32,13 @@
 #include <cmath>
 #include <limits>
 
-
 #include "graph/spmm.hpp"
 #include "obs/trace.hpp"
+#include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/guard.hpp"
+#include "solver/cg.hpp"
+#include "solver/gmres.hpp"
 #include "solver/interface.hpp"
 #include "solver/multivector.hpp"
 
@@ -44,14 +48,15 @@ namespace {
 
 using resilience::SolveStatus;
 
-/// Per-column solve prologue shared by both block cores: mirrors
-/// `begin_solve` for column c (result reset, history pre-reserve, zero-rhs
-/// early-out). Returns false when the column is already done (excluded or
-/// zero rhs); on true the column is live with bnorm[c] > 0.
+/// Per-column solve prologue shared by both cores: result reset (keeping
+/// its history capacity), history pre-reserve, zero-rhs early-out. Returns
+/// false when the column is already done (excluded or zero rhs); on true
+/// the column is live with bnorm_c > 0. An empty `excluded` excludes none.
+/// `attempts` is deliberately not touched — `SolveHandle` owns it.
 bool begin_column(const IterOptions& opts, std::span<scalar_t> x, ordinal_t n, int k_count,
-                  int c, scalar_t bnorm_c, SolveWorkspace& ws, BatchResult& result) {
-  if (result.excluded[static_cast<std::size_t>(c)]) return false;
-  IterResult& r = result.results[static_cast<std::size_t>(c)];
+                  int c, scalar_t bnorm_c, std::span<const char> excluded, SolveWorkspace& ws,
+                  IterResult& r) {
+  if (!excluded.empty() && excluded[static_cast<std::size_t>(c)]) return false;
   r.iterations = 0;
   r.relative_residual = 0.0;
   r.converged = false;
@@ -71,6 +76,13 @@ bool begin_column(const IterOptions& opts, std::span<scalar_t> x, ordinal_t n, i
   return true;
 }
 
+/// Preconditioner scratch for the default column-gathering `apply_multi`;
+/// a single column needs none.
+std::span<scalar_t> prec_scratch_slot(SolveWorkspace& ws, std::size_t slot, std::size_t n,
+                                      int k_count) {
+  return k_count > 1 ? ws.vec(slot, 2 * n) : std::span<scalar_t>();
+}
+
 void refill_guards(SolveWorkspace& ws, const IterOptions& opts, int k_count) {
   ws.batch_guards.clear();  // keeps capacity; IterGuard holds no heap state
   for (int c = 0; c < k_count; ++c) ws.batch_guards.emplace_back(opts.guard_config());
@@ -82,7 +94,8 @@ void refill_guards(SolveWorkspace& ws, const IterOptions& opts, int k_count) {
 
 void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                     std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                    const Preconditioner* prec, SolveWorkspace& ws, BatchResult& result) {
+                    const Preconditioner* prec, SolveWorkspace& ws,
+                    std::span<IterResult> results, std::span<const char> excluded) {
   assert(a.num_rows == a.num_cols);
   assert(k_count >= 1);
   const ordinal_t n = a.num_rows;
@@ -90,8 +103,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   const std::size_t uk = static_cast<std::size_t>(k_count);
   const std::size_t nk = un * uk;
   assert(b.size() == nk && x.size() == nk);
-
-  result.ensure(k_count);
+  assert(results.size() >= uk);
 
   // Per-column small state: [bnorm | rz | rznext | pap | alpha | nalpha |
   // beta | relres], each a K-wide lane.
@@ -113,7 +125,8 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   mv_norms(b, n, k_count, std::span<scalar_t>(bnorm, uk));
   int num_active = 0;
   for (int c = 0; c < k_count; ++c) {
-    if (!begin_column(opts, x, n, k_count, c, bnorm[static_cast<std::size_t>(c)], ws, result)) {
+    if (!begin_column(opts, x, n, k_count, c, bnorm[static_cast<std::size_t>(c)], excluded, ws,
+                      results[static_cast<std::size_t>(c)])) {
       continue;
     }
     stopc[static_cast<std::size_t>(c)] = static_cast<int>(SolveStatus::Converged);
@@ -126,7 +139,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   std::span<scalar_t> z_mv = ws.vec(1, nk);
   std::span<scalar_t> p_mv = ws.vec(2, nk);
   std::span<scalar_t> ap_mv = ws.vec(3, nk);
-  std::span<scalar_t> prec_scratch = ws.vec(4, 2 * un);
+  std::span<scalar_t> prec_scratch = prec_scratch_slot(ws, 4, un, k_count);
 
   // R = B - A X
   graph::spmm(a, x, r_mv, k_count);
@@ -149,16 +162,16 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   for (int c = 0; c < k_count; ++c) {
     const std::size_t sc = static_cast<std::size_t>(c);
     if (!active[sc]) continue;
-    IterResult& r = result.results[sc];
+    IterResult& r = results[sc];
     relres[sc] /= bnorm[sc];
     if (opts.track_history) r.history.push_back(relres[sc]);
     stopc[sc] = static_cast<int>(ws.batch_guards[sc].check(relres[sc], 0, r.failure));
   }
 
-  // Identical to the single-core epilogue; run once per column, at freeze.
+  // Per-column epilogue; run once per column, at freeze.
   auto finalize = [&](int c) {
     const std::size_t sc = static_cast<std::size_t>(c);
-    IterResult& r = result.results[sc];
+    IterResult& r = results[sc];
     if (static_cast<SolveStatus>(stopc[sc]) != SolveStatus::Converged) {
       r.status = static_cast<SolveStatus>(stopc[sc]);
     }
@@ -174,7 +187,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
   // `it` doubles as every active column's own iteration index: lockstep
   // columns all advance from iteration 0 together and frozen columns never
-  // come back, exactly the single core's counter.
+  // come back.
   for (int it = 0; num_active > 0 && it < opts.max_iterations; ++it) {
     for (int c = 0; c < k_count; ++c) {
       const std::size_t sc = static_cast<std::size_t>(c);
@@ -196,7 +209,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       const std::size_t sc = static_cast<std::size_t>(c);
       if (!active[sc]) continue;
       if (pap[sc] == 0 || !std::isfinite(pap[sc])) {
-        result.results[sc].failure =
+        results[sc].failure =
             resilience::FailureInfo{"iterate", "solver.cg.breakdown.pap", it, -1};
         stopc[sc] = static_cast<int>(SolveStatus::Breakdown);
         finalize(c);
@@ -208,7 +221,9 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
     if (num_active == 0) break;
     mv_axpy_cols(std::span<const scalar_t>(alpha, uk), p_mv, x, n, k_count, active);
     mv_axpy_cols(std::span<const scalar_t>(nalpha, uk), ap_mv, r_mv, n, k_count, active);
-    // Injected residual faults, column 0 only (see single core).
+    // Injected residual faults, column 0 only: blow r up past the
+    // divergence factor, or poison it with a NaN — the *real* guards below
+    // must catch both.
     if (PARMIS_FAULT_POINT("cg.diverge") && active[0]) {
       for (std::size_t i = 0; i < un; ++i) r_mv[i * uk] *= 1e30;
     }
@@ -229,7 +244,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
     for (int c = 0; c < k_count; ++c) {
       const std::size_t sc = static_cast<std::size_t>(c);
       if (!active[sc]) continue;
-      IterResult& r = result.results[sc];
+      IterResult& r = results[sc];
       ++r.iterations;
       relres[sc] = rznext[sc] / bnorm[sc];
       if (opts.track_history) r.history.push_back(relres[sc]);
@@ -253,7 +268,8 @@ enum BgPhase : int { kNeedStart = 0, kInCycle = 1, kEndCycle = 2, kDone = 3 };
 
 void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                        std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                       const Preconditioner* prec, SolveWorkspace& ws, BatchResult& result) {
+                       const Preconditioner* prec, SolveWorkspace& ws,
+                       std::span<IterResult> results, std::span<const char> excluded) {
   assert(a.num_rows == a.num_cols);
   assert(k_count >= 1);
   const ordinal_t n = a.num_rows;
@@ -263,8 +279,7 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   assert(b.size() == nk && x.size() == nk);
   const int m = opts.gmres_restart;
   assert(m >= 1);
-
-  result.ensure(k_count);
+  assert(results.size() >= uk);
 
   // Per-column small state: [bnorm | relres | coefa | coefb]; coefa/coefb
   // are reused as whatever per-column coefficient the current kernel needs
@@ -301,11 +316,13 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                    sc];
   };
 
-  // Multi-vector slots: basis 0..m, then w, tmp, op, preconditioner
-  // scratch. Touch them all up front so the pool never reallocates
-  // mid-solve (and so the workspace.alloc fault fires here).
+  // Multi-vector slots: basis 0..m, then w, tmp, op (the Arnoldi gather
+  // when restarts desynchronize columns), preconditioner scratch. Touch
+  // them all up front so the pool never reallocates mid-solve (and so the
+  // workspace.alloc fault fires here).
   for (int i = 0; i <= m + 3; ++i) ws.vec(static_cast<std::size_t>(i), nk);
-  std::span<scalar_t> prec_scratch = ws.vec(static_cast<std::size_t>(m) + 4, 2 * un);
+  std::span<scalar_t> prec_scratch =
+      prec_scratch_slot(ws, static_cast<std::size_t>(m) + 4, un, k_count);
   auto basis = [&](int i) {
     return std::span<scalar_t>(ws.pool[static_cast<std::size_t>(i)].data(), nk);
   };
@@ -326,16 +343,16 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   for (int c = 0; c < k_count; ++c) {
     const std::size_t sc = static_cast<std::size_t>(c);
     phase[sc] = kDone;
-    if (!begin_column(opts, x, n, k_count, c, bnorm[sc], ws, result)) continue;
+    if (!begin_column(opts, x, n, k_count, c, bnorm[sc], excluded, ws, results[sc])) continue;
     stopc[sc] = static_cast<int>(SolveStatus::Converged);
     phase[sc] = kNeedStart;  // provisional; the initial residual may Done it
     ++num_live;
   }
 
-  // Identical to the single-core epilogue; run once per column, at Done.
+  // Per-column epilogue; run once per column, at Done.
   auto finalize = [&](int c) {
     const std::size_t sc = static_cast<std::size_t>(c);
-    IterResult& r = result.results[sc];
+    IterResult& r = results[sc];
     if (static_cast<SolveStatus>(stopc[sc]) != SolveStatus::Converged) {
       r.status = static_cast<SolveStatus>(stopc[sc]);
     }
@@ -348,14 +365,14 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
     phase[sc] = kDone;
   };
 
-  // Routing shared by the initial residual and every end-of-cycle: decides
-  // whether the column re-enters the outer loop, exactly the single core's
-  // `while (stop == Converged && iterations < max && relres > tol)`.
+  // Routing shared by the initial residual and every end-of-cycle: the
+  // column re-enters the outer (restart) loop while
+  // `stop == Converged && iterations < max && relres > tol`.
   auto route = [&](int c) {
     const std::size_t sc = static_cast<std::size_t>(c);
     if (static_cast<SolveStatus>(stopc[sc]) != SolveStatus::Converged ||
         relres[sc] <= opts.tolerance ||
-        result.results[sc].iterations >= opts.max_iterations) {
+        results[sc].iterations >= opts.max_iterations) {
       finalize(c);
     } else {
       phase[sc] = kNeedStart;
@@ -363,15 +380,16 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   };
 
   if (num_live > 0) {
-    // Initial residual for every live column (mirrors the single core's
-    // pre-loop block): w = B - A X, relres, history, guard.
+    // Initial residual for every live column: w = B - A X, relres,
+    // history, guard (a deadline of ~0 or a non-finite r0 must not enter
+    // the loop at all).
     graph::spmm(a, x, w, k_count);
     mv_axpby(1.0, b, -1.0, w, n, k_count);
     mv_norms(w, n, k_count, std::span<scalar_t>(coefa, uk));
     for (int c = 0; c < k_count; ++c) {
       const std::size_t sc = static_cast<std::size_t>(c);
       if (phase[sc] == kDone) continue;
-      IterResult& r = result.results[sc];
+      IterResult& r = results[sc];
       relres[sc] = coefa[sc] / bnorm[sc];
       if (opts.track_history) r.history.push_back(relres[sc]);
       stopc[sc] = static_cast<int>(ws.batch_guards[sc].check(relres[sc], 0, r.failure));
@@ -402,8 +420,9 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
     // --- restart: v0 = (b - A x) / ||b - A x|| for NeedStart columns ----
     if (set_mask(kNeedStart)) {
-      mv_copy_cols(x, op, n, k_count, mask);
-      graph::spmm(a, op, w, k_count);
+      // spmm is columnwise, so the unmasked lanes it also computes into w
+      // are harmless; only the masked lanes move on into basis(0).
+      graph::spmm(a, x, w, k_count);
       mv_copy_cols(w, basis(0), n, k_count, mask);
       mv_axpby_masked(1.0, b, -1.0, basis(0), n, k_count, mask);
       mv_norms(basis(0), n, k_count, std::span<scalar_t>(coefa, uk));
@@ -433,14 +452,30 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
     // --- one Arnoldi step for every InCycle column ----------------------
     if (set_mask(kInCycle)) {
-      // op lane c = basis(j[c]) lane c (per-column slot, strided copy).
+      // Column c reads lane c of basis(j[c]). When every masked column sits
+      // at the same j (always for K = 1, and for any batch in lockstep)
+      // that is basis(j) itself; otherwise gather the lanes into op. The
+      // unmasked lanes the kernels below also compute are never read.
+      int j_shared = -1;
+      bool lockstep = true;
       for (int c = 0; c < k_count; ++c) {
         const std::size_t sc = static_cast<std::size_t>(c);
         if (!mask[sc]) continue;
-        std::span<scalar_t> vj = basis(jpos[sc]);
-        for (std::size_t i = 0; i < un; ++i) op[i * uk + sc] = vj[i * uk + sc];
+        if (j_shared < 0) j_shared = jpos[sc];
+        lockstep = lockstep && jpos[sc] == j_shared;
       }
-      apply_right_prec(op, tmp);
+      std::span<scalar_t> vj = op;
+      if (lockstep) {
+        vj = basis(j_shared);
+      } else {
+        par::parallel_for(n, [&](ordinal_t i) {
+          const std::size_t base = static_cast<std::size_t>(i) * uk;
+          for (std::size_t sc = 0; sc < uk; ++sc) {
+            if (mask[sc]) op[base + sc] = ws.pool[static_cast<std::size_t>(jpos[sc])][base + sc];
+          }
+        });
+      }
+      apply_right_prec(vj, tmp);
       graph::spmm(a, tmp, w, k_count);
       // Injected NaN (check builds), column 0 only.
       if (PARMIS_FAULT_POINT("gmres.poison") && mask[0]) {
@@ -453,8 +488,8 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       }
       // Orthogonalize slot by slot: the fused dot at slot s serves every
       // column whose cycle reaches that deep, then the masked subtract
-      // lands before slot s+1's dot — the modified-Gram-Schmidt order of
-      // the single core, per column.
+      // lands before slot s+1's dot — modified Gram-Schmidt order, per
+      // column.
       std::span<char> smask = mask;  // reuse: narrow per slot, restore after
       for (int s = 0; s <= max_j; ++s) {
         bool any = false;
@@ -475,20 +510,26 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       }
       set_mask(kInCycle);  // restore the full InCycle mask
       mv_norms(w, n, k_count, std::span<scalar_t>(coefa, uk));
+      // basis(j[c]+1) lane c = w lane c * (1 / h(j+1, j)); a zero norm
+      // leaves it alone (the Givens step below classifies the breakdown).
+      for (int c = 0; c < k_count; ++c) {
+        const std::size_t sc = static_cast<std::size_t>(c);
+        if (mask[sc] && coefa[sc] != 0) coefb[sc] = 1.0 / coefa[sc];
+      }
+      par::parallel_for(n, [&](ordinal_t i) {
+        const std::size_t base = static_cast<std::size_t>(i) * uk;
+        for (std::size_t sc = 0; sc < uk; ++sc) {
+          if (mask[sc] && coefa[sc] != 0) {
+            ws.pool[static_cast<std::size_t>(jpos[sc]) + 1][base + sc] = w[base + sc] * coefb[sc];
+          }
+        }
+      });
       for (int c = 0; c < k_count; ++c) {
         const std::size_t sc = static_cast<std::size_t>(c);
         if (!mask[sc]) continue;
         const int j = jpos[sc];
         h(j + 1, j, sc) = coefa[sc];
-        if (coefa[sc] != 0) {
-          // basis(j+1) lane = w lane / h(j+1, j): copy then scale, exactly
-          // the single core's op order.
-          std::span<scalar_t> vnext = basis(j + 1);
-          const scalar_t inv = 1.0 / coefa[sc];
-          for (std::size_t i = 0; i < un; ++i) vnext[i * uk + sc] = w[i * uk + sc];
-          for (std::size_t i = 0; i < un; ++i) vnext[i * uk + sc] *= inv;
-        }
-        IterResult& r = result.results[sc];
+        IterResult& r = results[sc];
         // Apply stored Givens rotations, then form the new one.
         for (int i = 0; i < j; ++i) {
           const scalar_t ci = ws.cs[static_cast<std::size_t>(i) * uk + sc];
@@ -573,15 +614,14 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       set_mask(kEndCycle);
       apply_right_prec(w, tmp);
       mv_axpby_masked(1.0, tmp, 1.0, x, n, k_count, mask);
-      // True residual after the restart update (reusing w and op).
-      mv_copy_cols(x, op, n, k_count, mask);
-      graph::spmm(a, op, w, k_count);
+      // True residual after the restart update (reusing w).
+      graph::spmm(a, x, w, k_count);
       mv_axpby_masked(1.0, b, -1.0, w, n, k_count, mask);
       mv_norms(w, n, k_count, std::span<scalar_t>(coefa, uk));
       for (int c = 0; c < k_count; ++c) {
         const std::size_t sc = static_cast<std::size_t>(c);
         if (!mask[sc]) continue;
-        IterResult& r = result.results[sc];
+        IterResult& r = results[sc];
         relres[sc] = coefa[sc] / bnorm[sc];
         if (relres[sc] > opts.tolerance) {
           stopc[sc] =
@@ -591,6 +631,29 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       }
     }
   }
+}
+
+// ------------------------------------------------- free-function shims
+
+IterResult cg(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
+              const IterOptions& opts, const Preconditioner* prec) {
+  Context::Scope scope(opts.ctx ? *opts.ctx : Context::default_ctx());
+  SolveWorkspace ws;
+  IterResult result;
+  block_cg_solve(a, b, x, 1, opts, prec, ws, std::span<IterResult>(&result, 1));
+  return result;
+}
+
+IterResult gmres(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                 std::span<scalar_t> x, const IterOptions& opts, const Preconditioner* prec,
+                 int restart) {
+  Context::Scope scope(opts.ctx ? *opts.ctx : Context::default_ctx());
+  IterOptions run = opts;
+  if (restart > 0) run.gmres_restart = restart;
+  SolveWorkspace ws;
+  IterResult result;
+  block_gmres_solve(a, b, x, 1, run, prec, ws, std::span<IterResult>(&result, 1));
+  return result;
 }
 
 }  // namespace parmis::solver

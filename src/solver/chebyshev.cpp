@@ -44,6 +44,36 @@ scalar_t estimate_lambda_max(const graph::CrsMatrix& a, std::span<const scalar_t
   return 1.1 * lambda;
 }
 
+/// Solve prologue: reset `result` (keeping its history capacity),
+/// pre-reserve the history when tracking is on, and handle the zero-rhs
+/// early-out (x = 0, converged). Returns false when the solve is already
+/// complete; on true, `bnorm` holds ||b|| > 0.
+bool begin_solve(const IterOptions& opts, std::span<const scalar_t> b, std::span<scalar_t> x,
+                 SolveWorkspace& ws, IterResult& result, scalar_t& bnorm) {
+  result.iterations = 0;
+  result.relative_residual = 0.0;
+  result.converged = false;
+  // Default assumption: the loop runs to its iteration budget. Every other
+  // exit (convergence, breakdown, guard trip) overwrites this. `attempts`
+  // is deliberately NOT touched — it is owned by SolveHandle, which runs
+  // several solver calls per chain into the same result.
+  result.status = resilience::SolveStatus::MaxIterations;
+  result.failure.clear();
+  result.history.clear();  // keeps capacity: warm tracked solves stay allocation-free
+  if (opts.track_history) {
+    ws.ensure_small(result.history, static_cast<std::size_t>(opts.max_iterations) + 1);
+    result.history.clear();
+  }
+  bnorm = norm2(b);
+  if (bnorm == 0) {
+    fill(x, 0.0);
+    result.converged = true;
+    result.status = resilience::SolveStatus::Converged;
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 ChebyshevSmoother::ChebyshevSmoother(const graph::CrsMatrix& a, int degree, scalar_t eig_ratio)
@@ -67,50 +97,13 @@ void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar
   std::vector<scalar_t> r(n);   // preconditioned residual
   std::vector<scalar_t> d(n);   // search update
   std::vector<scalar_t> ad(n);  // A d scratch
-  smooth(a, b, x, r, d, ad);
+  smooth_multi(a, b, x, r, d, ad, 1);
 }
 
 void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                                std::span<scalar_t> x, std::span<scalar_t> r,
                                std::span<scalar_t> d, std::span<scalar_t> ad) const {
-  const ordinal_t n = a.num_rows;
-  assert(b.size() == static_cast<std::size_t>(n) && x.size() == static_cast<std::size_t>(n));
-  assert(r.size() == static_cast<std::size_t>(n) && d.size() == static_cast<std::size_t>(n) &&
-         ad.size() == static_cast<std::size_t>(n));
-
-  // Three-term Chebyshev recurrence on the split-preconditioned system
-  // (Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1).
-  const scalar_t theta = 0.5 * (lambda_max_ + lambda_min_);
-  const scalar_t delta = 0.5 * (lambda_max_ - lambda_min_);
-  const scalar_t sigma1 = theta / delta;
-
-  // r = D^{-1} (b - A x); d = r / theta; x += d.
-  graph::spmv(a, x, r);
-  par::parallel_for(n, [&](ordinal_t i) {
-    const scalar_t pr = inv_diag_[static_cast<std::size_t>(i)] *
-                        (b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)]);
-    r[static_cast<std::size_t>(i)] = pr;
-    d[static_cast<std::size_t>(i)] = pr / theta;
-  });
-  axpby(1.0, d, 1.0, x);
-
-  scalar_t rho_prev = 1.0 / sigma1;
-  for (int k = 1; k < degree_; ++k) {
-    // r -= D^{-1} A d
-    graph::spmv(a, d, ad);
-    par::parallel_for(n, [&](ordinal_t i) {
-      r[static_cast<std::size_t>(i)] -=
-          inv_diag_[static_cast<std::size_t>(i)] * ad[static_cast<std::size_t>(i)];
-    });
-    const scalar_t rho = 1.0 / (2.0 * sigma1 - rho_prev);
-    // d = (rho * rho_prev) d + (2 rho / delta) r
-    par::parallel_for(n, [&](ordinal_t i) {
-      d[static_cast<std::size_t>(i)] = rho * rho_prev * d[static_cast<std::size_t>(i)] +
-                                       2.0 * rho / delta * r[static_cast<std::size_t>(i)];
-    });
-    axpby(1.0, d, 1.0, x);
-    rho_prev = rho;
-  }
+  smooth_multi(a, b, x, r, d, ad, 1);
 }
 
 void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
@@ -118,47 +111,39 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
                                      std::span<scalar_t> d, std::span<scalar_t> ad,
                                      int k_count) const {
   const ordinal_t n = a.num_rows;
-  const std::size_t uk = static_cast<std::size_t>(k_count);
-  [[maybe_unused]] const std::size_t nk = static_cast<std::size_t>(n) * uk;
+  [[maybe_unused]] const std::size_t nk =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
   assert(k_count > 0);
   assert(b.size() >= nk && x.size() >= nk);
   assert(r.size() >= nk && d.size() >= nk && ad.size() >= nk);
 
+  // Three-term Chebyshev recurrence on the split-preconditioned system
+  // (Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1), run
+  // per lane: each column sees exactly the single-vector recurrence.
   const scalar_t theta = 0.5 * (lambda_max_ + lambda_min_);
   const scalar_t delta = 0.5 * (lambda_max_ - lambda_min_);
   const scalar_t sigma1 = theta / delta;
 
-  // R = D^{-1} (B - A X); D = R / theta; X += D — per lane, so each column
-  // runs exactly the single-vector recurrence.
+  // R = D^{-1} (B - A X); D = R / theta; X += D.
   graph::spmm(a, x, r, k_count);
-  par::parallel_for(n, [&](ordinal_t i) {
-    const std::size_t base = static_cast<std::size_t>(i) * uk;
-    for (int c = 0; c < k_count; ++c) {
-      const std::size_t at = base + static_cast<std::size_t>(c);
-      const scalar_t pr = inv_diag_[static_cast<std::size_t>(i)] * (b[at] - r[at]);
-      r[at] = pr;
-      d[at] = pr / theta;
-    }
+  mv_for_each_lane(n, k_count, [&](ordinal_t i, std::size_t at) {
+    const scalar_t pr = inv_diag_[static_cast<std::size_t>(i)] * (b[at] - r[at]);
+    r[at] = pr;
+    d[at] = pr / theta;
   });
   mv_axpby(1.0, d, 1.0, x, n, k_count);
 
   scalar_t rho_prev = 1.0 / sigma1;
   for (int k = 1; k < degree_; ++k) {
+    // R -= D^{-1} A D
     graph::spmm(a, d, ad, k_count);
-    par::parallel_for(n, [&](ordinal_t i) {
-      const std::size_t base = static_cast<std::size_t>(i) * uk;
-      for (int c = 0; c < k_count; ++c) {
-        const std::size_t at = base + static_cast<std::size_t>(c);
-        r[at] -= inv_diag_[static_cast<std::size_t>(i)] * ad[at];
-      }
+    mv_for_each_lane(n, k_count, [&](ordinal_t i, std::size_t at) {
+      r[at] -= inv_diag_[static_cast<std::size_t>(i)] * ad[at];
     });
     const scalar_t rho = 1.0 / (2.0 * sigma1 - rho_prev);
-    par::parallel_for(n, [&](ordinal_t i) {
-      const std::size_t base = static_cast<std::size_t>(i) * uk;
-      for (int c = 0; c < k_count; ++c) {
-        const std::size_t at = base + static_cast<std::size_t>(c);
-        d[at] = rho * rho_prev * d[at] + 2.0 * rho / delta * r[at];
-      }
+    // D = (rho * rho_prev) D + (2 rho / delta) R
+    mv_for_each_lane(n, k_count, [&](ordinal_t, std::size_t at) {
+      d[at] = rho * rho_prev * d[at] + 2.0 * rho / delta * r[at];
     });
     mv_axpby(1.0, d, 1.0, x, n, k_count);
     rho_prev = rho;

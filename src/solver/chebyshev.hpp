@@ -32,15 +32,16 @@ class ChebyshevSmoother {
               std::span<scalar_t> x) const;
 
   /// Allocation-free application into caller-owned scratch (`r`, `d`, `ad`
-  /// must each have `a.num_rows` elements). This is what the AMG V-cycle
-  /// and the "chebyshev" registry solver use for zero-allocation warm runs.
+  /// must each have `a.num_rows` elements): `smooth_multi` at
+  /// `k_count = 1`. The "chebyshev" registry solver runs this.
   void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
               std::span<scalar_t> r, std::span<scalar_t> d, std::span<scalar_t> ad) const;
 
-  /// Batched application over n x k_count row-major multi-vectors: every
-  /// matrix application is one `spmm` and the recurrence runs per lane, so
-  /// column c is bit-identical to `smooth` on the gathered column. Scratch
-  /// spans need `a.num_rows * k_count` elements each.
+  /// Application over n x k_count row-major multi-vectors: every matrix
+  /// application is one `spmm` and the recurrence runs per lane, so column
+  /// c is bit-identical to the same call on the gathered column. Scratch
+  /// spans need `a.num_rows * k_count` elements each. The AMG V-cycle
+  /// smooths through it.
   void smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                     std::span<scalar_t> x, std::span<scalar_t> r, std::span<scalar_t> d,
                     std::span<scalar_t> ad, int k_count) const;

@@ -2,8 +2,8 @@
 
 #include <cassert>
 
-#include "common/timer.hpp"
 #include "graph/ops.hpp"
+#include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/vector_ops.hpp"

@@ -72,28 +72,7 @@ void DenseLU::refactor(const graph::CrsMatrix& a, scalar_t diag_shift) {
 }
 
 void DenseLU::solve(std::span<const scalar_t> b, std::span<scalar_t> x) const {
-  assert(b.size() == static_cast<std::size_t>(n_) && x.size() == static_cast<std::size_t>(n_));
-  const std::size_t n = static_cast<std::size_t>(n_);
-
-  // Forward substitution on the permuted right-hand side (L has unit diag).
-  for (ordinal_t i = 0; i < n_; ++i) {
-    scalar_t acc = b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-    for (ordinal_t j = 0; j < i; ++j) {
-      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-             x[static_cast<std::size_t>(j)];
-    }
-    x[static_cast<std::size_t>(i)] = acc;
-  }
-  // Back substitution.
-  for (ordinal_t i = n_ - 1; i >= 0; --i) {
-    scalar_t acc = x[static_cast<std::size_t>(i)];
-    for (ordinal_t j = i + 1; j < n_; ++j) {
-      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-             x[static_cast<std::size_t>(j)];
-    }
-    x[static_cast<std::size_t>(i)] =
-        acc / lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)];
-  }
+  solve_multi(b, x, 1);
 }
 
 void DenseLU::solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x,
@@ -104,6 +83,8 @@ void DenseLU::solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x,
   assert(b.size() >= n * uk && x.size() >= n * uk);
 
   for (std::size_t c = 0; c < uk; ++c) {
+    // Forward substitution on the permuted right-hand side (L has unit
+    // diagonal), then back substitution.
     for (ordinal_t i = 0; i < n_; ++i) {
       scalar_t acc =
           b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)]) * uk + c];

@@ -27,12 +27,12 @@ class DenseLU {
   /// successful refactor.
   void refactor(const graph::CrsMatrix& a, scalar_t diag_shift = 0);
 
-  /// Solve A x = b.
+  /// Solve A x = b: `solve_multi` at `k_count = 1`.
   void solve(std::span<const scalar_t> b, std::span<scalar_t> x) const;
 
-  /// Batched solve over n x k_count row-major multi-vectors: column c runs
-  /// exactly the substitution sequence of `solve` on the gathered column
-  /// (bit-identical), with no scratch.
+  /// Solve over n x k_count row-major multi-vectors: column c runs the
+  /// forward/back substitution on its own lane, so it is bit-identical to
+  /// the same call on the gathered column. Needs no scratch.
   void solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x, int k_count) const;
 
   [[nodiscard]] ordinal_t size() const { return n_; }

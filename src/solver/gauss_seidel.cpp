@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "common/timer.hpp"
+#include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/vector_ops.hpp"

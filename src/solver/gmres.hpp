@@ -4,8 +4,9 @@
 ///
 /// Depends only on the shared option types (solver/options.hpp) — the
 /// historical include of cg.hpp is gone. The registry entry ("gmres") and
-/// the workspace-based core live behind solver/interface.hpp; the free
-/// function below remains as a transient-handle shim for migration.
+/// the workspace-based core (`block_gmres_solve`, one RHS or K) live behind
+/// solver/interface.hpp; the free function below remains as a
+/// transient-workspace shim for migration.
 
 #include <span>
 

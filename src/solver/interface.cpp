@@ -2,13 +2,13 @@
 
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "resilience/fault.hpp"
 #include "solver/cluster_gs.hpp"
 #include "solver/gauss_seidel.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/multivector.hpp"
-#include "solver/vector_ops.hpp"
 
 namespace parmis::solver {
 
@@ -87,32 +87,6 @@ int BatchResult::converged_count() const {
 
 bool BatchResult::all_converged() const { return converged_count() == k; }
 
-bool begin_solve(const IterOptions& opts, std::span<const scalar_t> b, std::span<scalar_t> x,
-                 SolveWorkspace& ws, IterResult& result, scalar_t& bnorm) {
-  result.iterations = 0;
-  result.relative_residual = 0.0;
-  result.converged = false;
-  // Default assumption: the loop runs to its iteration budget. Every other
-  // exit (convergence, breakdown, guard trip) overwrites this. `attempts`
-  // is deliberately NOT touched — it is owned by SolveHandle, which runs
-  // several solver calls per chain into the same result.
-  result.status = resilience::SolveStatus::MaxIterations;
-  result.failure.clear();
-  result.history.clear();  // keeps capacity: warm tracked solves stay allocation-free
-  if (opts.track_history) {
-    ws.ensure_small(result.history, static_cast<std::size_t>(opts.max_iterations) + 1);
-    result.history.clear();
-  }
-  bnorm = norm2(b);
-  if (bnorm == 0) {
-    fill(x, 0.0);
-    result.converged = true;
-    result.status = resilience::SolveStatus::Converged;
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------- solvers
 
 void Solver::solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
@@ -134,24 +108,36 @@ void Solver::solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
 namespace {
 
-class CgSolver final : public Solver {
- public:
-  [[nodiscard]] std::string name() const override { return "cg"; }
-  void solve(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-             const IterOptions& opts, const Preconditioner* prec, SolveWorkspace& ws,
-             IterResult& result) const override {
-    cg_solve(a, b, x, opts, prec, ws, result);
-  }
-};
+/// Signature shared by the two Krylov cores.
+using KrylovCore = void (*)(const graph::CrsMatrix&, std::span<const scalar_t>,
+                            std::span<scalar_t>, int, const IterOptions&, const Preconditioner*,
+                            SolveWorkspace&, std::span<IterResult>, std::span<const char>);
 
-class GmresSolver final : public Solver {
+/// A Krylov registry entry: `solve` is the core at K = 1, `solve_batch`
+/// the same core at K. The "block-*" names are aliases built from the
+/// same class.
+class KrylovSolver final : public Solver {
  public:
-  [[nodiscard]] std::string name() const override { return "gmres"; }
+  KrylovSolver(std::string name, KrylovCore core) : name_(std::move(name)), core_(core) {}
+  [[nodiscard]] std::string name() const override { return name_; }
   void solve(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
              const IterOptions& opts, const Preconditioner* prec, SolveWorkspace& ws,
              IterResult& result) const override {
-    gmres_solve(a, b, x, opts, prec, ws, result);
+    core_(a, b, x, 1, opts, prec, ws, std::span<IterResult>(&result, 1), {});
   }
+  void solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                   std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                   const Preconditioner* prec, SolveWorkspace& ws,
+                   BatchResult& result) const override {
+    result.ensure(k_count);
+    core_(a, b, x, k_count, opts, prec, ws,
+          std::span<IterResult>(result.results.data(), static_cast<std::size_t>(k_count)),
+          result.excluded);
+  }
+
+ private:
+  std::string name_;
+  KrylovCore core_;
 };
 
 class ChebyshevSolver final : public Solver {
@@ -167,59 +153,30 @@ class ChebyshevSolver final : public Solver {
   }
 };
 
-class BlockCgSolver final : public Solver {
- public:
-  [[nodiscard]] std::string name() const override { return "block-cg"; }
-  void solve(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-             const IterOptions& opts, const Preconditioner* prec, SolveWorkspace& ws,
-             IterResult& result) const override {
-    cg_solve(a, b, x, opts, prec, ws, result);
-  }
-  void solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                   std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                   const Preconditioner* prec, SolveWorkspace& ws,
-                   BatchResult& result) const override {
-    block_cg_solve(a, b, x, k_count, opts, prec, ws, result);
-  }
-};
-
-class BlockGmresSolver final : public Solver {
- public:
-  [[nodiscard]] std::string name() const override { return "block-gmres"; }
-  void solve(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-             const IterOptions& opts, const Preconditioner* prec, SolveWorkspace& ws,
-             IterResult& result) const override {
-    gmres_solve(a, b, x, opts, prec, ws, result);
-  }
-  void solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                   std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                   const Preconditioner* prec, SolveWorkspace& ws,
-                   BatchResult& result) const override {
-    block_gmres_solve(a, b, x, k_count, opts, prec, ws, result);
-  }
-};
+std::unique_ptr<Solver> make_krylov(const char* name, KrylovCore core) {
+  return std::make_unique<KrylovSolver>(name, core);
+}
 
 }  // namespace
 
 const std::vector<SolverSpec>& solver_registry() {
   static const std::vector<SolverSpec> registry = {
-      {"cg", "preconditioned conjugate gradient (SPD; the Table V outer solver)",
-       [] { return std::unique_ptr<Solver>(std::make_unique<CgSolver>()); }},
+      {"cg",
+       "preconditioned conjugate gradient (SPD; the Table V outer solver); "
+       "solve_batch advances K RHS in lockstep over fused SpMM",
+       [] { return make_krylov("cg", block_cg_solve); }},
       {"gmres",
-       "restarted right-preconditioned GMRES (general; the Table VI outer solver)",
-       [] { return std::unique_ptr<Solver>(std::make_unique<GmresSolver>()); }},
+       "restarted right-preconditioned GMRES (general; the Table VI outer solver); "
+       "solve_batch runs K RHS over fused SpMM with per-column restart phases",
+       [] { return make_krylov("gmres", block_gmres_solve); }},
       {"chebyshev",
        "Chebyshev polynomial relaxation (SPD; ignores the preconditioner — "
        "carries its own diagonal scaling)",
        [] { return std::unique_ptr<Solver>(std::make_unique<ChebyshevSolver>()); }},
-      {"block-cg",
-       "block conjugate gradient: K RHS in lockstep over fused SpMM, "
-       "bit-identical per column to \"cg\"",
-       [] { return std::unique_ptr<Solver>(std::make_unique<BlockCgSolver>()); }},
-      {"block-gmres",
-       "block restarted GMRES: K RHS over fused SpMM with per-column restart "
-       "phases, bit-identical per column to \"gmres\"",
-       [] { return std::unique_ptr<Solver>(std::make_unique<BlockGmresSolver>()); }},
+      {"block-cg", "alias of \"cg\" (the same core for one RHS or K)",
+       [] { return make_krylov("block-cg", block_cg_solve); }},
+      {"block-gmres", "alias of \"gmres\" (the same core for one RHS or K)",
+       [] { return make_krylov("block-gmres", block_gmres_solve); }},
   };
   return registry;
 }

@@ -42,10 +42,10 @@ namespace parmis::solver {
 /// `grow_events` counts every capacity growth (the allocation telemetry
 /// the zero-allocation tests assert on).
 struct SolveWorkspace {
-  /// Pool of n-sized vectors (CG state, the GMRES Krylov basis, Chebyshev
-  /// temporaries). Slot k keeps its capacity across solves.
+  /// Pool of n x K multi-vectors (CG state, the GMRES Krylov basis,
+  /// Chebyshev temporaries). Slot k keeps its capacity across solves.
   std::vector<std::vector<scalar_t>> pool;
-  /// GMRES small dense state (O(restart^2), matrix-size independent).
+  /// GMRES small dense state (O(restart^2 K), matrix-size independent).
   std::vector<scalar_t> hess, cs, sn, g, y;
   /// Chebyshev solver state: the smoother built for the current matrix,
   /// invalidated when the matrix or the polynomial configuration changes.
@@ -56,10 +56,10 @@ struct SolveWorkspace {
   int chebyshev_degree = 0;
   double chebyshev_eig_ratio = 0;
 
-  // --- batched-solve state (block solvers and the looped fallback) -------
+  // --- per-column state (Krylov cores and the looped fallback) -----------
   /// Column gather/scatter scratch for the looped default `solve_batch`.
   std::vector<scalar_t> bcol, xcol;
-  /// Per-column small state of the block solvers (O(k), solver-partitioned).
+  /// Per-column small state of the Krylov cores (O(k), solver-partitioned).
   std::vector<scalar_t> batch_scalars;
   /// Per-column integer state (phase machine positions, stop codes).
   std::vector<int> batch_ints;
@@ -117,8 +117,8 @@ class Solver {
   /// flagged `result.excluded[c]` are skipped entirely (their result and
   /// their lanes of `x` are left untouched). The default loops `solve`
   /// over gathered columns through workspace scratch — trivially
-  /// bit-identical to k single solves; the block solvers override it with
-  /// fused SpMM-based cores that preserve that bit-identity per column.
+  /// bit-identical to k single solves; the Krylov solvers override it with
+  /// their fused SpMM-based core, whose `solve` is the same core at K = 1.
   virtual void solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                            std::span<scalar_t> x, int k_count, const IterOptions& opts,
                            const Preconditioner* prec, SolveWorkspace& ws,
@@ -192,37 +192,30 @@ const PreconditionerSpec& find_preconditioner(const std::string& name);
 
 // ------------------------------------------------- workspace-based cores
 
-/// Shared solve prologue: reset `result` (keeping its history capacity),
-/// pre-reserve the history when tracking is on, and handle the zero-rhs
-/// early-out (x = 0, converged). Returns false when the solve is already
-/// complete; on true, `bnorm` holds ||b|| > 0.
-bool begin_solve(const IterOptions& opts, std::span<const scalar_t> b, std::span<scalar_t> x,
-                 SolveWorkspace& ws, IterResult& result, scalar_t& bnorm);
+/// The Krylov cores behind the "cg"/"gmres" registry entries and their
+/// "block-cg"/"block-gmres" aliases (block_krylov.cpp), operating entirely
+/// on workspace scratch. `b`/`x` are n x k_count row-major multi-vectors
+/// and `results` holds one `IterResult` per column; a single-RHS solve is
+/// the `k_count = 1` call with a one-element `results`. K right-hand sides
+/// advance in lockstep over one SpMM per iteration, each column running
+/// its own scalar recurrence, so column c is bit-identical to a K = 1
+/// solve of that column. Converged or failed columns are deflated (frozen
+/// via the masked multi-vector kernels) and carry their own
+/// status/failure. Columns with `excluded[c] != 0` are skipped entirely;
+/// an empty `excluded` excludes none.
+void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                    std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                    const Preconditioner* prec, SolveWorkspace& ws,
+                    std::span<IterResult> results, std::span<const char> excluded = {});
+void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                       std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                       const Preconditioner* prec, SolveWorkspace& ws,
+                       std::span<IterResult> results, std::span<const char> excluded = {});
 
-/// The solver cores behind the registry entries, operating entirely on
-/// workspace scratch (implemented next to their free-function shims in
-/// cg.cpp / gmres.cpp / chebyshev.cpp).
-void cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-              const IterOptions& opts, const Preconditioner* prec, SolveWorkspace& ws,
-              IterResult& result);
-void gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                 std::span<scalar_t> x, const IterOptions& opts, const Preconditioner* prec,
-                 SolveWorkspace& ws, IterResult& result);
+/// The relaxation core behind the "chebyshev" registry entry
+/// (chebyshev.cpp); single right-hand side.
 void chebyshev_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                      std::span<scalar_t> x, const IterOptions& opts, SolveWorkspace& ws,
                      IterResult& result);
-
-/// Fused block Krylov cores behind the "block-cg" / "block-gmres" registry
-/// entries (block_krylov.cpp): K right-hand sides advance in lockstep over
-/// one SpMM per iteration, each column running its own scalar recurrence so
-/// its iterates match the single-RHS core bit for bit. Converged or failed
-/// columns are deflated (frozen via the masked multi-vector kernels) and
-/// carry per-column status/failure in `result`.
-void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                    std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                    const Preconditioner* prec, SolveWorkspace& ws, BatchResult& result);
-void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                       std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                       const Preconditioner* prec, SolveWorkspace& ws, BatchResult& result);
 
 }  // namespace parmis::solver

@@ -8,6 +8,7 @@
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
+#include "solver/multivector.hpp"
 
 namespace parmis::solver {
 
@@ -135,6 +136,21 @@ void jacobi_first_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_
 void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                         std::span<const scalar_t> b, std::span<const scalar_t> x,
                         std::span<scalar_t> x_next, scalar_t omega, int k_count) {
+  if (k_count == 1) {
+    // One column: the plain row loop is the faster code shape (the
+    // lane-blocked chunk measured ~1.2x slower at K = 1), with the same
+    // per-row accumulation order and update expression, so the same bits.
+    par::parallel_for(a.num_rows, [&](ordinal_t i) {
+      const std::size_t at = static_cast<std::size_t>(i);
+      scalar_t acc = 0;
+      for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
+        acc += a.values[static_cast<std::size_t>(j)] *
+               x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
+      }
+      x_next[at] = x[at] + omega * inv_diag[at] * (b[at] - acc);
+    });
+    return;
+  }
   const offset_t* row_map = a.row_map.data();
   const ordinal_t* entries = a.entries.data();
   const scalar_t* values = a.values.data();
@@ -202,30 +218,13 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                    scalar_t omega) {
   std::vector<scalar_t> x_next(static_cast<std::size_t>(a.num_rows));
-  jacobi_smooth(a, inv_diag, b, x, sweeps, omega, x_next);
+  jacobi_smooth_multi(a, inv_diag, b, x, sweeps, omega, x_next, 1);
 }
 
 void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                    scalar_t omega, std::span<scalar_t> x_next) {
-  assert(b.size() == static_cast<std::size_t>(a.num_rows));
-  assert(x.size() == static_cast<std::size_t>(a.num_rows));
-  assert(x_next.size() == static_cast<std::size_t>(a.num_rows));
-  for (int s = 0; s < sweeps; ++s) {
-    par::parallel_for(a.num_rows, [&](ordinal_t i) {
-      scalar_t acc = 0;
-      for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-        acc += a.values[static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
-      }
-      x_next[static_cast<std::size_t>(i)] =
-          x[static_cast<std::size_t>(i)] +
-          omega * inv_diag[static_cast<std::size_t>(i)] * (b[static_cast<std::size_t>(i)] - acc);
-    });
-    par::parallel_for(a.num_rows, [&](ordinal_t i) {
-      x[static_cast<std::size_t>(i)] = x_next[static_cast<std::size_t>(i)];
-    });
-  }
+  jacobi_smooth_multi(a, inv_diag, b, x, sweeps, omega, x_next, 1);
 }
 
 void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
@@ -244,72 +243,45 @@ void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> in
 }
 
 void JacobiPreconditioner::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  const std::size_t un = static_cast<std::size_t>(a_.num_rows);
-  if (sweeps_ <= 0) {
-    par::parallel_for(a_.num_rows, [&](ordinal_t i) { z[static_cast<std::size_t>(i)] = 0; });
-    return;
-  }
-  // First sweep from z = 0: the traversal's accumulator is exactly +0.0
-  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
-  // sweep expression with acc = 0 elementwise produces the identical bits
-  // without touching the matrix — one full traversal saved per apply.
-  // (apply_multi additionally fuses the second sweep's re-read of this
-  // vector; for a single right-hand side the recompute costs more than the
-  // 8-byte read it saves, so the two-pass form stays.)
-  //
-  // Buffers ping-pong so the LAST pass writes z directly: the per-sweep
-  // copy-back of jacobi_smooth is pure data movement, and the sweep values
-  // are identical wherever they land. Odd remaining-sweep counts start the
-  // chain in the scratch buffer, even counts in z.
-  const int rest = sweeps_ - 1;
-  std::span<scalar_t> ping(x_next_.data(), un);
-  std::span<scalar_t> cur = (rest % 2 == 1) ? ping : z;
-  std::span<scalar_t> nxt = (rest % 2 == 1) ? z : ping;
-  par::parallel_for(a_.num_rows, [&](ordinal_t i) {
-    const std::size_t at = static_cast<std::size_t>(i);
-    cur[at] = 0.0 + omega_ * inv_diag_[at] * (r[at] - 0.0);
-  });
-  for (int s = 0; s < rest; ++s) {
-    par::parallel_for(a_.num_rows, [&](ordinal_t i) {
-      scalar_t acc = 0;
-      for (offset_t j = a_.row_map[i]; j < a_.row_map[i + 1]; ++j) {
-        acc += a_.values[static_cast<std::size_t>(j)] *
-               cur[static_cast<std::size_t>(a_.entries[static_cast<std::size_t>(j)])];
-      }
-      nxt[static_cast<std::size_t>(i)] =
-          cur[static_cast<std::size_t>(i)] +
-          omega_ * inv_diag_[static_cast<std::size_t>(i)] *
-              (r[static_cast<std::size_t>(i)] - acc);
-    });
-    std::swap(cur, nxt);
-  }
+  apply_multi(r, z, a_.num_rows, 1, {});
 }
 
 void JacobiPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z,
                                        ordinal_t n, int k_count,
                                        std::span<scalar_t> /*scratch*/) const {
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
-  const std::size_t uk = static_cast<std::size_t>(k_count);
   if (x_next_.size() < nk) x_next_.resize(nk);
   if (sweeps_ <= 0) {
     par::parallel_for(static_cast<std::int64_t>(nk),
                       [&](std::int64_t t) { z[static_cast<std::size_t>(t)] = 0; });
     return;
   }
-  // Same fused from-zero first+second sweep and copy-free buffer ping-pong
-  // as apply(), per lane: the last pass writes z directly.
-  if (sweeps_ == 1) {
-    par::parallel_for(static_cast<std::int64_t>(nk), [&](std::int64_t t) {
-      const std::size_t at = static_cast<std::size_t>(t);
-      z[at] = 0.0 + omega_ * inv_diag_[at / uk] * (r[at] - 0.0);
-    });
-    return;
-  }
-  const int rest = sweeps_ - 2;
+  // First sweep from z = 0: the traversal's accumulator is exactly +0.0
+  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
+  // sweep expression with acc = 0 elementwise produces the identical bits
+  // without touching the matrix — one full traversal saved per apply.
+  //
+  // With several columns the second sweep also skips re-reading that
+  // output: it recomputes each gathered operand from r instead
+  // (jacobi_first_sweep_multi). For one column the recompute costs more
+  // than the 8-byte read it saves (measured 1.33x slower), so K = 1 keeps
+  // this two-pass form.
+  //
+  // Buffers ping-pong so the LAST pass writes z directly: the per-sweep
+  // copy-back of jacobi_smooth is pure data movement, and the sweep values
+  // are identical wherever they land.
+  const bool fused = k_count > 1 && sweeps_ >= 2;
+  const int rest = sweeps_ - (fused ? 2 : 1);
   std::span<scalar_t> ping(x_next_.data(), nk);
   std::span<scalar_t> cur = (rest % 2 == 0) ? z : ping;
   std::span<scalar_t> nxt = (rest % 2 == 0) ? ping : z;
-  jacobi_first_sweep_multi(a_, inv_diag_, r, cur, omega_, k_count);
+  if (fused) {
+    jacobi_first_sweep_multi(a_, inv_diag_, r, cur, omega_, k_count);
+  } else {
+    mv_for_each_lane(n, k_count, [&](ordinal_t i, std::size_t at) {
+      cur[at] = 0.0 + omega_ * inv_diag_[static_cast<std::size_t>(i)] * (r[at] - 0.0);
+    });
+  }
   for (int s = 0; s < rest; ++s) {
     jacobi_sweep_multi(a_, inv_diag_, r, cur, nxt, omega_, k_count);
     std::swap(cur, nxt);

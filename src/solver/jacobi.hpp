@@ -28,17 +28,17 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
                    scalar_t omega);
 
 /// Allocation-free variant: `x_next` is the caller-owned double buffer
-/// (`a.num_rows` elements). This is what the AMG V-cycle and the "jacobi"
-/// preconditioner use for zero-allocation warm applications.
+/// (`a.num_rows` elements). `jacobi_smooth_multi` at `k_count = 1`.
 void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                    scalar_t omega, std::span<scalar_t> x_next);
 
-/// Batched damped Jacobi over n x k_count row-major multi-vectors: one
-/// matrix traversal per sweep feeds all K columns. Column c is
-/// bit-identical to `jacobi_smooth` on the gathered column (per-row
-/// accumulation in entry order, identical update expression). `x_next` is
-/// the caller-owned double buffer (`a.num_rows * k_count` elements).
+/// Damped Jacobi over n x k_count row-major multi-vectors: one matrix
+/// traversal per sweep feeds all K columns, and each column runs the
+/// single-vector sweep (per-row accumulation in entry order, identical
+/// update expression), so column c is bit-identical to the same call on
+/// the gathered column. `x_next` is the caller-owned double buffer
+/// (`a.num_rows * k_count` elements). The AMG V-cycle smooths through it.
 void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                          std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                          scalar_t omega, std::span<scalar_t> x_next, int k_count);
@@ -54,6 +54,7 @@ class JacobiPreconditioner final : public Preconditioner {
       : a_(a), inv_diag_(inverted_diagonal(a)), sweeps_(sweeps), omega_(omega),
         x_next_(static_cast<std::size_t>(a.num_rows)) {}
 
+  /// `apply_multi` at `k_count = 1`.
   void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
   /// Grows the sweep double buffer to `n * k_count` so batched applies up
   /// to that width allocate nothing.
@@ -63,9 +64,10 @@ class JacobiPreconditioner final : public Preconditioner {
     x_next_.resize(nk);
     return true;
   }
-  /// Fused batched apply: K columns per sweep traversal. The double buffer
-  /// grows to `n * k_count` on the first batched apply (callers that skip
-  /// `prepare_multi`) and is reused warm thereafter.
+  /// K columns per sweep traversal. The double buffer grows to
+  /// `n * k_count` on the first batched apply (callers that skip
+  /// `prepare_multi`) and is reused warm thereafter; it is sized for
+  /// K = 1 at construction.
   void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n, int k_count,
                    std::span<scalar_t> scratch) const override;
   [[nodiscard]] std::string name() const override { return "jacobi"; }

@@ -66,15 +66,17 @@ bool all_active(std::span<const char> active, int k_count) {
 
 /// Rows-per-chunk of the branch-free fast paths below. The ops are
 /// elementwise (each lane written by exactly one iteration), so the
-/// partition never affects bits — chunking only amortizes dispatch.
-constexpr std::int64_t kMvChunk = 4096;
+/// partition never affects bits — chunking only amortizes dispatch. The
+/// width equals `parallel_for_grain`, so a one-column vector goes parallel
+/// at the same length, and splits as evenly, as `axpby`.
+constexpr std::int64_t kMvChunk = par::parallel_for_grain;
 
-/// Run `f(lo, hi)` over row chunks through `parallel_for`.
+/// Run `f(lo, hi)` over row chunks; two or more chunks run in parallel.
 template <typename F>
 void mv_row_chunks(ordinal_t n, F&& f) {
   const std::int64_t len = static_cast<std::int64_t>(n);
   const std::int64_t nchunks = (len + kMvChunk - 1) / kMvChunk;
-  par::parallel_for(nchunks, [&](std::int64_t chunk) {
+  par::parallel_for_grained(nchunks, 2, [&](std::int64_t chunk) {
     f(chunk * kMvChunk, std::min<std::int64_t>(len, (chunk + 1) * kMvChunk));
   });
 }

@@ -27,8 +27,26 @@
 #include <span>
 
 #include "common/config.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace parmis::solver {
+
+/// Run `f(i, at)` for every lane `at = i * k_count + c` of an n x k_count
+/// multi-vector, parallel over rows (each lane visited by exactly one
+/// call). One column takes a flat loop: a per-row lane loop costs more
+/// than an elementwise body at K = 1.
+template <typename F>
+void mv_for_each_lane(ordinal_t n, int k_count, F&& f) {
+  if (k_count == 1) {
+    par::parallel_for(n, [&](ordinal_t i) { f(i, static_cast<std::size_t>(i)); });
+    return;
+  }
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  par::parallel_for(n, [&](ordinal_t i) {
+    const std::size_t base = static_cast<std::size_t>(i) * uk;
+    for (std::size_t c = 0; c < uk; ++c) f(i, base + c);
+  });
+}
 
 /// out[c] = dot(a[:,c], b[:,c]) for all K columns in one fused pass.
 /// Bit-identical per column to `dot` on the gathered columns.

@@ -21,13 +21,6 @@ class Preconditioner {
   virtual void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Batched apply: Z = M^{-1} R columnwise, for n x k_count row-major
-  /// multi-vectors (element (i, c) at `i * k_count + c`). Column c of Z is
-  /// bit-identical to `apply` on the gathered column — every registered
-  /// preconditioner is columnwise-independent, so a NaN-poisoned column
-  /// can never contaminate its batchmates. The default gathers each column
-  /// through `scratch` (size >= 2 n) and calls `apply`; implementations
-  /// with fused multi-vector kernels override it and ignore `scratch`.
   /// Pre-size any internal multi-vector scratch for batches of width
   /// `k_count` on an n-row system, so a subsequent `apply_multi` at that
   /// width (or narrower) allocates nothing. Returns true when scratch
@@ -37,8 +30,21 @@ class Preconditioner {
   /// multi-vector state.
   virtual bool prepare_multi(ordinal_t /*n*/, int /*k_count*/) { return false; }
 
+  /// Batched apply: Z = M^{-1} R columnwise, for n x k_count row-major
+  /// multi-vectors (element (i, c) at `i * k_count + c`). Column c of Z is
+  /// bit-identical to `apply` on the gathered column — every registered
+  /// preconditioner is columnwise-independent, so a NaN-poisoned column
+  /// can never contaminate its batchmates. The default calls `apply`
+  /// directly at `k_count = 1` (a one-column multi-vector is the vector)
+  /// and otherwise gathers each column through `scratch` (size >= 2 n);
+  /// implementations with fused multi-vector kernels override it and
+  /// ignore `scratch`.
   virtual void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
                            int k_count, std::span<scalar_t> scratch) const {
+    if (k_count == 1) {
+      apply(r, z);
+      return;
+    }
     const std::size_t un = static_cast<std::size_t>(n);
     const std::size_t k = static_cast<std::size_t>(k_count);
     std::span<scalar_t> rc = scratch.subspan(0, un);

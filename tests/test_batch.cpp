@@ -1,5 +1,5 @@
 /// \file test_batch.cpp
-/// \brief Batched multi-RHS solving tests: block-Krylov vs looped
+/// \brief Batched multi-RHS solving tests: single-RHS vs batch-column
 /// bit-identity across backends and schedules, the zero-allocation warm
 /// `solve_batch` contract, per-column fault/input isolation, and the
 /// batched serving path including the async customize pipeline.
@@ -72,87 +72,100 @@ std::vector<scalar_t> batched_rhs(const graph::CrsMatrix& a, int k) {
   return bm;
 }
 
-TEST(Batch, BlockCgMatchesLoopedAcrossBackendsAndSchedules) {
-  // The tentpole contract: column c of a fused block-CG batch is
-  // bit-identical to single-RHS CG on the same seed — same iteration
-  // count, same solution bits — for every backend × schedule cell. The
-  // matrix crosses reduce_chunk (17^3 = 4913 rows) so the chunked
-  // reduction tree in mv_dot is exercised, not just the serial path.
+/// Column c of a `batch_name` batch must be bit-identical to a
+/// `single_name` single-RHS solve of that column: same solution bits,
+/// iteration count, residual history and taxonomy status — for every
+/// preconditioner × backend × thread count × schedule cell. "cg"/"gmres"
+/// run one core for `solve` (K = 1) and `solve_batch` (K), and
+/// "block-cg"/"block-gmres" are their aliases. The matrix crosses
+/// reduce_chunk (17^3 = 4913 rows) so the chunked reduction tree in mv_dot
+/// is exercised. K = 3 takes the runtime-width lane loops, K = 17 crosses
+/// the 16-lane register group.
+void expect_batch_columns_match_single_rhs(const char* single_name, const char* batch_name) {
   const graph::CrsMatrix a = graph::laplace3d(17, 17, 17);
-  const int k = 4;
-  const solver::IterOptions opts = tight_opts();
-  const std::vector<std::pair<std::uint64_t, int>> ref =
-      looped_reference(a, "cg", "jacobi", k, opts);
-
   const std::size_t un = static_cast<std::size_t>(a.num_rows);
-  const std::vector<scalar_t> bm = batched_rhs(a, k);
-  std::vector<scalar_t> xm(un * k);
-  std::vector<scalar_t> xc(un);
+  const std::vector<int> widths = {1, 3, 8, 17};
+  const int kmax = 17;
+  solver::IterOptions opts = tight_opts();
+  opts.track_history = true;
 
-  for (const par::Schedule s : {par::Schedule::Static, par::Schedule::EdgeBalanced}) {
-    for (const auto& [backend, threads] :
-         std::vector<std::pair<par::Backend, int>>{{par::Backend::Serial, 1},
-                                                   {par::Backend::OpenMP, 1},
-                                                   {par::Backend::OpenMP, 3},
-                                                   {par::Backend::OpenMP, 8}}) {
-      solver::IterOptions o = opts;
-      Context ctx;
-      ctx.backend = backend;
-      ctx.num_threads = threads;
-      ctx.schedule = s;
-      o.ctx = ctx;
-      solver::SolveHandle h("block-cg", "jacobi");
-      solver::fill(xm, 0.0);
-      const solver::BatchResult& br = h.solve_batch(a, bm, xm, k, o);
-      ASSERT_EQ(k, br.k);
-      for (int c = 0; c < k; ++c) {
-        const std::size_t uc = static_cast<std::size_t>(c);
-        EXPECT_TRUE(br.results[uc].converged) << "col " << c;
-        EXPECT_EQ(ref[uc].second, br.results[uc].iterations)
-            << "col " << c << " backend=" << static_cast<int>(backend) << " threads=" << threads
-            << " schedule=" << static_cast<int>(s);
-        solver::gather_column(xm, a.num_rows, k, c, std::span<scalar_t>(xc));
-        EXPECT_EQ(check::digest_hex(ref[uc].first), check::digest_hex(check::digest(xc)))
-            << "col " << c << " backend=" << static_cast<int>(backend) << " threads=" << threads
-            << " schedule=" << static_cast<int>(s);
+  struct Column {
+    std::uint64_t digest;
+    solver::IterResult result;
+  };
+  for (const char* pname : {"none", "jacobi", "amg"}) {
+    // Reference: one `solve` per column under the default context.
+    std::vector<Column> ref;
+    {
+      solver::SolveHandle h(single_name, pname);
+      std::vector<scalar_t> b(un);
+      std::vector<scalar_t> x(un);
+      for (int c = 0; c < kmax; ++c) {
+        solver::random_fill(b, static_cast<std::uint64_t>(1 + c));
+        solver::fill(x, 0.0);
+        const solver::IterResult& r = h.solve(a, b, x, opts);
+        EXPECT_TRUE(r.converged) << single_name << "+" << pname << " column " << c;
+        ref.push_back({check::digest(x), r});
+      }
+    }
+    for (const par::Schedule s : {par::Schedule::Static, par::Schedule::EdgeBalanced}) {
+      for (const auto& [backend, threads] :
+           std::vector<std::pair<par::Backend, int>>{{par::Backend::Serial, 1},
+                                                     {par::Backend::OpenMP, 1},
+                                                     {par::Backend::OpenMP, 4}}) {
+        Context ctx;
+        ctx.backend = backend;
+        ctx.num_threads = threads;
+        ctx.schedule = s;
+        solver::SolveHandle h(batch_name, pname, ctx);
+        for (const int k : widths) {
+          const std::vector<scalar_t> bm = batched_rhs(a, k);
+          std::vector<scalar_t> xm(un * static_cast<std::size_t>(k), 0.0);
+          std::vector<scalar_t> xc(un);
+          const solver::BatchResult& br = h.solve_batch(a, bm, xm, k, opts);
+          ASSERT_EQ(k, br.k);
+          for (int c = 0; c < k; ++c) {
+            const std::size_t uc = static_cast<std::size_t>(c);
+            const solver::IterResult& got = br.results[uc];
+            const solver::IterResult& want = ref[uc].result;
+            const std::string where = std::string(batch_name) + "+" + pname + " k=" +
+                                      std::to_string(k) + " col=" + std::to_string(c) +
+                                      " backend=" + std::to_string(static_cast<int>(backend)) +
+                                      " threads=" + std::to_string(threads) +
+                                      " schedule=" + std::to_string(static_cast<int>(s));
+            EXPECT_EQ(want.status, got.status) << where;
+            EXPECT_EQ(want.iterations, got.iterations) << where;
+            EXPECT_EQ(want.history, got.history) << where;
+            solver::gather_column(xm, a.num_rows, k, c, std::span<scalar_t>(xc));
+            EXPECT_EQ(check::digest_hex(ref[uc].digest), check::digest_hex(check::digest(xc)))
+                << where;
+          }
+        }
       }
     }
   }
 }
 
-TEST(Batch, BlockGmresMatchesLooped) {
-  const graph::CrsMatrix a = graph::laplace3d(8, 8, 8);
-  const int k = 3;
-  const solver::IterOptions opts = tight_opts();
-  const std::vector<std::pair<std::uint64_t, int>> ref =
-      looped_reference(a, "gmres", "jacobi", k, opts);
+TEST(Batch, BlockCgMatchesLoopedAcrossBackendsAndSchedules) {
+  expect_batch_columns_match_single_rhs("cg", "block-cg");
+}
 
-  const std::size_t un = static_cast<std::size_t>(a.num_rows);
-  solver::SolveHandle h("block-gmres", "jacobi");
-  std::vector<scalar_t> xm(un * k, 0.0);
-  const solver::BatchResult& br = h.solve_batch(a, batched_rhs(a, k), xm, k, opts);
-  std::vector<scalar_t> xc(un);
-  for (int c = 0; c < k; ++c) {
-    const std::size_t uc = static_cast<std::size_t>(c);
-    EXPECT_TRUE(br.results[uc].converged) << "col " << c;
-    EXPECT_EQ(ref[uc].second, br.results[uc].iterations) << "col " << c;
-    solver::gather_column(xm, a.num_rows, k, c, std::span<scalar_t>(xc));
-    EXPECT_EQ(check::digest_hex(ref[uc].first), check::digest_hex(check::digest(xc)))
-        << "col " << c;
-  }
+TEST(Batch, BlockGmresMatchesLooped) {
+  expect_batch_columns_match_single_rhs("gmres", "block-gmres");
 }
 
 TEST(Batch, DefaultLoopedBatchMatchesSolve) {
-  // Solvers without a fused core fall back to gather/solve/scatter per
-  // column — trivially bit-identical to K separate solve() calls.
+  // Solvers without a fused core ("chebyshev") fall back to
+  // gather/solve/scatter per column — trivially bit-identical to K
+  // separate solve() calls.
   const graph::CrsMatrix a = graph::laplace2d(14, 11);
   const int k = 3;
   const solver::IterOptions opts = tight_opts();
   const std::vector<std::pair<std::uint64_t, int>> ref =
-      looped_reference(a, "cg", "jacobi", k, opts);
+      looped_reference(a, "chebyshev", "none", k, opts);
 
   const std::size_t un = static_cast<std::size_t>(a.num_rows);
-  solver::SolveHandle h("cg", "jacobi");
+  solver::SolveHandle h("chebyshev", "none");
   std::vector<scalar_t> xm(un * k, 0.0);
   const solver::BatchResult& br = h.solve_batch(a, batched_rhs(a, k), xm, k, opts);
   std::vector<scalar_t> xc(un);

@@ -211,15 +211,6 @@ TEST(Spmv, MatchesDenseReference) {
   EXPECT_DOUBLE_EQ(y[2], 4 * 1 + 5 * 3);
 }
 
-TEST(Spmv, AlphaBetaForm) {
-  const CrsMatrix a = matrix_from_coo(2, 2, {{0, 0, 1}, {1, 1, 1}});
-  std::vector<scalar_t> x{3, 4};
-  std::vector<scalar_t> y{10, 20};
-  spmv(2.0, a, x, -1.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 2 * 3 - 10);
-  EXPECT_DOUBLE_EQ(y[1], 2 * 4 - 20);
-}
-
 /// Dense oracle multiply for SpGEMM checks.
 std::vector<scalar_t> to_dense(const CrsMatrix& m) {
   std::vector<scalar_t> d(static_cast<std::size_t>(m.num_rows) * m.num_cols, 0);

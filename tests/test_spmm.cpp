@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "check/digest.hpp"
+#include "graph/builders.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/spmm.hpp"
 #include "graph/spmv.hpp"
 #include "parallel/context.hpp"
+#include "solver/jacobi.hpp"
 #include "solver/multivector.hpp"
 #include "solver/vector_ops.hpp"
 #include "test_utils.hpp"
@@ -69,35 +71,97 @@ TEST(Spmm, MatchesSpmvPerColumn) {
 }
 
 TEST(Spmm, AlphaBetaMatchesSpmvPerColumn) {
-  // The accumulate overload: y = alpha*A*x + beta*y, per column equal to
-  // the spmv overload bit for bit (same fma-free combine order).
+  // The accumulate overload: y = alpha*A*x + beta*y, per column equal bit
+  // for bit to spmv followed by the same fma-free combine. K = 1 is the
+  // shape the AMG prolongation runs for a single right-hand side.
   const graph::CrsMatrix a = graph::laplace3d(6, 5, 7);
   const ordinal_t n = a.num_rows;
   const std::size_t un = static_cast<std::size_t>(n);
-  const int k = 5;
-  const std::size_t uk = static_cast<std::size_t>(k);
-  std::vector<scalar_t> x(un * uk);
-  std::vector<scalar_t> y(un * uk);
-  solver::random_fill(x, 11);
-  solver::random_fill(y, 13);
+  for (const int k : {1, 5}) {
+    const std::size_t uk = static_cast<std::size_t>(k);
+    std::vector<scalar_t> x(un * uk);
+    std::vector<scalar_t> y(un * uk);
+    solver::random_fill(x, 11);
+    solver::random_fill(y, 13);
 
-  std::vector<scalar_t> xc(un);
-  std::vector<scalar_t> ref(un);
-  std::vector<std::vector<scalar_t>> refs;
-  for (int c = 0; c < k; ++c) {
-    solver::gather_column(x, n, k, c, std::span<scalar_t>(xc));
-    solver::gather_column(y, n, k, c, std::span<scalar_t>(ref));
-    graph::spmv(0.75, a, xc, -1.25, ref);
-    refs.push_back(ref);
+    std::vector<scalar_t> xc(un);
+    std::vector<scalar_t> ax(un);
+    std::vector<scalar_t> ref(un);
+    std::vector<std::vector<scalar_t>> refs;
+    for (int c = 0; c < k; ++c) {
+      solver::gather_column(x, n, k, c, std::span<scalar_t>(xc));
+      solver::gather_column(y, n, k, c, std::span<scalar_t>(ref));
+      graph::spmv(a, xc, ax);
+      for (std::size_t i = 0; i < un; ++i) ref[i] = 0.75 * ax[i] + -1.25 * ref[i];
+      refs.push_back(ref);
+    }
+
+    graph::spmm(0.75, a, x, -1.25, y, k);
+    std::vector<scalar_t> yc(un);
+    for (int c = 0; c < k; ++c) {
+      solver::gather_column(y, n, k, c, std::span<scalar_t>(yc));
+      for (std::size_t i = 0; i < un; ++i) {
+        ASSERT_EQ(bits(refs[static_cast<std::size_t>(c)][i]), bits(yc[i]))
+            << "k=" << k << " col=" << c << " row=" << i;
+      }
+    }
   }
+}
 
-  graph::spmm(0.75, a, x, -1.25, y, k);
-  std::vector<scalar_t> yc(un);
-  for (int c = 0; c < k; ++c) {
-    solver::gather_column(y, n, k, c, std::span<scalar_t>(yc));
-    for (std::size_t i = 0; i < un; ++i) {
-      ASSERT_EQ(bits(refs[static_cast<std::size_t>(c)][i]), bits(yc[i]))
-          << "col=" << c << " row=" << i;
+TEST(Spmm, AlphaBetaFormOneColumn) {
+  const graph::CrsMatrix a = graph::matrix_from_coo(2, 2, {{0, 0, 1}, {1, 1, 1}});
+  std::vector<scalar_t> x{3, 4};
+  std::vector<scalar_t> y{10, 20};
+  graph::spmm(2.0, a, x, -1.0, y, 1);
+  EXPECT_DOUBLE_EQ(y[0], 2 * 3 - 10);
+  EXPECT_DOUBLE_EQ(y[1], 2 * 4 - 20);
+}
+
+TEST(Spmm, OneColumnShapesMatchEightLaneColumns) {
+  // At K = 1 the K-wide kernels switch to the single-vector code shape:
+  // spmm runs spmv's row loop and Jacobi apply_multi the two-pass form
+  // (elementwise first sweep, then full sweeps) instead of the fused
+  // first+second sweep. Both are code-generation choices, so a one-column
+  // call must give the bits of the same column inside an eight-lane call.
+  const std::vector<graph::CrsMatrix> matrices = {
+      graph::laplacian_matrix(graph::power_law_graph(3000, 2.2, 3, 300, 5), 1.0),
+      graph::laplace3d(12, 12, 12)};
+  const int k = 8;
+  for (const graph::CrsMatrix& a : matrices) {
+    const ordinal_t n = a.num_rows;
+    const std::size_t un = static_cast<std::size_t>(n);
+    std::vector<scalar_t> xm(un * k);
+    std::vector<scalar_t> ym(un * k);
+    solver::random_fill(xm, 21);
+    std::vector<scalar_t> xc(un);
+    std::vector<scalar_t> yc(un);
+    std::vector<scalar_t> lane(un);
+    for (const auto& [backend, threads] : std::vector<std::pair<par::Backend, int>>{
+             {par::Backend::Serial, 1}, {par::Backend::OpenMP, 4}}) {
+      Context ctx;
+      ctx.backend = backend;
+      ctx.num_threads = threads;
+      Context::Scope scope(ctx);
+      graph::spmm(a, xm, ym, k);
+      for (int c = 0; c < k; ++c) {
+        solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
+        graph::spmm(a, xc, yc, 1);
+        solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
+        ASSERT_EQ(check::digest(lane), check::digest(yc))
+            << "spmm col=" << c << " rows=" << n << " threads=" << threads;
+      }
+      for (const int sweeps : {1, 2, 3}) {
+        const solver::JacobiPreconditioner jac(a, sweeps);
+        jac.apply_multi(xm, ym, n, k, {});
+        for (int c = 0; c < k; ++c) {
+          solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
+          jac.apply_multi(xc, yc, n, 1, {});
+          solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
+          ASSERT_EQ(check::digest(lane), check::digest(yc))
+              << "jacobi sweeps=" << sweeps << " col=" << c << " rows=" << n
+              << " threads=" << threads;
+        }
+      }
     }
   }
 }
