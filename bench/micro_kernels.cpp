@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/aggregation.hpp"
-#include "core/coarsen.hpp"
 #include "core/mis2.hpp"
 #include "core/status_tuple.hpp"
 #include "graph/generators.hpp"
@@ -17,6 +16,7 @@
 #include "graph/rgg.hpp"
 #include "graph/spgemm.hpp"
 #include "graph/spmv.hpp"
+#include "multilevel/builder.hpp"
 #include "parallel/parallel_scan.hpp"
 #include "random/hash.hpp"
 
@@ -171,11 +171,10 @@ BENCHMARK(BM_aggregate_handle_warm)->Arg(1 << 14)->Arg(1 << 17);
 // handle per build — the hierarchy case the redesign targets.
 void BM_multilevel_handle_cold(benchmark::State& state) {
   const graph::CrsGraph g = graph::random_geometric_3d(1 << 15, 16.0, 5);
-  core::MultilevelOptions opts;
-  opts.target_vertices = 64;
+  const multilevel::Builder builder;
   for (auto _ : state) {
-    core::CoarsenHandle handle;
-    benchmark::DoNotOptimize(core::multilevel_coarsen(g, opts, handle));
+    multilevel::HierarchyHandle handle;
+    benchmark::DoNotOptimize(builder.build(g, handle));
   }
   state.SetItemsProcessed(state.iterations() * g.num_entries());
 }
@@ -183,12 +182,11 @@ BENCHMARK(BM_multilevel_handle_cold);
 
 void BM_multilevel_handle_warm(benchmark::State& state) {
   const graph::CrsGraph g = graph::random_geometric_3d(1 << 15, 16.0, 5);
-  core::MultilevelOptions opts;
-  opts.target_vertices = 64;
-  core::CoarsenHandle handle;
-  benchmark::DoNotOptimize(core::multilevel_coarsen(g, opts, handle));  // prime
+  const multilevel::Builder builder;
+  multilevel::HierarchyHandle handle;
+  benchmark::DoNotOptimize(builder.build(g, handle));  // prime
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::multilevel_coarsen(g, opts, handle));
+    benchmark::DoNotOptimize(builder.build(g, handle));
   }
   state.SetItemsProcessed(state.iterations() * g.num_entries());
 }

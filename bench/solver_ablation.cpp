@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
         handle.set_preconditioner(pname);
         if (cname != "-") {
           handle.prec_options().coarsener = cname;
-          handle.prec_options().amg.coarsener = cname;
+          handle.prec_options().amg.hierarchy.coarsener = cname;
         }
         Timer setup_timer;
         try {

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -22,7 +23,7 @@
 #include "graph/ops.hpp"
 #include "parallel/execution.hpp"
 #include "solver/amg.hpp"
-#include "solver/cg.hpp"
+#include "solver/handle.hpp"
 #include "solver/vector_ops.hpp"
 
 int main(int argc, char** argv) {
@@ -46,8 +47,10 @@ int main(int argc, char** argv) {
     graph::CrsMatrix a = graph::laplace3d(side, side, side);
 
     solver::AmgOptions amg_opts;
-    amg_opts.scheme = scheme;
-    const solver::AmgHierarchy amg = solver::AmgHierarchy::build(std::move(a), amg_opts);
+    solver::set_aggregation_scheme(amg_opts.hierarchy, scheme);
+    auto owned = std::make_unique<solver::AmgHierarchy>(
+        solver::AmgHierarchy::build(std::move(a), amg_opts));
+    const solver::AmgHierarchy& amg = *owned;
 
     const graph::CrsMatrix& a0 = amg.level(0).a;
     const std::vector<scalar_t> b = solver::random_vector(a0.num_rows, 11);
@@ -55,9 +58,11 @@ int main(int argc, char** argv) {
     solver::IterOptions cg_opts;
     cg_opts.tolerance = 1e-12;
     cg_opts.max_iterations = 500;
+    solver::SolveHandle handle("cg", "amg");
+    handle.adopt_preconditioner(std::move(owned), a0);
     solver::IterResult r;
     const double solve_s = bench::time_once_s(
-        "table5.solve", [&] { r = solver::cg(a0, b, x, cg_opts, &amg); });
+        "table5.solve", [&] { r = handle.solve(a0, b, x, cg_opts); });
 
     // Measured determinism: identical aggregation labels across two thread
     // counts and a repeat run.
@@ -68,11 +73,12 @@ int main(int argc, char** argv) {
       core::Aggregation ref;
       {
         par::ScopedExecution scope(par::Backend::OpenMP, 1);
-        ref = solver::run_aggregation(adj, scheme, amg_opts.mis2);
+        ref = solver::run_aggregation(adj, scheme, amg_opts.hierarchy.mis2);
       }
       for (int threads : {0, 0}) {  // two full-parallel repeats
         par::ScopedExecution scope(par::Backend::OpenMP, threads);
-        const core::Aggregation again = solver::run_aggregation(adj, scheme, amg_opts.mis2);
+        const core::Aggregation again =
+            solver::run_aggregation(adj, scheme, amg_opts.hierarchy.mis2);
         deterministic = deterministic && again.labels == ref.labels;
       }
     }

@@ -6,33 +6,44 @@
 /// Run: ./amg_laplace3d [grid_side] [scheme]
 ///   scheme in {serial, serial-d2c, nb-d2c, mis2-basic, mis2-agg}
 ///   or any registered coarsener name ("mis2", "hem", ... — see
-///   `linear_solve --list`), routed through `AmgOptions::coarsener`.
+///   `linear_solve --list`), routed through `AmgOptions::hierarchy`.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "core/coarsener.hpp"
 #include "graph/generators.hpp"
 #include "obs/timer.hpp"
 #include "solver/amg.hpp"
-#include "solver/cg.hpp"
+#include "solver/handle.hpp"
 #include "solver/vector_ops.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmis;
   const ordinal_t side = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 40;
   solver::AmgOptions amg_opts;
-  std::string scheme_name = solver::to_string(amg_opts.scheme);
+  std::string scheme_name = solver::to_string(solver::AggregationScheme::Mis2Agg);
   if (argc > 2) {
     const char* s = argv[2];
-    if (!std::strcmp(s, "serial")) amg_opts.scheme = solver::AggregationScheme::SerialAgg;
-    else if (!std::strcmp(s, "serial-d2c")) amg_opts.scheme = solver::AggregationScheme::SerialD2C;
-    else if (!std::strcmp(s, "nb-d2c")) amg_opts.scheme = solver::AggregationScheme::NBD2C;
-    else if (!std::strcmp(s, "mis2-basic")) amg_opts.scheme = solver::AggregationScheme::Mis2Basic;
-    else if (!std::strcmp(s, "mis2-agg")) amg_opts.scheme = solver::AggregationScheme::Mis2Agg;
-    else {
+    const struct {
+      const char* arg;
+      solver::AggregationScheme scheme;
+    } table5[] = {{"serial", solver::AggregationScheme::SerialAgg},
+                  {"serial-d2c", solver::AggregationScheme::SerialD2C},
+                  {"nb-d2c", solver::AggregationScheme::NBD2C},
+                  {"mis2-basic", solver::AggregationScheme::Mis2Basic},
+                  {"mis2-agg", solver::AggregationScheme::Mis2Agg}};
+    bool table5_scheme = false;
+    for (const auto& entry : table5) {
+      if (std::strcmp(s, entry.arg) != 0) continue;
+      solver::set_aggregation_scheme(amg_opts.hierarchy, entry.scheme);
+      scheme_name = solver::to_string(entry.scheme);
+      table5_scheme = true;
+    }
+    if (!table5_scheme) {
       // Not a Table V scheme: try the core coarsener registry.
       try {
         (void)core::find_coarsener(s);
@@ -40,10 +51,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown scheme %s\n", s);
         return 1;
       }
-      amg_opts.coarsener = s;
+      amg_opts.hierarchy.coarsener = s;
+      scheme_name = s;
     }
-    scheme_name = amg_opts.coarsener.empty() ? solver::to_string(amg_opts.scheme)
-                                             : amg_opts.coarsener;
   }
 
   std::printf("Laplace3D %d^3 (%d unknowns), aggregation: %s\n", side, side * side * side,
@@ -52,7 +62,9 @@ int main(int argc, char** argv) {
   graph::CrsMatrix a = graph::laplace3d(side, side, side);
 
   // Setup: build the AMG hierarchy (aggregation + prolongators + RAP).
-  const solver::AmgHierarchy amg = solver::AmgHierarchy::build(std::move(a), amg_opts);
+  auto owned = std::make_unique<solver::AmgHierarchy>(
+      solver::AmgHierarchy::build(std::move(a), amg_opts));
+  const solver::AmgHierarchy& amg = *owned;
   std::printf("hierarchy: %d levels, operator complexity %.2f\n", amg.num_levels(),
               amg.operator_complexity());
   for (int l = 0; l < amg.num_levels(); ++l) {
@@ -70,8 +82,11 @@ int main(int argc, char** argv) {
   cg_opts.tolerance = 1e-12;
   cg_opts.max_iterations = 500;
 
+  // The handle solves with the hierarchy built above instead of its own.
+  solver::SolveHandle handle("cg", "amg");
+  handle.adopt_preconditioner(std::move(owned), a0);
   Timer solve_timer;
-  const solver::IterResult r = solver::cg(a0, b, x, cg_opts, &amg);
+  const solver::IterResult& r = handle.solve(a0, b, x, cg_opts);
   std::printf("solve: %s in %d iterations, %.3f s (relative residual %.2e)\n",
               r.converged ? "converged" : "DID NOT CONVERGE", r.iterations,
               solve_timer.seconds(), r.relative_residual);

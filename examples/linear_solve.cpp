@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
         handle.set_preconditioner(pname);
         if (cname != "-") {
           handle.prec_options().coarsener = cname;
-          handle.prec_options().amg.coarsener = cname;
+          handle.prec_options().amg.hierarchy.coarsener = cname;
         }
         if (!fallback_spec.empty()) handle.set_fallback(fallback_spec);
         Timer setup_timer;

@@ -10,9 +10,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "graph/rgg.hpp"
+#include "multilevel/builder.hpp"
 #include "obs/timer.hpp"
 
 int main(int argc, char** argv) {
@@ -28,32 +28,39 @@ int main(int argc, char** argv) {
   std::printf("coarsener: %s (%s)\n", coarsener.c_str(),
               core::find_coarsener(coarsener).description.c_str());
 
-  core::MultilevelOptions opts;
-  opts.target_vertices = target;
+  multilevel::Options opts;
+  opts.min_coarse_size = target;
   opts.coarsener = coarsener;
-  // One handle across all levels: every aggregation after the first level
-  // reuses the same scratch (the Context/handle API's reuse contract).
-  core::CoarsenHandle handle;
+  // One hierarchy handle across all levels: every aggregation after the
+  // first level reuses the same scratch, and so would a repeat build.
+  multilevel::HierarchyHandle handle;
   Timer timer;
-  const core::MultilevelHierarchy h = core::multilevel_coarsen(g, opts, handle);
+  const std::vector<multilevel::Step>& steps = multilevel::Builder(opts).build(g, handle);
   const double elapsed = timer.seconds();
 
   std::printf("%-6s %12s %14s %10s %8s\n", "level", "vertices", "edges", "ratio", "mis2-it");
   ordinal_t prev = g.num_rows;
-  for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    const auto& lvl = h.levels[l];
-    std::printf("%-6zu %12d %14lld %9.2fx %8d\n", l + 1, lvl.graph.num_rows,
-                static_cast<long long>(lvl.graph.num_entries() / 2),
-                static_cast<double>(prev) / lvl.graph.num_rows,
-                lvl.aggregation.phase1_iterations + lvl.aggregation.phase2_iterations);
-    prev = lvl.graph.num_rows;
+  for (std::size_t l = 0; l < steps.size(); ++l) {
+    const graph::CrsGraph& coarse = steps[l].coarse.graph;
+    const core::Aggregation& agg = steps[l].aggregation;
+    std::printf("%-6zu %12d %14lld %9.2fx %8d\n", l + 1, coarse.num_rows,
+                static_cast<long long>(coarse.num_entries() / 2),
+                static_cast<double>(prev) / coarse.num_rows,
+                agg.phase1_iterations + agg.phase2_iterations);
+    prev = coarse.num_rows;
   }
   std::printf("coarsened %d -> %d vertices in %zu levels, %.3f s total\n", g.num_rows, prev,
-              h.levels.size(), elapsed);
+              steps.size(), elapsed);
 
   // Partition-style sanity: project every fine vertex to its coarse id.
   std::vector<ordinal_t> part(static_cast<std::size_t>(g.num_rows));
-  for (ordinal_t v = 0; v < g.num_rows; ++v) part[static_cast<std::size_t>(v)] = h.project(v);
+  for (ordinal_t v = 0; v < g.num_rows; ++v) {
+    ordinal_t c = v;
+    for (const multilevel::Step& step : steps) {
+      c = step.aggregation.labels[static_cast<std::size_t>(c)];
+    }
+    part[static_cast<std::size_t>(v)] = c;
+  }
   std::printf("projection of vertex 0 -> coarse vertex %d\n", part[0]);
   return 0;
 }

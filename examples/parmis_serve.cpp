@@ -80,22 +80,6 @@ void usage(const char* argv0) {
       argv0, argv0, argv0);
 }
 
-/// The multilevel configuration `build` snapshots with — the same mapping
-/// AMG setup uses, so a served hierarchy is exactly what `--prec=amg`
-/// would have built online.
-multilevel::Options hierarchy_options(const std::string& coarsener) {
-  const solver::AmgOptions amg;  // serving defaults = AMG defaults
-  multilevel::Options mo;
-  mo.max_levels = amg.max_levels - 1;
-  mo.min_coarse_size = amg.coarse_size;
-  mo.rate_floor = amg.coarsening_rate_floor;
-  mo.complexity_cap = amg.operator_complexity_cap;
-  mo.prolongator_omega = amg.prolongator_omega;
-  mo.mis2 = amg.mis2;
-  mo.coarsener = coarsener.empty() ? "mis2" : coarsener;
-  return mo;
-}
-
 int cmd_build(const std::string& graph_spec, const std::string& snapshot_path, double scale,
               const std::string& coarsener, bool with_hierarchy) {
   graph::CrsGraph g;
@@ -109,8 +93,11 @@ int cmd_build(const std::string& graph_spec, const std::string& snapshot_path, d
   obs::Timer timer;
   multilevel::HierarchyHandle h;
   if (with_hierarchy) {
-    const multilevel::Builder builder(hierarchy_options(coarsener));
-    (void)builder.build_galerkin(a, h);
+    // The AMG defaults: a served hierarchy is exactly what `--prec=amg`
+    // would have built online.
+    multilevel::Options mo = solver::AmgOptions{}.hierarchy;
+    if (!coarsener.empty()) mo.coarsener = coarsener;
+    (void)multilevel::Builder(std::move(mo)).build_galerkin(a, h);
   }
   const double build_s = timer.seconds();
   timer.reset();

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
-#include "core/coarsener.hpp"
-#include "multilevel/builder.hpp"
 #include "parallel/balanced_for.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_scan.hpp"
@@ -158,50 +155,6 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   PARMIS_CHECK_OK(check::validate(
       graph::GraphView(c), {.require_sorted = true, .require_unique = true, .require_loop_free = true}));
   return c;
-}
-
-MultilevelHierarchy multilevel_coarsen(graph::GraphView g, const MultilevelOptions& opts,
-                                       CoarsenHandle& handle) {
-  // Thin adapter over the unified multilevel Builder (the one level loop
-  // shared with the partitioners and AMG setup). The caller's CoarsenHandle
-  // is spliced into the hierarchy handle's workspace for the duration of
-  // the build, preserving the historical scratch-reuse contract: repeated
-  // hierarchies through one handle stay warm.
-  multilevel::Options mo;
-  mo.coarsener = opts.coarsener;
-  mo.max_levels = opts.max_levels;
-  mo.min_coarse_size = opts.target_vertices;
-  mo.rate_floor = 0.95;  // the historical 5%-reduction stall guard
-  mo.mis2 = opts.mis2;
-  mo.seed = opts.mis2.seed + 1;  // the historical HEM visit-order seed
-
-  multilevel::HierarchyHandle hh;
-  hh.coarsen_handle() = std::move(handle);
-  const multilevel::Builder builder(std::move(mo));
-  std::vector<multilevel::Step> steps;
-  try {
-    (void)builder.build(g, hh);
-    steps = hh.take_steps();
-  } catch (...) {
-    handle = std::move(hh.coarsen_handle());
-    throw;
-  }
-  handle = std::move(hh.coarsen_handle());
-
-  MultilevelHierarchy h;
-  h.levels.reserve(steps.size());
-  for (multilevel::Step& step : steps) {
-    CoarsenLevel lvl;
-    lvl.aggregation = std::move(step.aggregation);
-    lvl.graph = std::move(step.coarse.graph);
-    h.levels.push_back(std::move(lvl));
-  }
-  return h;
-}
-
-MultilevelHierarchy multilevel_coarsen(graph::GraphView g, const MultilevelOptions& opts) {
-  CoarsenHandle handle(opts.mis2);
-  return multilevel_coarsen(g, opts, handle);
 }
 
 }  // namespace parmis::core

@@ -1,19 +1,17 @@
 #pragma once
 /// \file coarsen.hpp
-/// \brief Coarse (quotient) graph construction and the recursive
-/// multilevel-coarsening driver.
+/// \brief Coarse (quotient) graph construction.
 ///
 /// Given an aggregation, the coarse graph has one vertex per aggregate and
 /// an edge between two aggregates whenever any fine edge crosses them.
 /// This is the structure Algorithm 4 colors for cluster multicolor
-/// Gauss-Seidel, and — applied recursively — the coarsening loop used in
-/// multilevel partitioning (Gilbert et al., the paper's §II/VII use case).
+/// Gauss-Seidel, and — applied recursively by `multilevel::Builder` — the
+/// coarsening loop used in multilevel partitioning (Gilbert et al., the
+/// paper's §II/VII use case).
 
-#include <string>
 #include <vector>
 
 #include "core/aggregation.hpp"
-#include "core/mis2.hpp"
 #include "graph/crs.hpp"
 
 namespace parmis::core {
@@ -30,50 +28,5 @@ struct AggregateMembers {
 };
 
 [[nodiscard]] AggregateMembers aggregate_members(const Aggregation& agg);
-
-/// One level of a multilevel hierarchy.
-struct CoarsenLevel {
-  Aggregation aggregation;   ///< aggregation of the *previous* (finer) level
-  graph::CrsGraph graph;     ///< the coarse graph it produced
-};
-
-/// Recursive coarsening: aggregate + contract until the graph has at most
-/// `target_vertices` vertices or `max_levels` levels were produced or
-/// coarsening stalls (< 5% reduction).
-struct MultilevelOptions {
-  ordinal_t target_vertices = 64;
-  int max_levels = 64;
-  /// Registry name of the per-level coarsening scheme (see
-  /// `core/coarsener.hpp`): "mis2" (Algorithm 3, the default), "mis2-basic"
-  /// (Algorithm 2), "hem", or any future registered scheme.
-  std::string coarsener = "mis2";
-  Mis2Options mis2;
-};
-
-struct MultilevelHierarchy {
-  std::vector<CoarsenLevel> levels;
-
-  /// Map a fine vertex of level 0 to its coarse vertex at the last level.
-  [[nodiscard]] ordinal_t project(ordinal_t v) const {
-    for (const CoarsenLevel& lvl : levels) {
-      v = lvl.aggregation.labels[static_cast<std::size_t>(v)];
-    }
-    return v;
-  }
-};
-
-/// Recursive coarsening through a caller-provided handle: every level's
-/// aggregation reuses the handle's scratch, so only the per-level coarse
-/// graphs themselves allocate. Since the unified multilevel engine landed
-/// this is a thin adapter over `multilevel::Builder` (topology mode) that
-/// splices the caller's handle into the build; hierarchies are unchanged
-/// bit-for-bit.
-[[nodiscard]] MultilevelHierarchy multilevel_coarsen(graph::GraphView g,
-                                                     const MultilevelOptions& opts,
-                                                     CoarsenHandle& handle);
-
-/// Recursive coarsening with a transient handle.
-[[nodiscard]] MultilevelHierarchy multilevel_coarsen(graph::GraphView g,
-                                                     const MultilevelOptions& opts = {});
 
 }  // namespace parmis::core

@@ -3,19 +3,17 @@
 /// \brief `multilevel::Builder`: the one level loop behind every multilevel
 /// consumer in this library.
 ///
-/// Before this layer existed, `core::multilevel_coarsen`, the multilevel
-/// partitioners (`partition/partitioner.cpp`), and `solver::AmgHierarchy`
-/// each drove their own aggregate → contract loop, with their own stopping
-/// rules and their own per-build allocations. The Builder drives that loop
-/// once, in three contraction modes:
+/// Plain recursive coarsening, the multilevel partitioners
+/// (`partition/partitioner.cpp`), and `solver::AmgHierarchy` all run this
+/// one aggregate → contract loop, in three contraction modes:
 ///
-///  - **topology**  (`build`): coarse adjacency graphs only — what
-///    `multilevel_coarsen` returns;
+///  - **topology**  (`build`): coarse adjacency graphs only — plain
+///    recursive coarsening;
 ///  - **weighted**  (`build_weighted`): vertex/edge-weighted quotients —
 ///    what the multilevel partitioners refine through;
 ///  - **Galerkin**  (`build_galerkin`): smoothed-aggregation operator
 ///    levels A, P, R = Pᵀ with the triple product A_c = R·A·P — what AMG
-///    setup wraps.
+///    setup builds on.
 ///
 /// All three share the stopping rules of `multilevel::Options`
 /// (`min_coarse_size`, `max_levels`, the coarsening-rate floor) and the

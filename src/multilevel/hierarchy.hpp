@@ -128,8 +128,7 @@ class HierarchyHandle {
   /// grew any owned capacity (cold builds; never warm rebuilds).
   [[nodiscard]] const core::KernelStats& stats() const { return stats_; }
 
-  /// The nested aggregation handle (exposes MIS-2 telemetry and lets
-  /// adapters splice in caller-owned scratch).
+  /// The nested aggregation handle (exposes MIS-2 telemetry).
   [[nodiscard]] core::CoarsenHandle& coarsen_handle() { return ws_.coarsen; }
 
   /// Heap capacity (bytes) held by the workspace *and* the hierarchy

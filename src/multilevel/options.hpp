@@ -3,16 +3,13 @@
 /// \brief `multilevel::Options`: the one configuration every multilevel
 /// level loop in this library shares.
 ///
-/// Before the `Builder` existed, three consumers each carried their own
-/// copy of these knobs under different names — `core::MultilevelOptions`
-/// (`target_vertices`), `partition::PartitionOptions` (`coarse_target`),
-/// and `solver::AmgOptions` (`coarse_size`) — and each enforced a
-/// different subset of the quality guards. This struct is the deduped
-/// union: the per-level coarsening scheme, the three stopping rules
-/// (size, level count, coarsening-rate floor), and the Galerkin-mode
+/// The per-level coarsening scheme, the three stopping rules (size, level
+/// count, coarsening-rate floor), and the Galerkin-mode
 /// operator-complexity cap that keeps pairwise-matching hierarchies from
-/// densifying on power-law inputs. The legacy option structs remain as
-/// thin adapters that map onto this one.
+/// densifying on power-law inputs. Plain coarsening hands it to the
+/// `Builder` directly, AMG embeds it as `solver::AmgOptions::hierarchy`
+/// (with AMG defaults), and the multilevel partitioners derive it from
+/// `partition::PartitionOptions`.
 
 #include <cstdint>
 #include <functional>

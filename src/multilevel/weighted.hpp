@@ -6,9 +6,7 @@
 /// how much fine material a coarse vertex stands for) need coarse graphs
 /// with vertex weights (aggregate sizes, so balance is preserved) and edge
 /// weights (collapsed fine-edge counts, so coarse cuts equal fine cuts).
-/// These types historically lived in the partition stack
-/// (`partition/coarsen_weighted.hpp`, which now re-exports them); they
-/// moved here when the multilevel `Builder` unified the three level loops,
+/// They live in the multilevel layer rather than the partition stack
 /// because weighted contraction is a property of the hierarchy, not of any
 /// one consumer.
 ///

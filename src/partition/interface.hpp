@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "partition/coarsen_weighted.hpp"
+#include "multilevel/weighted.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/quality.hpp"
 

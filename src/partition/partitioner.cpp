@@ -151,21 +151,12 @@ std::int64_t refine_frac(const WeightedGraph& g, Bisection& b, int passes,
   return moved_total;
 }
 
-/// Registry name for the options' coarsening scheme: the explicit
-/// `coarsener` string when set, the enum mapping otherwise.
-const std::string& coarsener_name(const PartitionOptions& opts) {
-  static const std::string mis2_name = "mis2";
-  static const std::string hem_name = "hem";
-  if (!opts.coarsener.empty()) return opts.coarsener;
-  return opts.coarsening == CoarseningScheme::HeavyEdgeMatching ? hem_name : mis2_name;
-}
-
 /// Builder configuration for the options' multilevel V-cycle: coarsen to
 /// `coarse_target`, stop only on a full stall (the historical guard), and
 /// derive fresh per-level seeds so successive levels decorrelate.
 multilevel::Options builder_options(const PartitionOptions& opts) {
   multilevel::Options mo;
-  mo.coarsener = coarsener_name(opts);
+  mo.coarsener = opts.coarsener;
   mo.max_levels = opts.max_levels;
   mo.min_coarse_size = opts.coarse_target;
   mo.rate_floor = 1.0;

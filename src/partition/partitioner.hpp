@@ -16,24 +16,18 @@
 
 #include "core/mis2.hpp"
 #include "graph/crs.hpp"
-#include "partition/coarsen_weighted.hpp"
+#include "multilevel/weighted.hpp"
 
 namespace parmis::partition {
 
-/// Coarsening scheme used inside the multilevel partitioner. Maps onto the
-/// core `Coarsener` registry ("mis2" / "hem"); set
-/// `PartitionOptions::coarsener` to reach any other registered scheme.
-enum class CoarseningScheme {
-  Mis2Aggregation,    ///< Algorithm 3 (the paper's contribution)
-  HeavyEdgeMatching,  ///< classical HEM (the §II comparison point)
-};
+using multilevel::WeightedGraph;
 
 struct PartitionOptions {
-  CoarseningScheme coarsening = CoarseningScheme::Mis2Aggregation;
-  /// Registry name of the coarsening scheme (core/coarsener.hpp). When
-  /// non-empty this overrides `coarsening`, opening the multilevel
-  /// partitioner to every registered coarsener.
-  std::string coarsener;
+  /// Registry name of the per-level coarsening scheme
+  /// (core/coarsener.hpp): "mis2" (Algorithm 3, the paper's
+  /// contribution), "hem" (classical heavy-edge matching, the §II
+  /// comparison point), or any other registered coarsener.
+  std::string coarsener = "mis2";
   ordinal_t coarse_target = 200;   ///< stop coarsening at this many vertices
   int max_levels = 40;
   int refine_passes = 6;           ///< greedy boundary passes per level

@@ -14,9 +14,11 @@
 #include <string>
 
 #include "graph/crs.hpp"
-#include "partition/coarsen_weighted.hpp"
+#include "multilevel/weighted.hpp"
 
 namespace parmis::partition {
+
+using multilevel::WeightedGraph;
 
 /// Quality measures of one k-way partition.
 struct QualityReport {

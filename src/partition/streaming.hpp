@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "partition/coarsen_weighted.hpp"
+#include "multilevel/weighted.hpp"
 #include "partition/partitioner.hpp"
 
 namespace parmis::partition {

@@ -106,7 +106,7 @@ void HandlePool::ensure(Entry& entry, const PrecKey& key, const graph::CrsMatrix
     // copy of arrays instead of aggregation + triple products.
     PARMIS_SPAN("serve.adopt_levels");
     solver::AmgOptions amg_opts = cfg_.prec_options.amg;
-    if (!amg_opts.ctx) amg_opts.ctx = cfg_.ctx;
+    if (!amg_opts.hierarchy.ctx) amg_opts.hierarchy.ctx = cfg_.ctx;
     auto h = std::make_unique<solver::AmgHierarchy>(
         solver::AmgHierarchy::adopt(*levels, amg_opts));
     entry.handle.adopt_preconditioner(std::move(h), a);

@@ -13,29 +13,16 @@
 
 namespace parmis::serve {
 
-namespace {
-
-/// The slice of the AMG configuration the customize replay reads:
-/// `rebuild_galerkin` re-runs prolongator smoothing and the triple
-/// products value-only into existing structures, so only the damping
-/// omega and the execution context matter — stopping rules and the
-/// coarsening scheme were baked into the structures at build time.
-multilevel::Options rebuild_options(const solver::AmgOptions& amg, const Context& ctx) {
-  multilevel::Options mo;
-  mo.prolongator_omega = amg.prolongator_omega;
-  mo.ctx = amg.ctx ? amg.ctx : std::optional<Context>(ctx);
-  return mo;
-}
-
-}  // namespace
-
 Service::Service(Options opts, graph::CrsMatrix a,
                  std::vector<multilevel::OperatorLevel> levels,
                  std::vector<multilevel::SetupWorkspace::GalerkinLevel> workspace)
     : opts_(std::move(opts)),
       pool_(opts_.pool),
-      builder_(rebuild_options(opts_.pool.prec_options.amg, opts_.pool.ctx)) {
+      builder_(opts_.pool.prec_options.amg.hierarchy) {
   if (opts_.max_history == 0) opts_.max_history = 1;
+  // Customize replays run under the pool's context unless the AMG
+  // configuration pins its own.
+  if (!builder_.options().ctx) builder_.options().ctx = opts_.pool.ctx;
   auto state = std::make_shared<ServingState>();
   state->epoch = 0;
   state->values_digest = check::digest(a.values);

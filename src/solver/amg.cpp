@@ -59,51 +59,19 @@ core::Aggregation run_aggregation(graph::GraphView adjacency, AggregationScheme 
   return run_aggregation(adjacency, scheme, mis2_opts, handle);
 }
 
-core::Aggregation run_aggregation(graph::GraphView adjacency, const std::string& coarsener,
-                                  const core::Mis2Options& mis2_opts,
-                                  core::CoarsenHandle& handle) {
-  core::CoarsenOptions copts;
-  copts.mis2 = mis2_opts;
-  (void)core::find_coarsener(coarsener).make()->run(adjacency, {}, handle, copts);
-  return handle.take_aggregation();
-}
-
-namespace {
-
-/// Builder configuration for the options: the AMG knobs mapped onto the
-/// unified multilevel engine (`max_levels` counts operator levels here,
-/// coarsening steps there). Table V schemes that are not registered
-/// coarseners plug in through the aggregator hook.
-multilevel::Options builder_options(const AmgOptions& opts) {
-  multilevel::Options mo;
-  mo.max_levels = std::max(0, opts.max_levels - 1);
-  mo.min_coarse_size = opts.coarse_size;
-  mo.rate_floor = opts.coarsening_rate_floor;
-  mo.complexity_cap = opts.operator_complexity_cap;
-  mo.prolongator_omega = opts.prolongator_omega;
-  mo.mis2 = opts.mis2;
-  // Pass the *optional* through unchanged: when unset, the Builder (and
-  // any later rebuild()) inherits the then-ambient configuration instead
-  // of a stale build-time snapshot.
-  mo.ctx = opts.ctx;
-  if (!opts.coarsener.empty()) {
-    mo.coarsener = opts.coarsener;
-  } else if (opts.scheme == AggregationScheme::Mis2Agg) {
-    mo.coarsener = "mis2";
-  } else if (opts.scheme == AggregationScheme::Mis2Basic) {
-    mo.coarsener = "mis2-basic";
+void set_aggregation_scheme(multilevel::Options& hierarchy, AggregationScheme scheme) {
+  hierarchy.aggregator = nullptr;
+  if (scheme == AggregationScheme::Mis2Agg) {
+    hierarchy.coarsener = "mis2";
+  } else if (scheme == AggregationScheme::Mis2Basic) {
+    hierarchy.coarsener = "mis2-basic";
   } else {
-    const AggregationScheme scheme = opts.scheme;
-    const core::Mis2Options mis2 = opts.mis2;
-    mo.aggregator = [scheme, mis2](graph::GraphView g, core::CoarsenHandle& handle,
-                                   const core::CoarsenOptions&, int /*level*/) {
-      return run_aggregation(g, scheme, mis2, handle);
+    hierarchy.aggregator = [scheme](graph::GraphView g, core::CoarsenHandle& handle,
+                                    const core::CoarsenOptions& copts, int /*level*/) {
+      return run_aggregation(g, scheme, copts.mis2, handle);
     };
   }
-  return mo;
 }
-
-}  // namespace
 
 AmgHierarchy AmgHierarchy::build(graph::CrsMatrix a_fine, const AmgOptions& opts) {
   // Injected setup failure (check builds): the classified throw a fallback
@@ -118,11 +86,12 @@ AmgHierarchy AmgHierarchy::build(graph::CrsMatrix a_fine, const AmgOptions& opts
   h.opts_ = opts;
   Timer setup_timer;
   // The whole setup (aggregation, SpGEMM, smoother estimation) runs under
-  // the options' context; unset inherits the ambient configuration.
-  const Context ctx = opts.ctx ? *opts.ctx : Context::default_ctx();
+  // the options' context; unset inherits the ambient configuration — as
+  // does any later rebuild(), instead of a stale build-time snapshot.
+  const Context ctx = opts.hierarchy.ctx ? *opts.hierarchy.ctx : Context::default_ctx();
   Context::Scope scope(ctx);
 
-  h.builder_ = multilevel::Builder(builder_options(opts));
+  h.builder_ = multilevel::Builder(opts.hierarchy);
   (void)h.builder_.build_galerkin(std::move(a_fine), h.handle_);
   h.aggregation_seconds_ = h.handle_.build_stats().aggregation_seconds;
   h.finish_setup();
@@ -137,9 +106,9 @@ AmgHierarchy AmgHierarchy::adopt(
   AmgHierarchy h;
   h.opts_ = opts;
   Timer setup_timer;
-  const Context ctx = opts.ctx ? *opts.ctx : Context::default_ctx();
+  const Context ctx = opts.hierarchy.ctx ? *opts.hierarchy.ctx : Context::default_ctx();
   Context::Scope scope(ctx);
-  h.builder_ = multilevel::Builder(builder_options(opts));
+  h.builder_ = multilevel::Builder(opts.hierarchy);
   multilevel::restore_galerkin(h.handle_, std::move(levels), std::move(workspace), stop);
   h.finish_setup();
   h.setup_seconds_ = setup_timer.seconds();
@@ -151,7 +120,8 @@ namespace {
 /// Effective direct-solve limit: explicit when set, else 4x the coarse
 /// target (hierarchies that coarsen normally keep their exact LU bottom).
 ordinal_t direct_limit(const AmgOptions& opts) {
-  return opts.direct_size_limit > 0 ? opts.direct_size_limit : 4 * opts.coarse_size;
+  return opts.direct_size_limit > 0 ? opts.direct_size_limit
+                                    : 4 * opts.hierarchy.min_coarse_size;
 }
 
 /// Factor the coarsest operator resiliently. A singular coarsest block
@@ -204,7 +174,7 @@ std::unique_ptr<DenseLU> factor_bottom(const graph::CrsMatrix& a, const char*& b
 
 void AmgHierarchy::rebuild(const graph::CrsMatrix& a_fine) {
   Timer setup_timer;
-  const Context ctx = opts_.ctx ? *opts_.ctx : Context::default_ctx();
+  const Context ctx = opts_.hierarchy.ctx ? *opts_.hierarchy.ctx : Context::default_ctx();
   Context::Scope scope(ctx);
 
   (void)builder_.rebuild_galerkin(a_fine, handle_);
@@ -354,8 +324,8 @@ void AmgHierarchy::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> 
 }
 
 std::string AmgHierarchy::name() const {
-  return std::string("sa-amg(") +
-         (opts_.coarsener.empty() ? to_string(opts_.scheme) : opts_.coarsener.c_str()) + ")";
+  return "sa-amg(" + (opts_.hierarchy.aggregator ? "aggregator" : opts_.hierarchy.coarsener) +
+         ")";
 }
 
 double AmgHierarchy::operator_complexity() const {

@@ -7,25 +7,25 @@
 /// variable Table V studies), build the tentative piecewise-constant
 /// prolongator P̂ with normalized columns, smooth it with one damped-Jacobi
 /// step P = (I − ω D⁻¹ A) P̂, and form the Galerkin coarse operator
-/// A_c = Pᵀ A P with SpGEMM. Coarsening stops at `coarse_size` rows, on a
-/// stall against the coarsening-rate floor, or when the next coarse
+/// A_c = Pᵀ A P with SpGEMM. Coarsening stops at `min_coarse_size` rows,
+/// on a stall against the coarsening-rate floor, or when the next coarse
 /// operator would push the operator complexity past its cap (the guard
 /// against pairwise-matching hierarchies densifying on power-law inputs);
 /// the coarsest system is LU-factored.
 ///
-/// The level loop itself lives in the unified multilevel engine
-/// (`multilevel::Builder`, Galerkin mode); `AmgHierarchy::build` keeps its
-/// historical signature as a thin shim over it, and gains a warm
-/// `rebuild()` for matrices whose values change but whose structure is
-/// fixed (time-stepping): the hierarchy's transfer structures are replayed
-/// value-only with zero heap allocations inside the multilevel handle.
+/// The level loop itself is the unified multilevel engine
+/// (`multilevel::Builder`, Galerkin mode), configured by the
+/// `AmgOptions::hierarchy` member as is. `AmgHierarchy::build` adds the
+/// smoothers and the bottom solve on top, and `rebuild()` serves matrices
+/// whose values change but whose structure is fixed (time-stepping): the
+/// hierarchy's transfer structures are replayed value-only with zero heap
+/// allocations inside the multilevel handle.
 ///
 /// `apply` runs one V-cycle with damped-Jacobi pre/post smoothing from a
 /// zero initial guess — the preconditioner configuration of Table V (CG,
 /// 2 Jacobi sweeps, tol 1e-12).
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,40 +56,41 @@ enum class AggregationScheme {
 enum class SmootherType { Jacobi, Chebyshev };
 
 struct AmgOptions {
-  AggregationScheme scheme = AggregationScheme::Mis2Agg;
-  /// Core `Coarsener` registry name ("mis2", "mis2-basic", "hem", ...).
-  /// When non-empty it overrides `scheme`: AMG composes with any registered
-  /// coarsening algorithm, including ones registered after this header was
-  /// written. Empty (the default) keeps the Table V scheme dispatch.
-  std::string coarsener;
-  /// Execution context the setup and every V-cycle-level kernel run under.
-  /// Unset inherits the ambient configuration (pre-Context behavior).
-  std::optional<Context> ctx;
-  int max_levels = 10;
-  ordinal_t coarse_size = 500;       ///< direct-solve threshold
-  /// Coarsening-rate floor: a level producing more than this fraction of
-  /// its fine vertices as aggregates counts as stalled and coarsening
-  /// stops there (enforced by the multilevel Builder).
-  double coarsening_rate_floor = 0.9;
-  /// Stop coarsening before `sum(nnz(A_l)) / nnz(A_0)` exceeds this cap —
-  /// the guard that keeps AMG+HEM from densifying on power-law inputs.
-  /// 0 disables the cap.
-  double operator_complexity_cap = 10.0;
+  /// The level loop: coarsening scheme (`coarsener` names any registered
+  /// core `Coarsener`; `set_aggregation_scheme` selects a Table V scheme),
+  /// stopping rules, prolongator damping, MIS-2 configuration, and the
+  /// execution context the setup and every V-cycle-level kernel run under
+  /// (unset inherits the ambient configuration). AMG defaults: 9
+  /// coarsening steps (10 operator levels), a 500-row direct-solve
+  /// threshold, a 0.9 coarsening-rate floor, and an operator-complexity
+  /// cap of 10 — the guard that keeps AMG+HEM from densifying on
+  /// power-law inputs.
+  multilevel::Options hierarchy = [] {
+    multilevel::Options o;
+    o.max_levels = 9;
+    o.min_coarse_size = 500;
+    o.rate_floor = 0.9;
+    o.complexity_cap = 10.0;
+    return o;
+  }();
   /// Largest coarsest level the V-cycle bottoms out on with a dense LU.
   /// When the rate floor or the complexity cap stops coarsening early, the
-  /// coarsest level can be far bigger than `coarse_size`; factoring it
-  /// densely would be the new blowup. Above this limit the cycle bottoms
-  /// out with smoother sweeps instead. 0 (the default) means
-  /// `4 * coarse_size`, so hierarchies that coarsen normally keep their
-  /// exact direct solve.
+  /// coarsest level can be far bigger than `hierarchy.min_coarse_size`;
+  /// factoring it densely would be the new blowup. Above this limit the
+  /// cycle bottoms out with smoother sweeps instead. 0 (the default) means
+  /// `4 * hierarchy.min_coarse_size`, so hierarchies that coarsen normally
+  /// keep their exact direct solve.
   ordinal_t direct_size_limit = 0;
-  scalar_t prolongator_omega = 2.0 / 3.0;
   SmootherType smoother = SmootherType::Jacobi;
   int smoother_sweeps = 2;           ///< pre/post smoother applications
   scalar_t jacobi_omega = 2.0 / 3.0;
   int chebyshev_degree = 2;          ///< polynomial degree per application
-  core::Mis2Options mis2;            ///< passed through to MIS-2 aggregation
 };
+
+/// Route one of the Table V aggregation schemes to the Builder: the two
+/// MIS-2 schemes by registry name (`hierarchy.coarsener`), the serial,
+/// serial-D2C and NB-D2C schemes through the `hierarchy.aggregator` hook.
+void set_aggregation_scheme(multilevel::Options& hierarchy, AggregationScheme scheme);
 
 /// One multigrid level — the multilevel engine's Galerkin level: operator,
 /// grid transfers to the next-coarser level (empty on the coarsest), the
@@ -216,13 +217,5 @@ class AmgHierarchy final : public Preconditioner {
 [[nodiscard]] core::Aggregation run_aggregation(graph::GraphView adjacency,
                                                 AggregationScheme scheme,
                                                 const core::Mis2Options& mis2_opts);
-
-/// Registry-named variant: aggregate with any registered core coarsener
-/// (what `AmgOptions::coarsener` routes through). Throws std::out_of_range
-/// on an unknown name.
-[[nodiscard]] core::Aggregation run_aggregation(graph::GraphView adjacency,
-                                                const std::string& coarsener,
-                                                const core::Mis2Options& mis2_opts,
-                                                core::CoarsenHandle& handle);
 
 }  // namespace parmis::solver

@@ -37,8 +37,6 @@
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/guard.hpp"
-#include "solver/cg.hpp"
-#include "solver/gmres.hpp"
 #include "solver/interface.hpp"
 #include "solver/multivector.hpp"
 
@@ -631,29 +629,6 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
       }
     }
   }
-}
-
-// ------------------------------------------------- free-function shims
-
-IterResult cg(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-              const IterOptions& opts, const Preconditioner* prec) {
-  Context::Scope scope(opts.ctx ? *opts.ctx : Context::default_ctx());
-  SolveWorkspace ws;
-  IterResult result;
-  block_cg_solve(a, b, x, 1, opts, prec, ws, std::span<IterResult>(&result, 1));
-  return result;
-}
-
-IterResult gmres(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                 std::span<scalar_t> x, const IterOptions& opts, const Preconditioner* prec,
-                 int restart) {
-  Context::Scope scope(opts.ctx ? *opts.ctx : Context::default_ctx());
-  IterOptions run = opts;
-  if (restart > 0) run.gmres_restart = restart;
-  SolveWorkspace ws;
-  IterResult result;
-  block_gmres_solve(a, b, x, 1, run, prec, ws, std::span<IterResult>(&result, 1));
-  return result;
 }
 
 }  // namespace parmis::solver

@@ -13,9 +13,9 @@
 /// `stats().scratch_grows`.
 ///
 ///   SolveHandle h("cg", "amg", ctx);
-///   h.prec_options().amg.coarsener = "hem";   // any registered coarsener
-///   const IterResult& r = h.solve(a, b, x);   // builds AMG once
-///   h.solve(a, b2, x2);                       // warm: zero allocations
+///   h.prec_options().amg.hierarchy.coarsener = "hem";  // any registered coarsener
+///   const IterResult& r = h.solve(a, b, x);            // builds AMG once
+///   h.solve(a, b2, x2);                                // warm: zero allocations
 ///
 /// Preconditioner state is cached per matrix: a solve against the same
 /// matrix (same address and shape) reuses it; a different matrix triggers

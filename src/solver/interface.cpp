@@ -230,7 +230,7 @@ const std::vector<PreconditionerSpec>& preconditioner_registry() {
        true,
        [](const graph::CrsMatrix& a, const PrecOptions& opts, const Context& ctx) {
          AmgOptions amg = opts.amg;
-         if (!amg.ctx) amg.ctx = ctx;
+         if (!amg.hierarchy.ctx) amg.hierarchy.ctx = ctx;
          return std::unique_ptr<Preconditioner>(
              std::make_unique<AmgHierarchy>(AmgHierarchy::build(a, amg)));
        }},

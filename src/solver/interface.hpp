@@ -14,7 +14,7 @@
 /// and "cluster-gs" preconditioners compose with any registered *coarsener*
 /// by name, so the three registries stack:
 ///
-///   SolveHandle("cg", "amg")  with  prec_options().amg.coarsener = "hem"
+///   SolveHandle("cg", "amg")  with  prec_options().amg.hierarchy.coarsener = "hem"
 ///
 /// Every registered solver and preconditioner is deterministic: iteration
 /// counts and solution vectors are bit-identical on the Serial and OpenMP
@@ -155,8 +155,8 @@ struct PrecOptions {
   std::string coarsener = "mis2";   ///< core Coarsener registry name ("cluster-gs")
   core::Mis2Options mis2;           ///< MIS-2 configuration ("cluster-gs")
   AmgOptions amg;                   ///< hierarchy configuration ("amg"; its
-                                    ///< `coarsener` field composes with the
-                                    ///< core registry too)
+                                    ///< `hierarchy.coarsener` composes with
+                                    ///< the core registry too)
 };
 
 /// Registry entry for a preconditioner: unlike solvers, preconditioners

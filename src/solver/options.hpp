@@ -3,17 +3,11 @@
 /// \brief Shared configuration and outcome types for the iterative solver
 /// stack (CG, GMRES, Chebyshev; see interface.hpp for the registry).
 ///
-/// `IterOptions`/`IterResult` historically lived in cg.hpp, which forced
-/// gmres.hpp to include the CG header just for the option struct. They are
-/// hoisted here so every outer solver shares one header and the per-solver
-/// headers depend only on what they use.
-///
-/// Since the resilience layer, a result carries a full failure
-/// classification: `status` (the `resilience::SolveStatus` taxonomy),
-/// a located `failure` diagnostic, and — when `SolveHandle` ran a
-/// fallback chain — the per-attempt record. The historical `converged`
-/// bool is kept in sync (`converged == (status == Converged)`) as the
-/// compatibility view.
+/// A result carries a full failure classification: `status` (the
+/// `resilience::SolveStatus` taxonomy), a located `failure` diagnostic,
+/// and — when `SolveHandle` ran a fallback chain — the per-attempt
+/// record. The historical `converged` bool is kept in sync
+/// (`converged == (status == Converged)`) as the compatibility view.
 
 #include <optional>
 #include <string>
@@ -33,9 +27,7 @@ struct IterOptions {
   bool track_history = false;  ///< record the residual per iteration
 
   /// Execution context for the solve. Unset (the default) inherits the
-  /// ambient configuration — a `SolveHandle`'s own context, or for the free
-  /// functions the process-global `par::Execution` state — which is the
-  /// exact pre-Context behavior. Set it to pin the solve to a specific
+  /// `SolveHandle`'s own context. Set it to pin the solve to a specific
   /// backend/thread count/schedule regardless of the caller's environment.
   std::optional<Context> ctx;
 
@@ -94,7 +86,8 @@ struct IterResult {
   std::vector<double> history;  ///< per-iteration ||r||/||b|| iff track_history
   /// Per-attempt record of the fallback chain, oldest first. Owned by
   /// `SolveHandle` (solvers never touch it); exactly one entry for a
-  /// chain-less solve through a handle, empty for the free-function shims.
+  /// chain-less solve, and empty when the finiteness check rejected the
+  /// input before any attempt ran.
   std::vector<AttemptInfo> attempts;
 };
 

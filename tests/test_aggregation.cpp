@@ -11,6 +11,7 @@
 #include "core/coarsener.hpp"
 #include "core/verify.hpp"
 #include "graph/ops.hpp"
+#include "multilevel/builder.hpp"
 #include "parallel/execution.hpp"
 #include "test_utils.hpp"
 
@@ -233,28 +234,33 @@ TEST(AggregateMembers, CsrPartitionsVertices) {
 
 TEST(Multilevel, CoarsensGridToTarget) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(40, 40));
-  MultilevelOptions opts;
-  opts.target_vertices = 20;
-  const MultilevelHierarchy h = multilevel_coarsen(g, opts);
-  ASSERT_FALSE(h.levels.empty());
-  EXPECT_LE(h.levels.back().graph.num_rows, 120);  // near target; stall-guarded
+  multilevel::Options opts;
+  opts.min_coarse_size = 20;
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::Step>& steps = multilevel::Builder(opts).build(g, h);
+  ASSERT_FALSE(steps.empty());
+  EXPECT_LE(steps.back().coarse.graph.num_rows, 120);  // near target; stall-guarded
   // Sizes strictly decrease.
   ordinal_t prev = g.num_rows;
-  for (const CoarsenLevel& lvl : h.levels) {
-    EXPECT_LT(lvl.graph.num_rows, prev);
-    prev = lvl.graph.num_rows;
+  for (const multilevel::Step& step : steps) {
+    EXPECT_LT(step.coarse.graph.num_rows, prev);
+    prev = step.coarse.graph.num_rows;
   }
 }
 
 TEST(Multilevel, ProjectionIsConsistent) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(20, 20));
-  MultilevelOptions opts;
-  opts.target_vertices = 10;
-  const MultilevelHierarchy h = multilevel_coarsen(g, opts);
-  ASSERT_FALSE(h.levels.empty());
-  const ordinal_t coarse_n = h.levels.back().graph.num_rows;
+  multilevel::Options opts;
+  opts.min_coarse_size = 10;
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::Step>& steps = multilevel::Builder(opts).build(g, h);
+  ASSERT_FALSE(steps.empty());
+  const ordinal_t coarse_n = steps.back().coarse.graph.num_rows;
   for (ordinal_t v = 0; v < g.num_rows; ++v) {
-    const ordinal_t cv = h.project(v);
+    ordinal_t cv = v;
+    for (const multilevel::Step& step : steps) {
+      cv = step.aggregation.labels[static_cast<std::size_t>(cv)];
+    }
     EXPECT_GE(cv, 0);
     EXPECT_LT(cv, coarse_n);
   }
@@ -263,14 +269,16 @@ TEST(Multilevel, ProjectionIsConsistent) {
 TEST(Multilevel, EveryRegisteredCoarsenerWorks) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace3d(10, 10, 10));
   for (const std::string& name : coarsener_names()) {
-    MultilevelOptions opts;
+    multilevel::Options opts;
     opts.coarsener = name;
-    opts.target_vertices = 50;
-    const MultilevelHierarchy h = multilevel_coarsen(g, opts);
-    EXPECT_FALSE(h.levels.empty()) << "coarsener=" << name;
-    for (std::size_t l = 0; l < h.levels.size(); ++l) {
-      const graph::GraphView fine = l == 0 ? graph::GraphView(g) : h.levels[l - 1].graph;
-      EXPECT_TRUE(verify_aggregation(fine, h.levels[l].aggregation))
+    opts.min_coarse_size = 50;
+    multilevel::HierarchyHandle h;
+    const std::vector<multilevel::Step>& steps = multilevel::Builder(opts).build(g, h);
+    EXPECT_FALSE(steps.empty()) << "coarsener=" << name;
+    for (std::size_t l = 0; l < steps.size(); ++l) {
+      const graph::GraphView fine =
+          l == 0 ? graph::GraphView(g) : graph::GraphView(steps[l - 1].coarse.graph);
+      EXPECT_TRUE(verify_aggregation(fine, steps[l].aggregation))
           << "coarsener=" << name << " level=" << l;
     }
   }

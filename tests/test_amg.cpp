@@ -11,8 +11,8 @@
 #include "graph/spmv.hpp"
 #include "parallel/execution.hpp"
 #include "solver/amg.hpp"
-#include "solver/cg.hpp"
 #include "solver/chebyshev.hpp"
+#include "solver/handle.hpp"
 #include "solver/serial_aggregation.hpp"
 #include "solver/vector_ops.hpp"
 #include "test_utils.hpp"
@@ -23,6 +23,22 @@ namespace {
 constexpr AggregationScheme kAllSchemes[] = {
     AggregationScheme::SerialAgg, AggregationScheme::SerialD2C, AggregationScheme::NBD2C,
     AggregationScheme::Mis2Basic, AggregationScheme::Mis2Agg};
+
+/// CG preconditioned by the AMG hierarchy `opts` describes, set up and
+/// solved through a handle.
+IterResult amg_cg(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
+                  const AmgOptions& opts, const IterOptions& cg_opts) {
+  SolveHandle h("cg", "amg");
+  h.prec_options().amg = opts;
+  return h.solve(a, b, x, cg_opts);
+}
+
+/// `opts` with the Table V scheme `s` selected.
+AmgOptions with_scheme(AggregationScheme s) {
+  AmgOptions opts;
+  set_aggregation_scheme(opts.hierarchy, s);
+  return opts;
+}
 
 TEST(SerialAggregation, TotalAndValidOnFamily) {
   for (const auto& ng : test::test_graph_family()) {
@@ -110,16 +126,12 @@ class AmgSchemes : public ::testing::TestWithParam<AggregationScheme> {};
 TEST_P(AmgSchemes, PreconditionedCgConverges) {
   // Every Table V row: AMG-preconditioned CG must converge on Laplace3D.
   const graph::CrsMatrix a = graph::laplace3d(12, 12, 12);
-  AmgOptions opts;
-  opts.scheme = GetParam();
-  const AmgHierarchy h = AmgHierarchy::build(a, opts);
-
   const std::vector<scalar_t> b = random_vector(a.num_rows, 7);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
   IterOptions cg_opts;
   cg_opts.tolerance = 1e-10;
   cg_opts.max_iterations = 300;
-  const IterResult r = cg(a, b, x, cg_opts, &h);
+  const IterResult r = amg_cg(a, b, x, with_scheme(GetParam()), cg_opts);
   EXPECT_TRUE(r.converged) << to_string(GetParam());
   EXPECT_LE(r.iterations, 120) << to_string(GetParam());
 }
@@ -143,11 +155,8 @@ TEST(AmgHierarchy, Mis2AggBeatsMis2BasicInIterations) {
   cg_opts.max_iterations = 400;
 
   auto iters_for = [&](AggregationScheme s) {
-    AmgOptions opts;
-    opts.scheme = s;
-    const AmgHierarchy h = AmgHierarchy::build(a, opts);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-    return cg(a, b, x, cg_opts, &h).iterations;
+    return amg_cg(a, b, x, with_scheme(s), cg_opts).iterations;
   };
   const int basic = iters_for(AggregationScheme::Mis2Basic);
   const int agg = iters_for(AggregationScheme::Mis2Agg);
@@ -163,20 +172,17 @@ TEST(AmgHierarchy, DeterministicSchemesAcrossThreads) {
 
   for (AggregationScheme s : {AggregationScheme::SerialAgg, AggregationScheme::Mis2Basic,
                               AggregationScheme::Mis2Agg}) {
-    AmgOptions opts;
-    opts.scheme = s;
+    const AmgOptions opts = with_scheme(s);
     int serial_iters, parallel_iters;
     {
       par::ScopedExecution scope(par::Backend::Serial, 1);
-      const AmgHierarchy h = AmgHierarchy::build(a, opts);
       std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-      serial_iters = cg(a, b, x, cg_opts, &h).iterations;
+      serial_iters = amg_cg(a, b, x, opts, cg_opts).iterations;
     }
     {
       par::ScopedExecution scope(par::Backend::OpenMP, 0);
-      const AmgHierarchy h = AmgHierarchy::build(a, opts);
       std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-      parallel_iters = cg(a, b, x, cg_opts, &h).iterations;
+      parallel_iters = amg_cg(a, b, x, opts, cg_opts).iterations;
     }
     EXPECT_EQ(serial_iters, parallel_iters) << to_string(s);
   }
@@ -185,13 +191,12 @@ TEST(AmgHierarchy, DeterministicSchemesAcrossThreads) {
 TEST(AmgHierarchy, WorksOnRggSurrogate) {
   const graph::CrsMatrix a =
       graph::laplacian_matrix(graph::random_geometric_3d(8000, 14.0, 23), 0.1);
-  const AmgHierarchy h = AmgHierarchy::build(a, {});
   const std::vector<scalar_t> b = random_vector(a.num_rows, 10);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
   IterOptions cg_opts;
   cg_opts.tolerance = 1e-8;
   cg_opts.max_iterations = 300;
-  const IterResult r = cg(a, b, x, cg_opts, &h);
+  const IterResult r = amg_cg(a, b, x, {}, cg_opts);
   EXPECT_TRUE(r.converged);
 }
 
@@ -244,13 +249,12 @@ TEST(AmgHierarchy, ChebyshevSmootherConverges) {
   AmgOptions opts;
   opts.smoother = SmootherType::Chebyshev;
   opts.smoother_sweeps = 1;
-  const AmgHierarchy h = AmgHierarchy::build(a, opts);
   const std::vector<scalar_t> b = random_vector(a.num_rows, 23);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
   IterOptions cg_opts;
   cg_opts.tolerance = 1e-10;
   cg_opts.max_iterations = 200;
-  const IterResult r = cg(a, b, x, cg_opts, &h);
+  const IterResult r = amg_cg(a, b, x, opts, cg_opts);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.iterations, 60);
 }
@@ -274,7 +278,7 @@ TEST(Chebyshev, DeterministicAcrossThreads) {
 
 TEST(AmgHierarchy, SingleLevelFallsBackToDirectSolve) {
   AmgOptions opts;
-  opts.coarse_size = 10000;  // bigger than the matrix: no coarsening
+  opts.hierarchy.min_coarse_size = 10000;  // bigger than the matrix: no coarsening
   const graph::CrsMatrix a = graph::laplace2d(12, 12);
   const AmgHierarchy h = AmgHierarchy::build(a, opts);
   EXPECT_EQ(h.num_levels(), 1);

@@ -24,7 +24,6 @@
 #include "parallel/execution.hpp"
 #include "partition/interface.hpp"
 #include "solver/amg.hpp"
-#include "solver/cg.hpp"
 #include "solver/handle.hpp"
 #include "solver/interface.hpp"
 #include "solver/vector_ops.hpp"
@@ -120,15 +119,15 @@ TEST(Determinism, SurrogateBuilders) {
 TEST(Determinism, AmgIterationCounts) {
   expect_invariant([] {
     const graph::CrsMatrix a = graph::laplace3d(10, 10, 10);
-    solver::AmgOptions opts;
-    opts.scheme = solver::AggregationScheme::Mis2Agg;
-    const solver::AmgHierarchy h = solver::AmgHierarchy::build(a, opts);
+    solver::SolveHandle h("cg", "amg");
+    solver::set_aggregation_scheme(h.prec_options().amg.hierarchy,
+                                   solver::AggregationScheme::Mis2Agg);
     const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 5);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
     solver::IterOptions cg_opts;
     cg_opts.tolerance = 1e-10;
     cg_opts.max_iterations = 200;
-    return solver::cg(a, b, x, cg_opts, &h).iterations;
+    return h.solve(a, b, x, cg_opts).iterations;
   });
 }
 
@@ -274,7 +273,7 @@ TEST(Determinism, SchedulesAcrossSolverStack) {
       bool first = true;
       for (const Context& ctx : schedule_contexts()) {
         solver::SolveHandle handle(sspec.name, pspec.name, ctx);
-        handle.prec_options().amg.coarse_size = 200;
+        handle.prec_options().amg.hierarchy.min_coarse_size = 200;
         std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
         const solver::IterResult& r = handle.solve(a, b, x, opts);
         const std::uint64_t d = check::digest(x);

@@ -9,13 +9,13 @@
 #include <vector>
 
 #include "core/aggregation.hpp"
-#include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "core/mis2.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
+#include "multilevel/builder.hpp"
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
 #include "test_utils.hpp"
@@ -176,20 +176,22 @@ TEST(CoarsenHandle, HandleResultsMatchFreeFunctions) {
 }
 
 TEST(CoarsenHandle, ReusedAcrossMultilevelHierarchy) {
-  core::CoarsenHandle handle;
-  core::MultilevelOptions opts;
-  opts.target_vertices = 30;
-  const core::MultilevelHierarchy h = core::multilevel_coarsen(mesh_graph(), opts, handle);
-  ASSERT_GT(h.levels.size(), 1u);  // scratch was genuinely reused across levels
+  // The hierarchy handle's nested CoarsenHandle serves every level.
+  multilevel::Options opts;
+  opts.min_coarse_size = 30;
+  const multilevel::Builder builder(opts);
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::Step> first = builder.build(mesh_graph(), h);
+  ASSERT_GT(first.size(), 1u);  // scratch was genuinely reused across levels
 
   // A second hierarchy build on the same input is warm: capacity stable,
   // structure identical.
-  const std::size_t warm_capacity = handle.scratch_bytes();
-  const core::MultilevelHierarchy h2 = core::multilevel_coarsen(mesh_graph(), opts, handle);
-  EXPECT_EQ(handle.scratch_bytes(), warm_capacity);
-  ASSERT_EQ(h2.levels.size(), h.levels.size());
-  for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    EXPECT_EQ(h2.levels[l].aggregation.labels, h.levels[l].aggregation.labels) << "level " << l;
+  const std::size_t warm_capacity = h.coarsen_handle().scratch_bytes();
+  const std::vector<multilevel::Step>& second = builder.build(mesh_graph(), h);
+  EXPECT_EQ(h.coarsen_handle().scratch_bytes(), warm_capacity);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t l = 0; l < first.size(); ++l) {
+    EXPECT_EQ(second[l].aggregation.labels, first[l].aggregation.labels) << "level " << l;
   }
 }
 

@@ -17,11 +17,10 @@
 #include "graph/matrix_market.hpp"
 #include "graph/ops.hpp"
 #include "graph/registry.hpp"
+#include "multilevel/builder.hpp"
 #include "partition/partitioner.hpp"
-#include "solver/amg.hpp"
-#include "solver/cg.hpp"
 #include "solver/cluster_gs.hpp"
-#include "solver/gmres.hpp"
+#include "solver/handle.hpp"
 #include "solver/vector_ops.hpp"
 #include "test_utils.hpp"
 
@@ -51,16 +50,13 @@ TEST(Pipeline, MatrixMarketToMis2ToAggregation) {
 TEST(Pipeline, RegistrySurrogateThroughFullSolverStack) {
   // A Table II surrogate end to end: build, precondition with AMG, solve.
   const graph::CrsMatrix a = graph::find_matrix("StocF-1465").build(0.01);
-  solver::AmgOptions amg_opts;
-  const solver::AmgHierarchy amg = solver::AmgHierarchy::build(a, amg_opts);
-
-  const graph::CrsMatrix& a0 = amg.level(0).a;
-  const std::vector<scalar_t> b = solver::random_vector(a0.num_rows, 31);
-  std::vector<scalar_t> x(static_cast<std::size_t>(a0.num_rows), 0);
+  solver::SolveHandle h("cg", "amg");
+  const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 31);
+  std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
   solver::IterOptions opts;
   opts.tolerance = 1e-9;
   opts.max_iterations = 300;
-  const solver::IterResult r = solver::cg(a0, b, x, opts, &amg);
+  const solver::IterResult& r = h.solve(a, b, x, opts);
   EXPECT_TRUE(r.converged);
 }
 
@@ -85,16 +81,20 @@ TEST(Pipeline, PartitionOfCoarsenedGraphMatchesDirectPartition) {
   const graph::CrsGraph g = graph::random_geometric_2d(3000, 7.0, 41);
   const partition::Partition direct = partition::partition_graph(g, 4);
 
-  core::MultilevelOptions ml;
-  ml.target_vertices = 400;
-  const core::MultilevelHierarchy h = core::multilevel_coarsen(g, ml);
-  ASSERT_FALSE(h.levels.empty());
+  multilevel::Options ml;
+  ml.min_coarse_size = 400;
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::Step>& steps = multilevel::Builder(ml).build(g, h);
+  ASSERT_FALSE(steps.empty());
   const partition::Partition coarse_part =
-      partition::partition_graph(h.levels.back().graph, 4);
+      partition::partition_graph(steps.back().coarse.graph, 4);
   std::vector<ordinal_t> projected(static_cast<std::size_t>(g.num_rows));
   for (ordinal_t v = 0; v < g.num_rows; ++v) {
-    projected[static_cast<std::size_t>(v)] =
-        coarse_part.part[static_cast<std::size_t>(h.project(v))];
+    ordinal_t c = v;
+    for (const multilevel::Step& step : steps) {
+      c = step.aggregation.labels[static_cast<std::size_t>(c)];
+    }
+    projected[static_cast<std::size_t>(v)] = coarse_part.part[static_cast<std::size_t>(c)];
   }
   const std::int64_t projected_cut = partition::edge_cut(g, projected);
   // Projection without refinement loses some quality but must stay within
@@ -108,14 +108,13 @@ TEST(Pipeline, Mis2OptionsSeedGivesIndependentSolves) {
   const graph::CrsMatrix a = graph::laplace3d(8, 8, 8);
   const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 33);
   for (std::uint64_t seed : {0ull, 1ull, 2ull}) {
-    solver::AmgOptions opts;
-    opts.mis2.seed = seed;
-    const solver::AmgHierarchy amg = solver::AmgHierarchy::build(a, opts);
+    solver::SolveHandle h("cg", "amg");
+    h.prec_options().amg.hierarchy.mis2.seed = seed;
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
     solver::IterOptions cg_opts;
     cg_opts.tolerance = 1e-10;
     cg_opts.max_iterations = 200;
-    EXPECT_TRUE(solver::cg(a, b, x, cg_opts, &amg).converged) << "seed " << seed;
+    EXPECT_TRUE(h.solve(a, b, x, cg_opts).converged) << "seed " << seed;
   }
 }
 
@@ -142,13 +141,13 @@ TEST(Pipeline, SymmetrizeArbitraryMatrixBeforeGraphAlgorithms) {
 TEST(Pipeline, GmresWithAmgPreconditioner) {
   // AMG is also usable under GMRES (not just CG).
   const graph::CrsMatrix a = graph::laplace2d(30, 30);
-  const solver::AmgHierarchy amg = solver::AmgHierarchy::build(a, {});
+  solver::SolveHandle h("gmres", "amg");
   const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 35);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
   solver::IterOptions opts;
   opts.tolerance = 1e-9;
   opts.max_iterations = 200;
-  const solver::IterResult r = solver::gmres(a, b, x, opts, &amg);
+  const solver::IterResult& r = h.solve(a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.iterations, 40);
 }

@@ -2,9 +2,8 @@
 /// \brief Tests for the unified multilevel engine: the `Builder`'s three
 /// contraction modes, the zero-allocation warm Galerkin rebuild, the
 /// quality guards (coarsening-rate floor, operator-complexity cap), and
-/// shim equivalence of the rerouted legacy entry points
-/// (`core::multilevel_coarsen`, `solver::AmgHierarchy::build`) against
-/// inline replicas of their pre-refactor loops.
+/// equivalence of `Builder::build` and `solver::AmgHierarchy::build`
+/// against inline replicas of the level loops they replaced.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/digest.hpp"
 #include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "graph/generators.hpp"
@@ -77,21 +77,32 @@ TEST(SpgemmNumeric, MatrixAddAndTransposeReplay) {
 
 // ------------------------------------------------- topology / weighted
 
-/// Inline replica of the pre-refactor `multilevel_coarsen` loop
-/// (aggregate through the registry, 5%-reduction stall guard, contract
-/// with `coarse_graph`) — the behavior the Builder shim must reproduce.
-core::MultilevelHierarchy legacy_multilevel_coarsen(graph::GraphView g,
-                                                    const core::MultilevelOptions& opts) {
-  core::MultilevelHierarchy h;
-  core::CoarsenHandle handle(opts.mis2);
+/// One level of the pre-Builder recursive coarsening: the aggregation of
+/// the finer level and the coarse graph it produced.
+struct LegacyLevel {
+  core::Aggregation aggregation;
+  graph::CrsGraph graph;
+};
+
+/// Inline replica of the pre-Builder recursive-coarsening loop (aggregate
+/// through the registry with HEM visit-order seed `mis2.seed + 1`,
+/// 5%-reduction stall guard, contract with `coarse_graph`) — the behavior
+/// `Builder::build` must reproduce.
+std::vector<LegacyLevel> legacy_multilevel_coarsen(graph::GraphView g,
+                                                   const std::string& coarsener_name,
+                                                   ordinal_t target_vertices) {
+  const int max_levels = 64;
+  const core::Mis2Options mis2;
+  std::vector<LegacyLevel> levels;
+  core::CoarsenHandle handle(mis2);
   graph::GraphView view = g;
-  const std::unique_ptr<core::Coarsener> coarsener = core::make_coarsener(opts.coarsener);
+  const std::unique_ptr<core::Coarsener> coarsener = core::make_coarsener(coarsener_name);
   core::CoarsenOptions copts;
-  copts.mis2 = opts.mis2;
-  copts.hem_seed = opts.mis2.seed + 1;
-  for (int level = 0; level < opts.max_levels; ++level) {
-    if (view.num_rows <= opts.target_vertices) break;
-    core::CoarsenLevel lvl;
+  copts.mis2 = mis2;
+  copts.hem_seed = mis2.seed + 1;
+  for (int level = 0; level < max_levels; ++level) {
+    if (view.num_rows <= target_vertices) break;
+    LegacyLevel lvl;
     (void)coarsener->run(view, {}, handle, copts);
     lvl.aggregation = handle.take_aggregation();
     if (lvl.aggregation.num_aggregates >= view.num_rows ||
@@ -99,27 +110,29 @@ core::MultilevelHierarchy legacy_multilevel_coarsen(graph::GraphView g,
       break;
     }
     lvl.graph = core::coarse_graph(view, lvl.aggregation);
-    h.levels.push_back(std::move(lvl));
-    view = h.levels.back().graph;
+    levels.push_back(std::move(lvl));
+    view = levels.back().graph;
   }
-  return h;
+  return levels;
 }
 
 TEST(BuilderTopology, MultilevelCoarsenShimMatchesLegacyLoop) {
   const graph::CrsGraph g = mesh_graph();
   for (const char* name : {"mis2", "mis2-basic", "hem"}) {
-    core::MultilevelOptions opts;
+    Options opts;
     opts.coarsener = name;
-    opts.target_vertices = 20;
-    const core::MultilevelHierarchy legacy = legacy_multilevel_coarsen(g, opts);
-    const core::MultilevelHierarchy routed = core::multilevel_coarsen(g, opts);
-    ASSERT_EQ(routed.levels.size(), legacy.levels.size()) << name;
-    for (std::size_t l = 0; l < legacy.levels.size(); ++l) {
-      EXPECT_EQ(routed.levels[l].aggregation.labels, legacy.levels[l].aggregation.labels)
+    opts.min_coarse_size = 20;
+    opts.seed = opts.mis2.seed + 1;  // the legacy HEM visit order
+    const std::vector<LegacyLevel> legacy = legacy_multilevel_coarsen(g, name, 20);
+    HierarchyHandle h;
+    const std::vector<Step>& routed = Builder(opts).build(g, h);
+    ASSERT_EQ(routed.size(), legacy.size()) << name;
+    for (std::size_t l = 0; l < legacy.size(); ++l) {
+      EXPECT_EQ(routed[l].aggregation.labels, legacy[l].aggregation.labels)
           << name << " level " << l;
-      EXPECT_EQ(routed.levels[l].graph.row_map, legacy.levels[l].graph.row_map)
+      EXPECT_EQ(routed[l].coarse.graph.row_map, legacy[l].graph.row_map)
           << name << " level " << l;
-      EXPECT_EQ(routed.levels[l].graph.entries, legacy.levels[l].graph.entries)
+      EXPECT_EQ(routed[l].coarse.graph.entries, legacy[l].graph.entries)
           << name << " level " << l;
     }
   }
@@ -215,33 +228,39 @@ TEST(Builder, RateFloorStopsStalledCoarsening) {
 
 // ------------------------------------------------------------- Galerkin
 
-/// Inline replica of the pre-refactor `AmgHierarchy::build` level loop
+/// Inline replica of the pre-Builder `AmgHierarchy::build` level loop
 /// (aggregate, tentative prolongator, damped-Jacobi smoothing, Galerkin
-/// triple product, stall on no-shrink) for registry coarseners.
+/// triple product, stall on no-shrink) for registry coarseners, at the
+/// historical AMG defaults (10 operator levels, omega 2/3, default MIS-2).
 struct LegacyAmgLevel {
   graph::CrsMatrix a, p, r;
   std::vector<scalar_t> inv_diag;
 };
 
 std::vector<LegacyAmgLevel> legacy_amg_levels(graph::CrsMatrix a_fine,
-                                              const solver::AmgOptions& opts,
-                                              const std::string& coarsener) {
+                                              const std::string& coarsener_name,
+                                              ordinal_t coarse_size) {
+  const int max_levels = 10;
+  const scalar_t prolongator_omega = 2.0 / 3.0;
+  const core::Mis2Options mis2;
   std::vector<LegacyAmgLevel> levels;
-  core::CoarsenHandle handle(opts.mis2);
+  core::CoarsenHandle handle(mis2);
+  const std::unique_ptr<core::Coarsener> coarsener = core::make_coarsener(coarsener_name);
+  core::CoarsenOptions copts;
+  copts.mis2 = mis2;
   graph::CrsMatrix current = std::move(a_fine);
-  for (int lvl = 0; lvl < opts.max_levels; ++lvl) {
+  for (int lvl = 0; lvl < max_levels; ++lvl) {
     LegacyAmgLevel level;
     level.a = std::move(current);
     level.inv_diag = solver::inverted_diagonal(level.a);
-    const bool coarsest =
-        level.a.num_rows <= opts.coarse_size || lvl == opts.max_levels - 1;
+    const bool coarsest = level.a.num_rows <= coarse_size || lvl == max_levels - 1;
     if (coarsest) {
       levels.push_back(std::move(level));
       break;
     }
     const graph::CrsGraph adj = graph::remove_self_loops(graph::GraphView(level.a));
-    const core::Aggregation agg =
-        solver::run_aggregation(adj, coarsener, opts.mis2, handle);
+    (void)coarsener->run(adj, {}, handle, copts);
+    const core::Aggregation agg = handle.take_aggregation();
     if (agg.num_aggregates >= level.a.num_rows) {
       levels.push_back(std::move(level));
       break;
@@ -270,7 +289,7 @@ std::vector<LegacyAmgLevel> legacy_amg_levels(graph::CrsMatrix a_fine,
         ap.values[static_cast<std::size_t>(j)] *= level.inv_diag[static_cast<std::size_t>(i)];
       }
     }
-    level.p = graph::matrix_add(1.0, phat, -opts.prolongator_omega, ap);
+    level.p = graph::matrix_add(1.0, phat, -prolongator_omega, ap);
     level.r = graph::transpose_matrix(level.p);
     current = graph::spgemm(level.r, graph::spgemm(level.a, level.p));
     levels.push_back(std::move(level));
@@ -282,9 +301,9 @@ TEST(BuilderGalerkin, AmgBuildShimMatchesLegacyLoop) {
   const graph::CrsMatrix a = graph::laplace2d(20, 20);
   for (const char* name : {"mis2", "mis2-basic", "hem"}) {
     solver::AmgOptions opts;
-    opts.coarsener = name;
-    opts.coarse_size = 30;
-    const std::vector<LegacyAmgLevel> legacy = legacy_amg_levels(a, opts, name);
+    opts.hierarchy.coarsener = name;
+    opts.hierarchy.min_coarse_size = 30;
+    const std::vector<LegacyAmgLevel> legacy = legacy_amg_levels(a, name, 30);
     const solver::AmgHierarchy h = solver::AmgHierarchy::build(a, opts);
     ASSERT_EQ(static_cast<std::size_t>(h.num_levels()), legacy.size()) << name;
     for (int l = 0; l < h.num_levels(); ++l) {
@@ -293,6 +312,30 @@ TEST(BuilderGalerkin, AmgBuildShimMatchesLegacyLoop) {
       expect_same_matrix(h.level(l).p, legacy[li].p, name);
       expect_same_matrix(h.level(l).r, legacy[li].r, name);
       EXPECT_EQ(h.level(l).inv_diag, legacy[li].inv_diag) << name;
+    }
+  }
+}
+
+TEST(BuilderGalerkin, AmgDefaultsBuildTheAmgHierarchy) {
+  // `AmgOptions{}.hierarchy` handed straight to the Builder must give the
+  // levels AMG setup builds: snapshot builds (`parmis_serve build`) and
+  // the serving pool's level adoption rely on it.
+  const graph::CrsMatrix a = graph::laplace3d(14, 14, 14);
+  for (const char* name : {"mis2", "hem"}) {
+    solver::AmgOptions amg;
+    amg.hierarchy.coarsener = name;
+    HierarchyHandle h;
+    const std::vector<OperatorLevel>& built = Builder(amg.hierarchy).build_galerkin(a, h);
+    const solver::AmgHierarchy setup = solver::AmgHierarchy::build(a, amg);
+    ASSERT_EQ(built.size(), static_cast<std::size_t>(setup.num_levels())) << name;
+    ASSERT_GE(built.size(), 2u) << name;
+    for (std::size_t l = 0; l < built.size(); ++l) {
+      const solver::AmgLevel& ref = setup.level(static_cast<int>(l));
+      EXPECT_EQ(check::digest(built[l].a), check::digest(ref.a)) << name << " level " << l;
+      EXPECT_EQ(check::digest(built[l].p), check::digest(ref.p)) << name << " level " << l;
+      EXPECT_EQ(check::digest(built[l].r), check::digest(ref.r)) << name << " level " << l;
+      EXPECT_EQ(check::digest(built[l].inv_diag), check::digest(ref.inv_diag))
+          << name << " level " << l;
     }
   }
 }
@@ -389,7 +432,7 @@ TEST(BuilderGalerkin, AmgRebuildMatchesFreshBuildThroughTheVcycle) {
   for (scalar_t& v : a2.values) v *= 2.0;
 
   solver::AmgOptions opts;
-  opts.coarse_size = 30;
+  opts.hierarchy.min_coarse_size = 30;
   solver::AmgHierarchy warm = solver::AmgHierarchy::build(a, opts);
   warm.rebuild(a2);
   const solver::AmgHierarchy cold = solver::AmgHierarchy::build(a2, opts);
@@ -410,9 +453,9 @@ TEST(Builder, ComplexityCapStopsDensifyingHierarchy) {
   const graph::CrsMatrix a = graph::laplacian_matrix(g, 1.0);
 
   solver::AmgOptions opts;
-  opts.coarsener = "hem";
+  opts.hierarchy.coarsener = "hem";
   const solver::AmgHierarchy h = solver::AmgHierarchy::build(a, opts);
-  EXPECT_LE(h.operator_complexity(), opts.operator_complexity_cap);
+  EXPECT_LE(h.operator_complexity(), opts.hierarchy.complexity_cap);
   EXPECT_EQ(h.hierarchy_stats().stop, StopReason::ComplexityCapped);
 
   // The capped hierarchy still acts as a (weaker) preconditioner: one
@@ -428,10 +471,10 @@ TEST(Builder, ComplexityCapHonoredForEveryRegisteredCoarsener) {
   const graph::CrsMatrix a = graph::laplacian_matrix(g, 1.0);
   for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
     solver::AmgOptions opts;
-    opts.coarsener = spec.name;
-    opts.coarse_size = 200;
+    opts.hierarchy.coarsener = spec.name;
+    opts.hierarchy.min_coarse_size = 200;
     const solver::AmgHierarchy h = solver::AmgHierarchy::build(a, opts);
-    EXPECT_LE(h.operator_complexity(), opts.operator_complexity_cap) << spec.name;
+    EXPECT_LE(h.operator_complexity(), opts.hierarchy.complexity_cap) << spec.name;
     EXPECT_GE(h.num_levels(), 1) << spec.name;
   }
 }

@@ -24,7 +24,7 @@
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
 #include "partition/interface.hpp"
-#include "solver/cg.hpp"
+#include "solver/handle.hpp"
 #include "solver/vector_ops.hpp"
 #include "test_utils.hpp"
 
@@ -328,7 +328,7 @@ TEST_F(ObsDeterminism, TracingNeverChangesResults) {
     solver::IterOptions opts;
     opts.tolerance = 1e-10;
     opts.max_iterations = 200;
-    s.iterations = solver::cg(a, b, s.x, opts, nullptr).iterations;
+    s.iterations = solver::SolveHandle("cg").solve(a, b, s.x, opts).iterations;
     return s;
   };
 

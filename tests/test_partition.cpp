@@ -6,12 +6,13 @@
 
 #include <numeric>
 
+#include "core/aggregation.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
 #include "graph/traversal.hpp"
+#include "multilevel/weighted.hpp"
 #include "parallel/execution.hpp"
-#include "partition/coarsen_weighted.hpp"
 #include "partition/partitioner.hpp"
 #include "test_utils.hpp"
 
@@ -58,7 +59,7 @@ TEST(WeightedCoarsen, WeightsAreConserved) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(12, 12));
   WeightedGraph wg = WeightedGraph::unit(g);
   const core::Aggregation agg = core::aggregate_mis2(g);
-  const WeightedGraph coarse = coarsen_weighted(wg, agg.labels, agg.num_aggregates);
+  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg.labels, agg.num_aggregates);
 
   // Vertex weight conserved.
   EXPECT_EQ(coarse.total_vertex_weight(), wg.total_vertex_weight());
@@ -84,7 +85,7 @@ TEST(WeightedCoarsen, CutIsPreservedUnderProjection) {
   const graph::CrsGraph g = graph::random_geometric_2d(2000, 6.0, 3);
   WeightedGraph wg = WeightedGraph::unit(g);
   const core::Aggregation agg = core::aggregate_mis2(g);
-  const WeightedGraph coarse = coarsen_weighted(wg, agg.labels, agg.num_aggregates);
+  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg.labels, agg.num_aggregates);
 
   // Arbitrary coarse split by parity.
   std::vector<char> coarse_side(static_cast<std::size_t>(coarse.graph.num_rows));
@@ -102,15 +103,16 @@ TEST(WeightedCoarsen, CutIsPreservedUnderProjection) {
 TEST(Hem, MatchesArePairsOrSingletons) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(15, 15));
   WeightedGraph wg = WeightedGraph::unit(g);
-  const Matching m = heavy_edge_matching(wg, 7);
-  std::vector<ordinal_t> size(static_cast<std::size_t>(m.num_coarse), 0);
+  core::CoarsenHandle handle;
+  const core::Aggregation& m = handle.aggregate_hem(wg.graph, wg.edge_weight, 7);
+  std::vector<ordinal_t> size(static_cast<std::size_t>(m.num_aggregates), 0);
   for (ordinal_t l : m.labels) ++size[static_cast<std::size_t>(l)];
   for (ordinal_t s : size) {
     EXPECT_GE(s, 1);
     EXPECT_LE(s, 2);
   }
   // A mesh has a near-perfect matching: expect close to n/2 coarse nodes.
-  EXPECT_LT(m.num_coarse, static_cast<ordinal_t>(0.65 * g.num_rows));
+  EXPECT_LT(m.num_aggregates, static_cast<ordinal_t>(0.65 * g.num_rows));
 }
 
 TEST(Hem, PrefersHeavyEdges) {
@@ -126,7 +128,8 @@ TEST(Hem, PrefersHeavyEdges) {
       }
     }
   }
-  const Matching m = heavy_edge_matching(wg, 1);
+  core::CoarsenHandle handle;
+  const core::Aggregation& m = handle.aggregate_hem(wg.graph, wg.edge_weight, 1);
   EXPECT_EQ(m.labels[1], m.labels[2]);
   EXPECT_NE(m.labels[0], m.labels[1]);
 }
@@ -208,9 +211,9 @@ TEST(KwayQuality, Mis2CoarseningCompetitiveWithHem) {
   // (the ablation bench reports the actual ratios).
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(60, 60));
   PartitionOptions mis2_opts;
-  mis2_opts.coarsening = CoarseningScheme::Mis2Aggregation;
+  mis2_opts.coarsener = "mis2";
   PartitionOptions hem_opts;
-  hem_opts.coarsening = CoarseningScheme::HeavyEdgeMatching;
+  hem_opts.coarsener = "hem";
   const Partition pm = partition_graph(g, 4, mis2_opts);
   const Partition ph = partition_graph(g, 4, hem_opts);
   EXPECT_LT(static_cast<double>(pm.edge_cut), 1.5 * static_cast<double>(ph.edge_cut) + 16);

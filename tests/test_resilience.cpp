@@ -10,7 +10,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "check/digest.hpp"
@@ -24,7 +26,6 @@
 #include "resilience/policy.hpp"
 #include "resilience/status.hpp"
 #include "solver/amg.hpp"
-#include "solver/cg.hpp"
 #include "solver/dense_lu.hpp"
 #include "solver/handle.hpp"
 #include "solver/jacobi.hpp"
@@ -534,29 +535,35 @@ TEST_F(ResilienceFault, WorkspaceAllocationFailureIsSetupFailed) {
 TEST_F(ResilienceFault, AmgBottomSolveDegradesGracefully) {
   const graph::CrsMatrix a = graph::laplace2d(32, 32);
 
-  const solver::AmgHierarchy plain = solver::AmgHierarchy::build(a, {});
-  EXPECT_STREQ(plain.bottom_solve(), "lu");
+  std::vector<std::unique_ptr<solver::AmgHierarchy>> hierarchies;
+  const auto build = [&] {
+    return std::make_unique<solver::AmgHierarchy>(solver::AmgHierarchy::build(a, {}));
+  };
+  hierarchies.push_back(build());
+  EXPECT_STREQ(hierarchies.back()->bottom_solve(), "lu");
 
   // Coarsest factorization reported singular -> diagonally perturbed LU.
   resilience::arm_fault("amg.coarse_singular");
-  const solver::AmgHierarchy perturbed = solver::AmgHierarchy::build(a, {});
-  EXPECT_STREQ(perturbed.bottom_solve(), "lu-perturbed");
+  hierarchies.push_back(build());
+  EXPECT_STREQ(hierarchies.back()->bottom_solve(), "lu-perturbed");
 
   // Even the perturbed factorization failing -> smoother-only bottom.
   resilience::disarm_faults();
   resilience::arm_fault("amg.coarse_singular");
   resilience::arm_fault("lu.zero_pivot");
-  const solver::AmgHierarchy smoother = solver::AmgHierarchy::build(a, {});
-  EXPECT_STREQ(smoother.bottom_solve(), "smoother");
+  hierarchies.push_back(build());
+  EXPECT_STREQ(hierarchies.back()->bottom_solve(), "smoother");
 
   // All three hierarchies still precondition a convergent CG solve.
-  for (const solver::AmgHierarchy* prec : {&plain, &perturbed, &smoother}) {
+  for (std::unique_ptr<solver::AmgHierarchy>& prec : hierarchies) {
+    const std::string bottom = prec->bottom_solve();
+    solver::SolveHandle h("cg", "amg");
+    h.adopt_preconditioner(std::move(prec), a);
     const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 9);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
     solver::IterOptions opts;
     opts.max_iterations = 200;
-    const solver::IterResult r = solver::cg(a, b, x, opts, prec);
-    EXPECT_TRUE(r.converged) << prec->bottom_solve();
+    EXPECT_TRUE(h.solve(a, b, x, opts).converged) << bottom;
   }
 }
 

@@ -11,17 +11,25 @@
 #include "graph/ops.hpp"
 #include "graph/spmv.hpp"
 #include "parallel/execution.hpp"
-#include "solver/cg.hpp"
 #include "solver/cluster_gs.hpp"
 #include "solver/dense_lu.hpp"
 #include "solver/gauss_seidel.hpp"
-#include "solver/gmres.hpp"
+#include "solver/handle.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/vector_ops.hpp"
 #include "test_utils.hpp"
 
 namespace parmis::solver {
 namespace {
+
+/// One solve through a fresh handle with a registry-named solver and
+/// preconditioner.
+IterResult solve_with(const std::string& solver, const std::string& prec,
+                      const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                      std::span<scalar_t> x, const IterOptions& opts = {}) {
+  SolveHandle h(solver, prec);
+  return h.solve(a, b, x, opts);
+}
 
 double residual_norm(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                      std::span<const scalar_t> x) {
@@ -187,12 +195,10 @@ TEST(ClusterGS, ConvergesAndBeatsPointGSInIterations) {
   opts.max_iterations = 500;
 
   std::vector<scalar_t> xp(static_cast<std::size_t>(a.num_rows), 0);
-  PointGsPreconditioner point_prec(a);
-  const IterResult point_result = gmres(a, b, xp, opts, &point_prec);
+  const IterResult point_result = solve_with("gmres", "gs", a, b, xp, opts);
 
   std::vector<scalar_t> xc(static_cast<std::size_t>(a.num_rows), 0);
-  ClusterGsPreconditioner cluster_prec(a);
-  const IterResult cluster_result = gmres(a, b, xc, opts, &cluster_prec);
+  const IterResult cluster_result = solve_with("gmres", "cluster-gs", a, b, xc, opts);
 
   EXPECT_TRUE(point_result.converged);
   EXPECT_TRUE(cluster_result.converged);
@@ -241,7 +247,7 @@ TEST(Cg, SolvesLaplaceToTightTolerance) {
   IterOptions opts;
   opts.tolerance = 1e-10;
   opts.max_iterations = 2000;
-  const IterResult r = cg(a, b, x, opts);
+  const IterResult r = solve_with("cg", "none", a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(residual_norm(a, b, x) / norm2(b), 1e-9);
 }
@@ -254,11 +260,10 @@ TEST(Cg, PreconditioningReducesIterations) {
   opts.max_iterations = 3000;
 
   std::vector<scalar_t> x0(static_cast<std::size_t>(a.num_rows), 0);
-  const IterResult plain = cg(a, b, x0, opts);
+  const IterResult plain = solve_with("cg", "none", a, b, x0, opts);
 
   std::vector<scalar_t> x1(static_cast<std::size_t>(a.num_rows), 0);
-  PointGsPreconditioner prec(a);
-  const IterResult preconditioned = cg(a, b, x1, opts, &prec);
+  const IterResult preconditioned = solve_with("cg", "gs", a, b, x1, opts);
 
   EXPECT_TRUE(plain.converged);
   EXPECT_TRUE(preconditioned.converged);
@@ -269,7 +274,7 @@ TEST(Cg, ZeroRhsGivesZeroSolution) {
   const graph::CrsMatrix a = graph::laplace2d(5, 5);
   std::vector<scalar_t> b(static_cast<std::size_t>(a.num_rows), 0);
   std::vector<scalar_t> x = random_vector(a.num_rows, 12);
-  const IterResult r = cg(a, b, x);
+  const IterResult r = solve_with("cg", "none", a, b, x);
   EXPECT_TRUE(r.converged);
   for (scalar_t v : x) EXPECT_EQ(v, 0.0);
 }
@@ -282,7 +287,7 @@ TEST(Cg, HistoryTracksMonotoneTail)  {
   opts.track_history = true;
   opts.tolerance = 1e-10;
   opts.max_iterations = 1000;
-  const IterResult r = cg(a, b, x, opts);
+  const IterResult r = solve_with("cg", "none", a, b, x, opts);
   ASSERT_GT(r.history.size(), 2u);
   EXPECT_LT(r.history.back(), r.history.front());
 }
@@ -301,7 +306,7 @@ TEST(Gmres, SolvesNonsymmetricSystem) {
   IterOptions opts;
   opts.tolerance = 1e-9;
   opts.max_iterations = 2000;
-  const IterResult r = gmres(a, b, x, opts);
+  const IterResult r = solve_with("gmres", "none", a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(residual_norm(a, b, x) / norm2(b), 1e-8);
 }
@@ -313,7 +318,8 @@ TEST(Gmres, RestartStillConverges) {
   IterOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 5000;
-  const IterResult r = gmres(a, b, x, opts, nullptr, 10);  // tiny restart
+  opts.gmres_restart = 10;  // tiny restart
+  const IterResult r = solve_with("gmres", "none", a, b, x, opts);
   EXPECT_TRUE(r.converged);
 }
 
@@ -321,11 +327,10 @@ TEST(Gmres, RightPreconditionedResidualIsTrueResidual) {
   const graph::CrsMatrix a = graph::laplace2d(15, 15);
   const std::vector<scalar_t> b = random_vector(a.num_rows, 16);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-  PointGsPreconditioner prec(a);
   IterOptions opts;
   opts.tolerance = 1e-9;
   opts.max_iterations = 1000;
-  const IterResult r = gmres(a, b, x, opts, &prec);
+  const IterResult r = solve_with("gmres", "gs", a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(residual_norm(a, b, x) / norm2(b), r.relative_residual,
               1e-6 + 0.5 * r.relative_residual);
@@ -341,12 +346,12 @@ TEST(Gmres, IterationCountThreadInvariant) {
   {
     par::ScopedExecution scope(par::Backend::Serial, 1);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-    serial_iters = gmres(a, b, x, opts).iterations;
+    serial_iters = solve_with("gmres", "none", a, b, x, opts).iterations;
   }
   {
     par::ScopedExecution scope(par::Backend::OpenMP, 0);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
-    parallel_iters = gmres(a, b, x, opts).iterations;
+    parallel_iters = solve_with("gmres", "none", a, b, x, opts).iterations;
   }
   EXPECT_EQ(serial_iters, parallel_iters);
 }

@@ -15,9 +15,7 @@
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
 #include "graph/spmv.hpp"
-#include "solver/cg.hpp"
 #include "solver/gauss_seidel.hpp"
-#include "solver/gmres.hpp"
 #include "solver/handle.hpp"
 #include "solver/interface.hpp"
 #include "solver/vector_ops.hpp"
@@ -242,6 +240,9 @@ TEST(SolveHandle, ResidualHistoryIsRecorded) {
 }
 
 TEST(SolveHandle, MatchesFreeFunctionShims) {
+  // The handle adds validation and attempt records around the registry
+  // solver, nothing numeric: its solve equals the bare solver core run on
+  // a fresh workspace.
   const graph::CrsMatrix& a = mesh_matrix();
   const std::vector<scalar_t> b = random_vector(a.num_rows, 11);
   IterOptions opts;
@@ -252,7 +253,9 @@ TEST(SolveHandle, MatchesFreeFunctionShims) {
     std::vector<scalar_t> xh(static_cast<std::size_t>(a.num_rows), 0);
     std::vector<scalar_t> xf = xh;
     const IterResult& rh = h.solve(a, b, xh, opts);
-    const IterResult rf = cg(a, b, xf, opts);
+    SolveWorkspace ws;
+    IterResult rf;
+    make_solver("cg")->solve(a, b, xf, opts, nullptr, ws, rf);
     EXPECT_EQ(xh, xf);  // bitwise
     EXPECT_EQ(rh.iterations, rf.iterations);
   }
@@ -262,7 +265,9 @@ TEST(SolveHandle, MatchesFreeFunctionShims) {
     std::vector<scalar_t> xf = xh;
     const IterResult& rh = h.solve(a, b, xh, opts);
     PointGsPreconditioner prec(a);  // the registry's "gs" at default sweeps
-    const IterResult rf = gmres(a, b, xf, opts, &prec);
+    SolveWorkspace ws;
+    IterResult rf;
+    make_solver("gmres")->solve(a, b, xf, opts, &prec, ws, rf);
     EXPECT_EQ(xh, xf);
     EXPECT_EQ(rh.iterations, rf.iterations);
   }
@@ -276,8 +281,8 @@ TEST(SolveHandle, AmgComposesWithEveryRegisteredCoarsener) {
   opts.max_iterations = 100;
   for (const std::string& coarsener : core::coarsener_names()) {
     SolveHandle h("cg", "amg");
-    h.prec_options().amg.coarse_size = 200;
-    h.prec_options().amg.coarsener = coarsener;
+    h.prec_options().amg.hierarchy.min_coarse_size = 200;
+    h.prec_options().amg.hierarchy.coarsener = coarsener;
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
     const IterResult& r = h.solve(a, b, x, opts);
     EXPECT_TRUE(r.converged) << "amg coarsener=" << coarsener;
