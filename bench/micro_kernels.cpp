@@ -1,11 +1,13 @@
 /// \file micro_kernels.cpp
 /// \brief google-benchmark microbenchmarks for the primitives the paper's
 /// cost analysis (§IV) charges: prefix sums, worklist compaction, the hash
-/// generators, tuple packing, SpMV/SpGEMM, small end-to-end MIS-2, and the
+/// generators, tuple packing, SpMV/SpGEMM (including the dense coarse
+/// Galerkin products of a power-law AMG level), small end-to-end MIS-2, and the
 /// warm-vs-cold handle-reuse comparison (the zero-allocation contract).
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/aggregation.hpp"
@@ -91,6 +93,42 @@ void BM_spgemm_square(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_spgemm_square)->Arg(64)->Arg(128);
+
+// The Galerkin products of the power-law 10k operator's first AMG level
+// (`gen:powerlaw:10000`): A·P has 10k sparse rows, R·(A·P) a few hundred
+// fully dense ones that carry most of the level's flops. Arg 0 picks the
+// product (0 = A·P, 1 = R·(A·P)), arg 1 cold `spgemm` (0) or the warm
+// value-only `spgemm_numeric` replay (1).
+void BM_galerkin_dense_coarse(benchmark::State& state) {
+  static const graph::CrsMatrix a = graph::laplacian_matrix(
+      graph::power_law_graph(10000, 2.2, 4, 166, 42), 1.0);
+  static const std::vector<multilevel::OperatorLevel> ops = [] {
+    multilevel::HierarchyHandle h;
+    return multilevel::Builder().build_galerkin(a, h);
+  }();
+  static const graph::CrsMatrix ap = graph::spgemm(ops[0].a, ops[0].p);
+  const bool coarse = state.range(0) == 1;
+  const graph::CrsMatrix& left = coarse ? ops[0].r : ops[0].a;
+  const graph::CrsMatrix& right = coarse ? ap : ops[0].p;
+  graph::CrsMatrix c = graph::spgemm(left, right);
+  if (state.range(1) == 0) {
+    for (auto _ : state) benchmark::DoNotOptimize(graph::spgemm(left, right));
+  } else {
+    for (auto _ : state) {
+      graph::spgemm_numeric(left, right, c);
+      benchmark::DoNotOptimize(c.values.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetLabel(std::string(coarse ? "R*(A*P)" : "A*P") +
+                 (state.range(1) == 0 ? " cold" : " replay"));
+}
+BENCHMARK(BM_galerkin_dense_coarse)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_mis2_rgg(benchmark::State& state) {
   const ordinal_t n = static_cast<ordinal_t>(state.range(0));

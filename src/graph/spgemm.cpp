@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 #include <span>
 
 #include "check/check.hpp"
@@ -24,6 +25,9 @@ struct Workspace {
   std::vector<scalar_t> acc;
   std::vector<ordinal_t> touched;
   std::uint64_t stamp{0};
+  /// Flop-cost prefix of the product this thread is driving (see
+  /// `product_cost_prefix`); kept so warm replays reuse its capacity.
+  std::vector<offset_t> cost;
 
   void ensure(ordinal_t ncols) {
     if (stamp_of.size() < static_cast<std::size_t>(ncols)) {
@@ -38,21 +42,48 @@ thread_local Workspace t_ws;
 
 std::atomic<std::int64_t> g_rows_traversed{0};
 
-/// Equal-flop chunking cost: prefix of `1 + Σ_{k ∈ A.row(i)} deg_B(k)` —
-/// the exact inner-product work of output row `i`. Only built when the
-/// active schedule consults costs.
-std::vector<offset_t> product_cost_prefix(GraphView a, const offset_t* b_row_map) {
-  std::vector<offset_t> cost(static_cast<std::size_t>(a.num_rows) + 1);
+/// Work-gate and equal-flop chunking cost of A·B: the prefix of
+/// `1 + Σ_{k ∈ A.row(i)} deg_B(k)`, the exact inner-product work of output
+/// row `i`. Built whenever the context is parallel — the work gate of
+/// `balanced_chunks_by_work` reads it even under `Static` — into the calling
+/// thread's workspace, so a warm replay on a thread that already ran the
+/// cold product allocates nothing. Null on a serial context, which never
+/// reads it. The scan is serial: O(rows), negligible next to the product,
+/// and free of the parallel scan's block-total scratch.
+const offset_t* product_cost_prefix(GraphView a, const offset_t* b_row_map) {
+  if (!par::Execution::is_parallel()) return nullptr;
+  std::vector<offset_t>& cost = t_ws.cost;
+  cost.resize(static_cast<std::size_t>(a.num_rows) + 1);
   par::parallel_for(a.num_rows, [&](ordinal_t i) {
     offset_t w = 1;
     for (ordinal_t k : a.row(i)) {
       w += b_row_map[k + 1] - b_row_map[k];
     }
-    cost[static_cast<std::size_t>(i)] = w;
+    cost[static_cast<std::size_t>(i) + 1] = w;
   });
-  cost[static_cast<std::size_t>(a.num_rows)] = 0;
-  par::exclusive_scan_inplace(std::span<offset_t>(cost));
-  return cost;
+  cost[0] = 0;
+  for (std::size_t i = 1; i < cost.size(); ++i) cost[i] += cost[i - 1];
+  return cost.data();
+}
+
+/// Put the current row's touched columns in ascending order. A row that
+/// touched at least 1/8 of the `ncols` output columns is re-read off the
+/// stamp array in column order — O(ncols) instead of an O(t log t) sort,
+/// and a plain iota once the row is full. The sequence is the same either
+/// way, so the emitted row is identical.
+void sort_touched(Workspace& ws, ordinal_t ncols) {
+  const std::size_t t = ws.touched.size();
+  const std::size_t n = static_cast<std::size_t>(ncols);
+  if (t * 8 < n) {
+    std::sort(ws.touched.begin(), ws.touched.end());
+  } else if (t == n) {
+    std::iota(ws.touched.begin(), ws.touched.end(), ordinal_t{0});
+  } else {
+    ws.touched.clear();  // keeps capacity: the refill below never allocates
+    for (ordinal_t j = 0; j < ncols; ++j) {
+      if (ws.stamp_of[static_cast<std::size_t>(j)] == ws.stamp) ws.touched.push_back(j);
+    }
+  }
 }
 
 /// One arena per chunk: rows land in the arena of the chunk that computed
@@ -73,17 +104,16 @@ CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
   c.row_map.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
   if (a.num_rows == 0) return c;
 
-  const std::vector<offset_t> cost =
-      par::schedule_uses_costs() ? product_cost_prefix(a, b.row_map) : std::vector<offset_t>{};
-  const offset_t* cost_ptr = cost.empty() ? nullptr : cost.data();
-
+  const offset_t* cost = product_cost_prefix(a, b.row_map);
   std::vector<Arena> arenas(static_cast<std::size_t>(par::balanced_chunk_count()));
   std::vector<int> arena_of(static_cast<std::size_t>(a.num_rows));
   std::vector<offset_t> arena_off(static_cast<std::size_t>(a.num_rows));
 
   // The single traversal: pattern of each row, deduplicated with the stamp
-  // workspace, sorted, appended to the chunk's arena.
-  par::balanced_chunks(a.num_rows, cost_ptr, [&](int chunk, ordinal_t lo, ordinal_t hi) {
+  // workspace, sorted, appended to the chunk's arena. A row that has
+  // touched every column can gain nothing more, so it stops early.
+  const std::size_t ncols = static_cast<std::size_t>(b.num_cols);
+  par::balanced_chunks_by_work(a.num_rows, cost, [&](int chunk, ordinal_t lo, ordinal_t hi) {
     Arena& ar = arenas[static_cast<std::size_t>(chunk)];
     Workspace& ws = t_ws;
     ws.ensure(b.num_cols);
@@ -91,6 +121,7 @@ CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
       ++ws.stamp;
       ws.touched.clear();
       for (ordinal_t k : a.row(i)) {
+        if (ws.touched.size() == ncols) break;
         for (ordinal_t j : b.row(k)) {
           if (ws.stamp_of[static_cast<std::size_t>(j)] != ws.stamp) {
             ws.stamp_of[static_cast<std::size_t>(j)] = ws.stamp;
@@ -98,7 +129,7 @@ CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
           }
         }
       }
-      std::sort(ws.touched.begin(), ws.touched.end());
+      sort_touched(ws, b.num_cols);
       arena_of[static_cast<std::size_t>(i)] = chunk;
       arena_off[static_cast<std::size_t>(i)] = static_cast<offset_t>(ar.cols.size());
       ar.cols.insert(ar.cols.end(), ws.touched.begin(), ws.touched.end());
@@ -132,11 +163,7 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
   c.row_map.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
   if (a.num_rows == 0) return c;
 
-  const std::vector<offset_t> cost = par::schedule_uses_costs()
-                                         ? product_cost_prefix(GraphView(a), b.row_map.data())
-                                         : std::vector<offset_t>{};
-  const offset_t* cost_ptr = cost.empty() ? nullptr : cost.data();
-
+  const offset_t* cost = product_cost_prefix(GraphView(a), b.row_map.data());
   std::vector<Arena> arenas(static_cast<std::size_t>(par::balanced_chunk_count()));
   std::vector<int> arena_of(static_cast<std::size_t>(a.num_rows));
   std::vector<offset_t> arena_off(static_cast<std::size_t>(a.num_rows));
@@ -145,14 +172,17 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
   // the entry order of A and B (never by scheduling), and columns are
   // emitted sorted, so entries *and values* are bit-deterministic for any
   // chunking.
-  par::balanced_chunks(a.num_rows, cost_ptr, [&](int chunk, ordinal_t lo, ordinal_t hi) {
+  const std::size_t ncols = static_cast<std::size_t>(b.num_cols);
+  par::balanced_chunks_by_work(a.num_rows, cost, [&](int chunk, ordinal_t lo, ordinal_t hi) {
     Arena& ar = arenas[static_cast<std::size_t>(chunk)];
     Workspace& ws = t_ws;
     ws.ensure(b.num_cols);
     for (ordinal_t i = lo; i < hi; ++i) {
       ++ws.stamp;
       ws.touched.clear();
-      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+      offset_t ja = a.row_map[i];
+      const offset_t ja_end = a.row_map[i + 1];
+      for (; ja < ja_end && ws.touched.size() < ncols; ++ja) {
         const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
         const scalar_t av = a.values[static_cast<std::size_t>(ja)];
         for (offset_t jb = b.row_map[k]; jb < b.row_map[k + 1]; ++jb) {
@@ -167,7 +197,18 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
           }
         }
       }
-      std::sort(ws.touched.begin(), ws.touched.end());
+      // Full-row switch: once every column is live the stamp test can only
+      // answer "seen", so the rest of the row accumulates unchecked, in the
+      // same entry order — identical bits.
+      for (; ja < ja_end; ++ja) {
+        const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+        const scalar_t av = a.values[static_cast<std::size_t>(ja)];
+        for (offset_t jb = b.row_map[k]; jb < b.row_map[k + 1]; ++jb) {
+          ws.acc[static_cast<std::size_t>(b.entries[static_cast<std::size_t>(jb)])] +=
+              av * b.values[static_cast<std::size_t>(jb)];
+        }
+      }
+      sort_touched(ws, b.num_cols);
       arena_of[static_cast<std::size_t>(i)] = chunk;
       arena_off[static_cast<std::size_t>(i)] = static_cast<offset_t>(ar.cols.size());
       for (ordinal_t j : ws.touched) {
@@ -207,33 +248,41 @@ void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c) {
   obs::Span span("spgemm.replay");
   span.arg("rows", a.num_rows);
 
-  // With the product's sparsity known, each row zeroes its accumulator
-  // slots, replays the inner products in the exact entry order of `spgemm`
-  // (so values are bit-identical), and reads the row back off the fixed
-  // column pattern. A's row_map balances the sweep without building a
-  // flop-cost prefix, keeping warm replays allocation-free.
-  par::balanced_for(a.num_rows, a.row_map.data(), [&](ordinal_t i) {
+  // With the product's sparsity known, each row resets its accumulator
+  // slots, replays the inner products in the exact entry order of `spgemm`,
+  // and reads the row back off the fixed column pattern. Slots reset to
+  // -0.0, the exact additive identity (-0.0 + x == x bit for bit, +0.0
+  // included), so the first `+=` reproduces the cold product's `= av * bv`
+  // even when that product is a signed zero. The same flop prefix and work
+  // gate as the cold product spread a few heavy rows over every thread.
+  const offset_t* cost = product_cost_prefix(GraphView(a), b.row_map.data());
+  par::balanced_chunks_by_work(a.num_rows, cost, [&](int, ordinal_t lo, ordinal_t hi) {
     Workspace& ws = t_ws;
     ws.ensure(b.num_cols);
-    for (offset_t jc = c.row_map[i]; jc < c.row_map[i + 1]; ++jc) {
-      ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])] = 0;
-    }
-    for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
-      const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
-      const scalar_t av = a.values[static_cast<std::size_t>(ja)];
-      for (offset_t jb = b.row_map[k]; jb < b.row_map[k + 1]; ++jb) {
-        ws.acc[static_cast<std::size_t>(b.entries[static_cast<std::size_t>(jb)])] +=
-            av * b.values[static_cast<std::size_t>(jb)];
+    for (ordinal_t i = lo; i < hi; ++i) {
+      for (offset_t jc = c.row_map[i]; jc < c.row_map[i + 1]; ++jc) {
+        ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])] = -0.0;
       }
-    }
-    for (offset_t jc = c.row_map[i]; jc < c.row_map[i + 1]; ++jc) {
-      c.values[static_cast<std::size_t>(jc)] =
-          ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])];
+      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+        const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+        const scalar_t av = a.values[static_cast<std::size_t>(ja)];
+        for (offset_t jb = b.row_map[k]; jb < b.row_map[k + 1]; ++jb) {
+          ws.acc[static_cast<std::size_t>(b.entries[static_cast<std::size_t>(jb)])] +=
+              av * b.values[static_cast<std::size_t>(jb)];
+        }
+      }
+      for (offset_t jc = c.row_map[i]; jc < c.row_map[i + 1]; ++jc) {
+        c.values[static_cast<std::size_t>(jc)] =
+            ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])];
+      }
     }
   });
 }
 
-void spgemm_warm_thread(ordinal_t ncols) { t_ws.ensure(ncols); }
+void spgemm_warm_thread(ordinal_t n) {
+  t_ws.ensure(n);
+  t_ws.cost.reserve(static_cast<std::size_t>(n) + 1);
+}
 
 CrsMatrix matrix_add(scalar_t alpha, const CrsMatrix& a, scalar_t beta, const CrsMatrix& b) {
   assert(a.num_rows == b.num_rows && a.num_cols == b.num_cols);

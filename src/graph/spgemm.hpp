@@ -11,9 +11,26 @@
 /// The product is *single-pass*: each row's inner product runs exactly
 /// once, into a per-chunk arena, and a scatter pass copies arenas into the
 /// final CRS arrays after the row-length scan (no symbolic/numeric
-/// re-traversal). Work is split across threads in equal-*flop* chunks
-/// under `Schedule::EdgeBalanced` (see `parallel/balanced_for.hpp`), so a
-/// hub row of a skewed input no longer serializes a whole thread's sweep.
+/// re-traversal).
+///
+/// Parallelism follows the work, not the row count. On a parallel context
+/// `spgemm`, `spgemm_symbolic` and the `spgemm_numeric` replay build the
+/// flop prefix of the product (`1 + Σ_k deg_B(k)` per row) and run through
+/// `par::balanced_chunks_by_work`: a product goes parallel once its flops
+/// reach `par::balanced_work_grain`, however few rows carry them. That is
+/// the case that matters for AMG setup — a coarse Galerkin product
+/// `R·(A·P)` with a few hundred fully dense rows carries most of the
+/// level's flops, and the generic 512-row gate would leave it on one
+/// thread. Under `Schedule::EdgeBalanced` chunks hold equal flops; under
+/// `Static` equal row counts.
+///
+/// Two per-row shortcuts skip sparsity a row does not have, both leaving
+/// the per-row accumulation order — and so every output bit — unchanged:
+/// - *full-row switch*: once a row has touched every output column, the
+///   rest of it accumulates without the stamp test;
+/// - *dense emit*: a row that touched at least 1/8 of the columns is
+///   emitted by reading its columns off the stamp array in ascending order
+///   instead of sorting its touched list.
 
 #include <cstdint>
 #include <span>
@@ -29,19 +46,22 @@ namespace parmis::graph {
 /// Value-only replay of C = A * B into an existing product: `c` must hold
 /// the exact sparsity `spgemm(a, b)` would produce (same row_map/entries);
 /// only `c.values` is rewritten, in the same per-row accumulation order as
-/// `spgemm`, so the values are bit-identical to a fresh product. Performs
-/// zero heap allocations on warm calls — the kernel behind warm multilevel
-/// (Galerkin) rebuilds when matrix values change but structure is fixed.
+/// `spgemm`, so the values are bit-identical to a fresh product, signed
+/// zeros included. Performs zero heap allocations on warm calls (a thread
+/// that already ran a product of this size, see `spgemm_warm_thread`) —
+/// the kernel behind warm multilevel (Galerkin) rebuilds when matrix
+/// values change but structure is fixed.
 void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c);
 
-/// Pre-size the calling thread's SpGEMM accumulator for products with up
-/// to `ncols` output columns. The zero-allocation guarantee of
-/// `spgemm_numeric` is per *thread*: the dense accumulator is
-/// thread_local, so the first product a fresh thread ever runs allocates
-/// it. Callers that replay into a guarded warm path from a thread that
-/// never ran a cold build (e.g. a serving runtime's customize thread)
-/// call this first; on an already-warm thread it is a no-op.
-void spgemm_warm_thread(ordinal_t ncols);
+/// Pre-size the calling thread's SpGEMM scratch for products with at most
+/// `n` output columns and at most `n` rows. The zero-allocation guarantee
+/// of `spgemm_numeric` is per *thread*: the dense accumulator and the flop
+/// prefix of a parallel replay are thread_local, so the first product a
+/// fresh thread ever runs allocates them. Callers that replay into a
+/// guarded warm path from a thread that never ran a cold build (e.g. a
+/// serving runtime's customize thread) call this first; on an already-warm
+/// thread it is a no-op.
+void spgemm_warm_thread(ordinal_t n);
 
 /// Structure-only product: pattern of A * B (no values).
 [[nodiscard]] CrsGraph spgemm_symbolic(GraphView a, GraphView b);

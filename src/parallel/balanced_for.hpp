@@ -71,6 +71,61 @@ Index balanced_chunk_bound(Index n, const Cost* prefix, int nchunks, int t) {
   return static_cast<Index>(it - prefix);
 }
 
+namespace detail {
+
+#ifdef PARMIS_HAVE_OPENMP
+/// The chunk body shared by `balanced_chunks` and
+/// `balanced_chunks_by_work`: one OpenMP region running all
+/// `balanced_chunk_count()` chunks. The gate (whether to parallelize at
+/// all) is the caller's; everything after it — boundaries, striding,
+/// chunk spans — is common, so both entry points cut identical chunks.
+template <typename Index, typename Cost, typename F>
+void run_balanced_chunks_parallel(Index n, const Cost* prefix, bool sample_chunks, F& f) {
+  const int nchunks = balanced_chunk_count();
+  const bool by_cost = prefix != nullptr && Execution::schedule() != Schedule::Static;
+#pragma omp parallel num_threads(nchunks)
+  {
+    // The runtime may grant fewer threads than requested; stride so all
+    // nchunks chunks run regardless (boundaries never depend on the
+    // granted count).
+    const int granted = omp_get_num_threads();
+    for (int c = omp_get_thread_num(); c < nchunks; c += granted) {
+      const Index lo = by_cost
+                           ? balanced_chunk_bound(n, prefix, nchunks, c)
+                           : static_cast<Index>((static_cast<std::int64_t>(n) * c) / nchunks);
+      const Index hi = by_cost
+                           ? balanced_chunk_bound(n, prefix, nchunks, c + 1)
+                           : static_cast<Index>((static_cast<std::int64_t>(n) * (c + 1)) / nchunks);
+      if (lo < hi) {
+        if (sample_chunks) {
+          obs::Span span("par.chunk");
+          span.arg("chunk", c);
+          span.arg("items", static_cast<std::int64_t>(hi - lo));
+          f(c, lo, hi);
+        } else {
+          f(c, lo, hi);
+        }
+      }
+    }
+  }
+}
+#endif
+
+/// The serial leg of both entry points: the whole range as chunk 0.
+template <typename Index, typename F>
+void run_balanced_chunks_serial(Index n, bool sample_chunks, F& f) {
+  if (sample_chunks) {
+    obs::Span span("par.chunk");
+    span.arg("chunk", 0);
+    span.arg("items", static_cast<std::int64_t>(n));
+    f(0, Index{0}, n);
+  } else {
+    f(0, Index{0}, n);
+  }
+}
+
+}  // namespace detail
+
 /// Execute `f(chunk, begin, end)` over a contiguous, ascending partition of
 /// `[0, n)` into `balanced_chunk_count()` chunks, one chunk per thread.
 /// Boundaries are cost-balanced through `prefix` (see
@@ -91,45 +146,44 @@ void balanced_chunks(Index n, const Cost* prefix, F&& f) {
   const bool sample_chunks = obs::chunk_sampling_due();
 #ifdef PARMIS_HAVE_OPENMP
   if (Execution::is_parallel() && static_cast<std::int64_t>(n) >= parallel_for_grain) {
-    const int nchunks = balanced_chunk_count();
-    const bool by_cost = prefix != nullptr && Execution::schedule() != Schedule::Static;
-#pragma omp parallel num_threads(nchunks)
-    {
-      // The runtime may grant fewer threads than requested; stride so all
-      // nchunks chunks run regardless (boundaries never depend on the
-      // granted count).
-      const int granted = omp_get_num_threads();
-      for (int c = omp_get_thread_num(); c < nchunks; c += granted) {
-        const Index lo = by_cost
-                             ? balanced_chunk_bound(n, prefix, nchunks, c)
-                             : static_cast<Index>((static_cast<std::int64_t>(n) * c) / nchunks);
-        const Index hi = by_cost
-                             ? balanced_chunk_bound(n, prefix, nchunks, c + 1)
-                             : static_cast<Index>((static_cast<std::int64_t>(n) * (c + 1)) / nchunks);
-        if (lo < hi) {
-          if (sample_chunks) {
-            obs::Span span("par.chunk");
-            span.arg("chunk", c);
-            span.arg("items", static_cast<std::int64_t>(hi - lo));
-            f(c, lo, hi);
-          } else {
-            f(c, lo, hi);
-          }
-        }
-      }
-    }
+    detail::run_balanced_chunks_parallel(n, prefix, sample_chunks, f);
     return;
   }
 #endif
   (void)prefix;
-  if (sample_chunks) {
-    obs::Span span("par.chunk");
-    span.arg("chunk", 0);
-    span.arg("items", static_cast<std::int64_t>(n));
-    f(0, Index{0}, n);
-  } else {
-    f(0, Index{0}, n);
+  detail::run_balanced_chunks_serial(n, sample_chunks, f);
+}
+
+/// Total cost, in `prefix` units, at which `balanced_chunks_by_work` goes
+/// parallel however few iterations carry it.
+inline constexpr std::int64_t balanced_work_grain = std::int64_t{1} << 16;
+
+/// `balanced_chunks` gated by *work* as well as by count: the loop goes
+/// parallel when it has at least `parallel_for_grain` iterations (the
+/// generic gate) or when its total cost `prefix[n] - prefix[0]` reaches
+/// `balanced_work_grain`. For loops whose iterations are few but heavy —
+/// the 276 dense rows of a coarse Galerkin product carry tens of millions
+/// of flops — where the count gate alone would run everything on one
+/// thread. Chunks, boundaries and the determinism guarantees are those of
+/// `balanced_chunks` (same chunk body); `Static` keeps equal-count
+/// boundaries, so `prefix` then only drives the gate. A null `prefix`
+/// leaves only the count gate.
+template <typename Index, typename Cost, typename F>
+void balanced_chunks_by_work(Index n, const Cost* prefix, F&& f) {
+  if (n <= 0) return;
+  const bool sample_chunks = obs::chunk_sampling_due();
+#ifdef PARMIS_HAVE_OPENMP
+  if (Execution::is_parallel() &&
+      (static_cast<std::int64_t>(n) >= parallel_for_grain ||
+       (prefix != nullptr &&
+        static_cast<std::int64_t>(prefix[n]) - static_cast<std::int64_t>(prefix[0]) >=
+            balanced_work_grain))) {
+    detail::run_balanced_chunks_parallel(n, prefix, sample_chunks, f);
+    return;
   }
+#endif
+  (void)prefix;
+  detail::run_balanced_chunks_serial(n, sample_chunks, f);
 }
 
 /// Execute `f(i)` for every `i` in `[0, n)` under the active `Schedule`:

@@ -103,7 +103,7 @@ std::uint64_t Service::customize(std::span<const scalar_t> values) {
     // The warm path this subsystem exists for: value-only Galerkin replay,
     // zero heap allocations inside the multilevel handle. Throws
     // logic_error when the hierarchy was restored solve-only. The replay's
-    // per-thread SpGEMM accumulator must be sized up front: customize is
+    // per-thread SpGEMM scratch must be sized up front: customize is
     // typically called from a thread that never ran a cold build.
     graph::spgemm_warm_thread(a2.num_cols);
     (void)builder_.rebuild_galerkin(a2, master_);

@@ -1,16 +1,23 @@
 /// \file test_balanced_for.cpp
 /// \brief Tests for the cost-aware scheduling layer: chunk-boundary
 /// properties of `balanced_chunk_bound`, exactly-once coverage of
-/// `balanced_for` under every schedule, the balanced reductions, the
-/// single-pass SpGEMM (equivalence against the historical two-pass
-/// reference plus the traversal-counter regression guard), and the
-/// parallel transpose.
+/// `balanced_for` under every schedule, the balanced reductions, the work
+/// gate of `balanced_chunks_by_work`, the single-pass SpGEMM (equivalence
+/// against the historical two-pass reference — including a few-row dense
+/// Galerkin product and its replay — plus the traversal-counter regression
+/// guard), and the parallel transpose.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/mis2.hpp"
@@ -19,6 +26,7 @@
 #include "graph/rgg.hpp"
 #include "graph/spgemm.hpp"
 #include "graph/spmv.hpp"
+#include "multilevel/builder.hpp"
 #include "parallel/balanced_for.hpp"
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
@@ -203,6 +211,70 @@ TEST(BalancedReduce, IntegralSumMatchesSerialUnderAllConfigs) {
   }
 }
 
+/// Chunk ids `balanced_chunks_by_work` runs for an `n`-iteration loop over
+/// `prefix`, ascending; checks the chunks cover [0, n) exactly once.
+std::vector<int> work_gated_chunks(ordinal_t n, const offset_t* prefix) {
+  std::vector<int> owner(static_cast<std::size_t>(n), -1);
+  std::vector<int> ids;
+  std::mutex mu;
+  par::balanced_chunks_by_work(n, prefix, [&](int chunk, ordinal_t lo, ordinal_t hi) {
+    for (ordinal_t i = lo; i < hi; ++i) {
+      EXPECT_EQ(owner[static_cast<std::size_t>(i)], -1) << i;
+      owner[static_cast<std::size_t>(i)] = chunk;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ids.push_back(chunk);
+  });
+  EXPECT_TRUE(std::all_of(owner.begin(), owner.end(), [](int o) { return o >= 0; }));
+  EXPECT_TRUE(std::is_sorted(owner.begin(), owner.end()));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(BalancedChunksByWork, FewHeavyRowsSplitFewLightRowsStayWhole) {
+  // 300 iterations: below the 512-iteration count gate of balanced_chunks.
+  const ordinal_t n = 300;
+  const std::vector<offset_t> heavy = prefix_of(std::vector<offset_t>(300, 1000));
+  const std::vector<offset_t> light = prefix_of(std::vector<offset_t>(300, 2));
+  ASSERT_GE(heavy.back(), par::balanced_work_grain);
+  ASSERT_LT(light.back(), par::balanced_work_grain);
+#ifdef PARMIS_HAVE_OPENMP
+  const std::vector<int> split{0, 1, 2};
+#else
+  const std::vector<int> split{0};  // OpenMP requests resolve to Serial
+#endif
+  for (Schedule s : {Schedule::Static, Schedule::EdgeBalanced, Schedule::Dynamic}) {
+    {
+      ScopedExecution scope(Backend::OpenMP, 3, s);
+      EXPECT_EQ(work_gated_chunks(n, heavy.data()), split)
+          << "schedule " << static_cast<int>(s);
+      EXPECT_EQ(work_gated_chunks(n, light.data()), std::vector<int>{0});
+      // The generic gate is untouched: the heavy loop stays one chunk there.
+      int calls = 0;
+      par::balanced_chunks(n, heavy.data(), [&](int, ordinal_t, ordinal_t) { ++calls; });
+      EXPECT_EQ(calls, 1);
+    }
+    {
+      ScopedExecution scope(Backend::Serial, 1, s);
+      EXPECT_EQ(work_gated_chunks(n, heavy.data()), std::vector<int>{0});
+    }
+  }
+}
+
+TEST(BalancedChunksByWork, EmptyRangeAndNullPrefixAreSafe) {
+  const std::vector<offset_t> one = prefix_of({});
+  for (Backend backend : {Backend::Serial, Backend::OpenMP}) {
+    ScopedExecution scope(backend, 3, Schedule::EdgeBalanced);
+    EXPECT_TRUE(work_gated_chunks(0, static_cast<const offset_t*>(nullptr)).empty());
+    EXPECT_TRUE(work_gated_chunks(0, one.data()).empty());
+    // A null prefix (what a serial SpGEMM passes) leaves only the count gate.
+    EXPECT_EQ(work_gated_chunks(300, static_cast<const offset_t*>(nullptr)),
+              std::vector<int>{0});
+    const std::vector<int> many = work_gated_chunks(5000, static_cast<const offset_t*>(nullptr));
+    EXPECT_EQ(many.size(), static_cast<std::size_t>(par::balanced_chunk_count()));
+  }
+}
+
 // ---------------------------------------------------------------- SpGEMM
 
 /// The historical two-pass SpGEMM, kept as the equivalence reference: a
@@ -300,6 +372,148 @@ TEST(SpgemmFused, SinglePassTraversalCounter) {
     graph::spgemm_reset_stats();
     (void)graph::spgemm_symbolic(a, a);
     EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
+  }
+}
+
+/// Value bit patterns: `==` on doubles equates +0.0 with -0.0, and the
+/// signed-zero column below must match in sign too.
+std::vector<std::uint64_t> bits_of(const std::vector<scalar_t>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::transform(v.begin(), v.end(), out.begin(),
+                 [](scalar_t x) { return std::bit_cast<std::uint64_t>(x); });
+  return out;
+}
+
+/// Rows of `a·b` by the cold kernel's two per-row shortcuts.
+struct RowKinds {
+  int fills_early = 0;     // every column touched before the row's last A entry
+  int dense_unfilled = 0;  // ≥ 1/8 of the columns (dense emit), never full
+};
+
+RowKinds classify_rows(const graph::CrsMatrix& a, const graph::CrsMatrix& b) {
+  RowKinds kinds;
+  const std::size_t ncols = static_cast<std::size_t>(b.num_cols);
+  for (ordinal_t i = 0; i < a.num_rows; ++i) {
+    std::vector<char> seen(ncols, 0);
+    std::size_t count = 0;
+    for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+      for (ordinal_t j : b.row(a.entries[static_cast<std::size_t>(ja)])) {
+        count += seen[static_cast<std::size_t>(j)] == 0 ? 1 : 0;
+        seen[static_cast<std::size_t>(j)] = 1;
+      }
+      if (count == ncols && ja + 1 < a.row_map[i + 1]) {
+        ++kinds.fills_early;
+        break;
+      }
+    }
+    if (count < ncols && count * 8 >= ncols) ++kinds.dense_unfilled;
+  }
+  return kinds;
+}
+
+TEST(SpgemmFused, FewRowsDenseProductMatchesReferenceAcrossConfigs) {
+  // The coarse Galerkin product R·(A·P) of a power-law Laplacian's first
+  // AMG level: a few dozen rows, most of them fully dense, carrying enough
+  // flops to pass the SpGEMM work gate although far below the 512-row
+  // count gate.
+  const graph::CrsMatrix a =
+      graph::laplacian_matrix(graph::power_law_graph(2000, 2.2, 4, 64, 42), 1.0);
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::OperatorLevel>& ops =
+      multilevel::Builder(multilevel::Options{}).build_galerkin(a, h);
+  ASSERT_GE(ops.size(), 2u);
+  const graph::CrsMatrix& r = ops[0].r;
+  graph::CrsMatrix ap;
+  {
+    ScopedExecution scope(Backend::Serial, 1);
+    ap = graph::spgemm(ops[0].a, ops[0].p);
+  }
+  // Reshape A·P so the product has every kind of row the kernels special-
+  // case. Column 0 becomes zeros of alternating sign: its contributions to
+  // each product row sum to exactly zero, with a sign set by the
+  // accumulation order. Column 1 becomes -0.0 throughout, so rows fed only
+  // by positive R entries (all of them here) end in -0.0, the case a replay
+  // seeded with +0.0 would get wrong. Column 2 survives in a single row,
+  // k* = the second-to-last column of R's row 0: product rows that do not
+  // reach k* stay one column short of full — past the dense-emit threshold
+  // but never full — while product row 0 meets column 2 only at its
+  // second-to-last entry, so it fills there, one entry before its end,
+  // after sitting one column short across whole rows of A·P.
+  ASSERT_GE(ap.num_cols, 3);
+  ASSERT_GE(r.row_map[1] - r.row_map[0], 2);
+  const ordinal_t k_star = r.entries[static_cast<std::size_t>(r.row_map[1]) - 2];
+  {
+    graph::CrsMatrix shaped;
+    shaped.num_rows = ap.num_rows;
+    shaped.num_cols = ap.num_cols;
+    shaped.row_map.assign(1, 0);
+    for (ordinal_t k = 0; k < ap.num_rows; ++k) {
+      bool col2_done = k != k_star;
+      for (offset_t jb = ap.row_map[k]; jb < ap.row_map[k + 1]; ++jb) {
+        const ordinal_t j = ap.entries[static_cast<std::size_t>(jb)];
+        scalar_t v = ap.values[static_cast<std::size_t>(jb)];
+        if (j == 0) v = (k % 2 == 0) ? 0.0 : -0.0;
+        if (j == 1) v = -0.0;
+        if (j >= 2 && !col2_done) {
+          shaped.entries.push_back(2);
+          shaped.values.push_back(0.5);
+          col2_done = true;
+        }
+        if (j == 2) continue;
+        shaped.entries.push_back(j);
+        shaped.values.push_back(v);
+      }
+      if (!col2_done) {
+        shaped.entries.push_back(2);
+        shaped.values.push_back(0.5);
+      }
+      shaped.row_map.push_back(static_cast<offset_t>(shaped.entries.size()));
+    }
+    ap = std::move(shaped);
+  }
+
+  const RowKinds kinds = classify_rows(r, ap);
+  EXPECT_GT(kinds.fills_early, 0);
+  EXPECT_GT(kinds.dense_unfilled, 0);
+  std::int64_t flops = 0;
+  for (ordinal_t k : r.entries) flops += ap.row_map[k + 1] - ap.row_map[k];
+  ASSERT_LT(r.num_rows, par::parallel_for_grain);
+  ASSERT_GE(flops, par::balanced_work_grain);
+  const graph::CrsMatrix ref = spgemm_two_pass_reference(r, ap);
+  int negative_zeros = 0;
+  int positive_zeros = 0;
+  for (std::size_t e = 0; e < ref.entries.size(); ++e) {
+    if (ref.entries[e] > 1) continue;
+    EXPECT_EQ(ref.values[e], 0.0);
+    ++(std::signbit(ref.values[e]) ? negative_zeros : positive_zeros);
+  }
+  EXPECT_GT(negative_zeros, 0);
+  EXPECT_GT(positive_zeros, 0);
+
+  const std::vector<std::uint64_t> ref_bits = bits_of(ref.values);
+  const std::pair<Backend, int> cfgs[] = {
+      {Backend::Serial, 1}, {Backend::OpenMP, 1}, {Backend::OpenMP, 3}, {Backend::OpenMP, 4}};
+  for (Schedule s : {Schedule::Static, Schedule::EdgeBalanced, Schedule::Dynamic}) {
+    for (auto [backend, threads] : cfgs) {
+      ScopedExecution scope(backend, threads, s);
+      const std::string where = "backend=" + std::to_string(static_cast<int>(backend)) +
+                                " threads=" + std::to_string(threads) +
+                                " schedule=" + std::to_string(static_cast<int>(s));
+      const graph::CrsMatrix c = graph::spgemm(r, ap);
+      EXPECT_EQ(c.row_map, ref.row_map) << where;
+      EXPECT_EQ(c.entries, ref.entries) << where;
+      EXPECT_EQ(bits_of(c.values), ref_bits) << where;
+
+      graph::CrsMatrix replay = c;
+      std::fill(replay.values.begin(), replay.values.end(),
+                std::numeric_limits<scalar_t>::quiet_NaN());
+      graph::spgemm_numeric(r, ap, replay);
+      EXPECT_EQ(bits_of(replay.values), ref_bits) << where;
+
+      const graph::CrsGraph pattern = graph::spgemm_symbolic(r, ap);
+      EXPECT_EQ(pattern.row_map, c.row_map) << where;
+      EXPECT_EQ(pattern.entries, c.entries) << where;
+    }
   }
 }
 
