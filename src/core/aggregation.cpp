@@ -7,6 +7,7 @@
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_scan.hpp"
@@ -97,107 +98,119 @@ const Aggregation& CoarsenHandle::aggregate_mis2(graph::GraphView g) {
   const ordinal_t n = g.num_rows;
   Aggregation& agg = agg_;
 
+  // Spans split the op into Algorithm 3's phases; each MIS-2 run nests
+  // its own `mis2.*` spans inside.
+  ordinal_t base = 0;
   // --- Phase 1: initial aggregates from MIS-2 roots + neighbors ---------
-  const Mis2Result& mis1 = mis2_.run(g);
+  {
+    PARMIS_SPAN("aggregate.grow");
+    const Mis2Result& mis1 = mis2_.run(g);
 
-  agg.phase1_iterations = mis1.iterations;
-  agg.labels.assign(static_cast<std::size_t>(n), invalid_ordinal);
-  grow_initial_aggregates(g, mis1, agg.labels);
-  // The phase-2 masked run below overwrites the handle's MIS-2 result, so
-  // copy out what phase 3 needs from mis1 (roots in member order).
-  agg.roots.assign(mis1.members.begin(), mis1.members.end());
-  const ordinal_t base = mis1.set_size();
-
-  // --- Phase 2: secondary aggregates on the leftover-induced subgraph ---
-  active_.resize(static_cast<std::size_t>(n));
-  par::parallel_for(n, [&](ordinal_t v) {
-    active_[static_cast<std::size_t>(v)] =
-        agg.labels[static_cast<std::size_t>(v)] == invalid_ordinal ? 1 : 0;
-  });
-
-  const Mis2Result& mis2_result = mis2_.run_masked(g, active_);
-  agg.phase2_iterations = mis2_result.iterations;
-
-  auto unagg_neighbors = [&](ordinal_t r) {
-    ordinal_t count = 0;
-    for (ordinal_t w : g.row(r)) {
-      if (active_[static_cast<std::size_t>(w)]) ++count;
-    }
-    return count;
-  };
-
-  // Keep only secondary roots with at least 2 leftover neighbors; smaller
-  // aggregates would increase fill-in during multigrid smoothing (paper
-  // §III-B).
-  par::compact_into_scratch(
-      static_cast<ordinal_t>(mis2_result.members.size()),
-      [&](ordinal_t i) {
-        return unagg_neighbors(mis2_result.members[static_cast<std::size_t>(i)]) >= 2;
-      },
-      [&](ordinal_t i) { return mis2_result.members[static_cast<std::size_t>(i)]; }, accepted_,
-      flags_);
-
-  par::parallel_for(static_cast<ordinal_t>(accepted_.size()), [&](ordinal_t i) {
-    const ordinal_t r = accepted_[static_cast<std::size_t>(i)];
-    const ordinal_t id = base + i;
-    agg.labels[static_cast<std::size_t>(r)] = id;
-    for (ordinal_t w : g.row(r)) {
-      if (active_[static_cast<std::size_t>(w)]) {
-        agg.labels[static_cast<std::size_t>(w)] = id;
-      }
-    }
-  });
-
-  agg.num_aggregates = base + static_cast<ordinal_t>(accepted_.size());
-  agg.roots.insert(agg.roots.end(), accepted_.begin(), accepted_.end());
-
-  // --- Phase 3: cleanup against immutable tentative labels ---------------
-  tent_.assign(agg.labels.begin(), agg.labels.end());
-  const std::vector<ordinal_t>& tent = tent_;
-
-  // Aggregate sizes under the tentative labels (serial histogram: O(n)
-  // integer counting, negligible next to the coupling pass).
-  agg_size_.assign(static_cast<std::size_t>(agg.num_aggregates), 0);
-  for (ordinal_t v = 0; v < n; ++v) {
-    const ordinal_t a = tent[static_cast<std::size_t>(v)];
-    if (a != invalid_ordinal) ++agg_size_[static_cast<std::size_t>(a)];
+    agg.phase1_iterations = mis1.iterations;
+    agg.labels.assign(static_cast<std::size_t>(n), invalid_ordinal);
+    grow_initial_aggregates(g, mis1, agg.labels);
+    // The phase-2 masked run below overwrites the handle's MIS-2 result, so
+    // copy out what phase 3 needs from mis1 (roots in member order).
+    agg.roots.assign(mis1.members.begin(), mis1.members.end());
+    base = mis1.set_size();
   }
 
-  par::parallel_for(n, [&](ordinal_t v) {
-    if (tent[static_cast<std::size_t>(v)] != invalid_ordinal) return;
-    // Count coupling to each adjacent aggregate by sorting the (few)
-    // labeled neighbor ids and scanning runs.
-    thread_local std::vector<ordinal_t> nbr_labels;
-    nbr_labels.clear();
-    for (ordinal_t w : g.row(v)) {
-      const ordinal_t a = tent[static_cast<std::size_t>(w)];
-      if (a != invalid_ordinal) nbr_labels.push_back(a);
-    }
-    assert(!nbr_labels.empty() && "maximality violated in cleanup phase");
-    std::sort(nbr_labels.begin(), nbr_labels.end());
+  // --- Phase 2: secondary aggregates on the leftover-induced subgraph ---
+  {
+    PARMIS_SPAN("aggregate.secondary");
+    active_.resize(static_cast<std::size_t>(n));
+    par::parallel_for(n, [&](ordinal_t v) {
+      active_[static_cast<std::size_t>(v)] =
+          agg.labels[static_cast<std::size_t>(v)] == invalid_ordinal ? 1 : 0;
+    });
 
-    ordinal_t best_agg = invalid_ordinal;
-    ordinal_t best_coupling = 0;
-    ordinal_t best_size = max_ordinal;
-    std::size_t i = 0;
-    while (i < nbr_labels.size()) {
-      const ordinal_t a = nbr_labels[i];
-      std::size_t j = i;
-      while (j < nbr_labels.size() && nbr_labels[j] == a) ++j;
-      const ordinal_t coupling = static_cast<ordinal_t>(j - i);
-      const ordinal_t size = agg_size_[static_cast<std::size_t>(a)];
-      // Max coupling; tie -> min tentative size; tie -> min id (ids are
-      // scanned ascending, so strict inequalities keep the first).
-      if (coupling > best_coupling ||
-          (coupling == best_coupling && size < best_size)) {
-        best_agg = a;
-        best_coupling = coupling;
-        best_size = size;
+    const Mis2Result& mis2_result = mis2_.run_masked(g, active_);
+    agg.phase2_iterations = mis2_result.iterations;
+
+    auto unagg_neighbors = [&](ordinal_t r) {
+      ordinal_t count = 0;
+      for (ordinal_t w : g.row(r)) {
+        if (active_[static_cast<std::size_t>(w)]) ++count;
       }
-      i = j;
+      return count;
+    };
+
+    // Keep only secondary roots with at least 2 leftover neighbors; smaller
+    // aggregates would increase fill-in during multigrid smoothing (paper
+    // §III-B).
+    par::compact_into_scratch(
+        static_cast<ordinal_t>(mis2_result.members.size()),
+        [&](ordinal_t i) {
+          return unagg_neighbors(mis2_result.members[static_cast<std::size_t>(i)]) >= 2;
+        },
+        [&](ordinal_t i) { return mis2_result.members[static_cast<std::size_t>(i)]; }, accepted_,
+        flags_);
+
+    par::parallel_for(static_cast<ordinal_t>(accepted_.size()), [&](ordinal_t i) {
+      const ordinal_t r = accepted_[static_cast<std::size_t>(i)];
+      const ordinal_t id = base + i;
+      agg.labels[static_cast<std::size_t>(r)] = id;
+      for (ordinal_t w : g.row(r)) {
+        if (active_[static_cast<std::size_t>(w)]) {
+          agg.labels[static_cast<std::size_t>(w)] = id;
+        }
+      }
+    });
+
+    agg.num_aggregates = base + static_cast<ordinal_t>(accepted_.size());
+    agg.roots.insert(agg.roots.end(), accepted_.begin(), accepted_.end());
+  }
+
+  // --- Phase 3: cleanup against immutable tentative labels ---------------
+  {
+    PARMIS_SPAN("aggregate.cleanup");
+    tent_.assign(agg.labels.begin(), agg.labels.end());
+    const std::vector<ordinal_t>& tent = tent_;
+
+    // Aggregate sizes under the tentative labels (serial histogram: O(n)
+    // integer counting, negligible next to the coupling pass).
+    agg_size_.assign(static_cast<std::size_t>(agg.num_aggregates), 0);
+    for (ordinal_t v = 0; v < n; ++v) {
+      const ordinal_t a = tent[static_cast<std::size_t>(v)];
+      if (a != invalid_ordinal) ++agg_size_[static_cast<std::size_t>(a)];
     }
-    agg.labels[static_cast<std::size_t>(v)] = best_agg;
-  });
+
+    par::parallel_for(n, [&](ordinal_t v) {
+      if (tent[static_cast<std::size_t>(v)] != invalid_ordinal) return;
+      // Count coupling to each adjacent aggregate by sorting the (few)
+      // labeled neighbor ids and scanning runs.
+      thread_local std::vector<ordinal_t> nbr_labels;
+      nbr_labels.clear();
+      for (ordinal_t w : g.row(v)) {
+        const ordinal_t a = tent[static_cast<std::size_t>(w)];
+        if (a != invalid_ordinal) nbr_labels.push_back(a);
+      }
+      assert(!nbr_labels.empty() && "maximality violated in cleanup phase");
+      std::sort(nbr_labels.begin(), nbr_labels.end());
+
+      ordinal_t best_agg = invalid_ordinal;
+      ordinal_t best_coupling = 0;
+      ordinal_t best_size = max_ordinal;
+      std::size_t i = 0;
+      while (i < nbr_labels.size()) {
+        const ordinal_t a = nbr_labels[i];
+        std::size_t j = i;
+        while (j < nbr_labels.size() && nbr_labels[j] == a) ++j;
+        const ordinal_t coupling = static_cast<ordinal_t>(j - i);
+        const ordinal_t size = agg_size_[static_cast<std::size_t>(a)];
+        // Max coupling; tie -> min tentative size; tie -> min id (ids are
+        // scanned ascending, so strict inequalities keep the first).
+        if (coupling > best_coupling ||
+            (coupling == best_coupling && size < best_size)) {
+          best_agg = a;
+          best_coupling = coupling;
+          best_size = size;
+        }
+        i = j;
+      }
+      agg.labels[static_cast<std::size_t>(v)] = best_agg;
+    });
+  }
 
   record_run(bytes_before);
   PARMIS_CHECK_OK(check::validate(agg, g.num_rows));

@@ -6,6 +6,7 @@
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
+#include "obs/trace.hpp"
 #include "parallel/balanced_for.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_scan.hpp"
@@ -77,7 +78,10 @@ thread_local Workspace t_ws;
 graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   assert(agg.labels.size() == static_cast<std::size_t>(g.num_rows));
   PARMIS_CHECK_OK(check::validate(agg, g.num_rows));
-  const AggregateMembers mem = aggregate_members(agg);
+  const AggregateMembers mem = [&] {
+    PARMIS_SPAN("coarse_graph.members");
+    return aggregate_members(agg);
+  }();
   const ordinal_t nc = agg.num_aggregates;
 
   graph::CrsGraph c;
@@ -85,6 +89,9 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   c.num_cols = nc;
   c.row_map.assign(static_cast<std::size_t>(nc) + 1, 0);
   if (nc == 0) return c;
+  // The rest of the contraction: cost prefix, coarse-row collection and
+  // the scatter into the final entries.
+  PARMIS_SPAN("coarse_graph.collect");
 
   // Per-aggregate collection cost = Σ over members of (degree + 1);
   // aggregates around fine-level hubs dwarf the rest, so split the sweep

@@ -96,29 +96,25 @@ struct WidePolicy {
   [[nodiscard]] static bool eq(const tuple_t& a, const tuple_t& b) { return a == b; }
 };
 
-/// Algorithm 1 body, shared by all option combinations. `Masked` selects
-/// induced-subgraph semantics; `P` selects the tuple representation. All
-/// scratch lives in `ws` (resized, never reallocated when warm); the
-/// result is written into `result` in place.
-template <typename P, bool Masked>
+/// Algorithm 1 body, shared by all option combinations. A non-empty
+/// `active` selects induced-subgraph semantics; it only shapes the initial
+/// state, so masked and unmasked runs share every neighbor loop. `P`
+/// selects the tuple representation. All scratch lives in `ws` (resized,
+/// never reallocated when warm); the result is written into `result` in
+/// place.
+template <typename P>
 void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
                std::span<const char> active, Mis2Workspace& ws, Mis2Result& result) {
   assert(g.num_rows == g.num_cols);
-  if constexpr (Masked) {
-    assert(active.size() == static_cast<std::size_t>(g.num_rows));
-  }
+  assert(active.empty() || active.size() == static_cast<std::size_t>(g.num_rows));
   PARMIS_SPAN("mis2.run");
   const ordinal_t n = g.num_rows;
   const P pol(n, opts, ctx.seed);
   using tuple_t = typename P::tuple_t;
 
+  const bool masked = !active.empty();
   auto is_active = [&](ordinal_t v) {
-    if constexpr (Masked) {
-      return active[static_cast<std::size_t>(v)] != 0;
-    } else {
-      (void)v;
-      return true;
-    }
+    return !masked || active[static_cast<std::size_t>(v)] != 0;
   };
 
   std::vector<tuple_t>& row_t = P::rows(ws);
@@ -126,18 +122,21 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
   row_t.resize(static_cast<std::size_t>(n));
   col_m.resize(static_cast<std::size_t>(n));
   par::parallel_for(n, [&](ordinal_t v) {
-    // Inactive vertices are permanently OUT; their col_m is never consulted
-    // because masked neighbor loops skip them entirely.
-    const bool act = is_active(v);
-    row_t[static_cast<std::size_t>(v)] = act ? pol.fresh(v, 0) : pol.out();
-    col_m[static_cast<std::size_t>(v)] = act ? pol.in() : pol.out();
+    // The mask acts here and nowhere else. An inactive vertex is OUT in
+    // row_t, which never lowers a column minimum, so refresh_col needs no
+    // mask test. Every col_m starts IN. Round 0 refreshes every active
+    // column before the first decide, and refresh_col never leaves an IN
+    // minimum, so from then on IN in col_m marks an absent vertex: decide
+    // counts it as neither OUT nor unequal.
+    row_t[static_cast<std::size_t>(v)] = is_active(v) ? pol.fresh(v, 0) : pol.out();
+    col_m[static_cast<std::size_t>(v)] = pol.in();
   });
 
-  // Whether the SIMD inner loops are eligible: packed tuples, no mask, and
-  // the paper's average-degree heuristic (§V-D) — threshold from the
-  // executing context.
+  // Whether the SIMD inner loops are eligible, masked or not: packed
+  // tuples and the paper's average-degree heuristic (§V-D) — threshold
+  // from the executing context.
   const bool use_simd = [&] {
-    if constexpr (P::is_packed && !Masked) {
+    if constexpr (P::is_packed) {
       return opts.simd && g.avg_degree() >= ctx.simd_degree_threshold;
     } else {
       return false;
@@ -158,11 +157,7 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       }
     } else {
       for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
-        const ordinal_t w = g.entries[j];
-        if constexpr (Masked) {
-          if (!is_active(w)) continue;
-        }
-        m = P::tmin(m, row_t[static_cast<std::size_t>(w)]);
+        m = P::tmin(m, row_t[static_cast<std::size_t>(g.entries[j])]);
       }
     }
     // An IN minimum means an IN vertex within distance 1: translate to OUT
@@ -177,26 +172,28 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
     bool all_eq = P::eq(own_m, t);
     if (use_simd) {
       if constexpr (P::is_packed) {
-        const offset_t deg = g.row_map[v + 1] - g.row_map[v];
-        any_out = any_out || par::simd_count_equal_gather(col_m.data(), g.entries, g.row_map[v],
-                                                          g.row_map[v + 1], pol.out()) > 0;
+        const offset_t lo = g.row_map[v];
+        const offset_t hi = g.row_map[v + 1];
+        any_out = any_out ||
+                  par::simd_count_equal_gather(col_m.data(), g.entries, lo, hi, pol.out()) > 0;
         if (!any_out && all_eq) {
-          all_eq = par::simd_count_equal_gather(col_m.data(), g.entries, g.row_map[v],
-                                                g.row_map[v + 1], t) == deg;
+          // Absent neighbors hold IN (see the initial state); unmasked runs
+          // have none, so only masked runs pay for the second count.
+          const offset_t eq = par::simd_count_equal_gather(col_m.data(), g.entries, lo, hi, t);
+          all_eq = eq == hi - lo ||
+                   (masked && eq + par::simd_count_equal_gather(col_m.data(), g.entries, lo, hi,
+                                                                pol.in()) ==
+                                  hi - lo);
         }
       }
     } else {
       for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
-        const ordinal_t w = g.entries[j];
-        if constexpr (Masked) {
-          if (!is_active(w)) continue;
-        }
-        const tuple_t mw = col_m[static_cast<std::size_t>(w)];
+        const tuple_t mw = col_m[static_cast<std::size_t>(g.entries[j])];
         if (P::is_out(mw)) {
           any_out = true;
           break;
         }
-        all_eq = all_eq && P::eq(mw, t);
+        all_eq = all_eq && (P::eq(mw, t) || P::is_in(mw));
       }
     }
     if (any_out) {
@@ -305,14 +302,14 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
     // Ablation mode: every vertex processed every iteration (Bell et al.'s
     // approach), with per-vertex guards instead of worklists. Full sweeps
     // balance for free: the graph's own row_map is the degree prefix.
+    // Inactive vertices are OUT in row_t, so only the column guard needs
+    // the mask: their IN columns must never be refreshed.
     while (iter < opts.max_iterations) {
       obs::Span round("mis2.round");
       {
         PARMIS_SPAN("mis2.sweep.refresh_row");
         par::parallel_for(n, [&](ordinal_t v) {
-          if (is_active(v) && P::is_undecided(row_t[static_cast<std::size_t>(v)])) {
-            refresh_row(v, iter);
-          }
+          if (P::is_undecided(row_t[static_cast<std::size_t>(v)])) refresh_row(v, iter);
         });
       }
       {
@@ -324,7 +321,7 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       {
         PARMIS_SPAN("mis2.sweep.decide");
         par::balanced_for(n, g.row_map, [&](ordinal_t v) {
-          if (is_active(v) && P::is_undecided(row_t[static_cast<std::size_t>(v)])) decide(v);
+          if (P::is_undecided(row_t[static_cast<std::size_t>(v)])) decide(v);
         });
       }
       ++iter;
@@ -348,26 +345,27 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       [](ordinal_t v) { return v; }, result.members, ws.flags);
 }
 
-template <bool Masked>
-void dispatch(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
-              std::span<const char> active, Mis2Workspace& ws, Mis2Result& result) {
-  if (opts.packed_tuples) {
-    mis2_impl<PackedPolicy, Masked>(g, opts, ctx, active, ws, result);
-  } else {
-    mis2_impl<WidePolicy, Masked>(g, opts, ctx, active, ws, result);
-  }
-}
-
 }  // namespace
 
-const Mis2Result& Mis2Handle::run(graph::GraphView g) {
+const Mis2Result& Mis2Handle::run(graph::GraphView g) { return execute(g, {}); }
+
+const Mis2Result& Mis2Handle::run_masked(graph::GraphView g, std::span<const char> active) {
+  PARMIS_CHECK(active.size() == static_cast<std::size_t>(g.num_rows));
+  return execute(g, active);
+}
+
+const Mis2Result& Mis2Handle::execute(graph::GraphView g, std::span<const char> active) {
   Context::Scope scope(ctx_);
   PARMIS_CHECK_OK(check::validate(g, {.require_loop_free = true, .require_symmetric = true}));
   const std::size_t bytes_before = ws_.capacity_bytes();
   const std::size_t result_capacity =
       result_.in_set.capacity() + result_.members.capacity() * sizeof(ordinal_t);
   check::AllocGuard guard;
-  dispatch<false>(g, opts_, ctx_, {}, ws_, result_);
+  if (opts_.packed_tuples) {
+    mis2_impl<PackedPolicy>(g, opts_, ctx_, active, ws_, result_);
+  } else {
+    mis2_impl<WidePolicy>(g, opts_, ctx_, active, ws_, result_);
+  }
   ++stats_.runs;
   stats_.iterations += static_cast<std::uint64_t>(result_.iterations);
   const bool grew = ws_.capacity_bytes() > bytes_before ||
@@ -380,21 +378,9 @@ const Mis2Result& Mis2Handle::run(graph::GraphView g) {
   // allocate, orthogonally to the kernel path.)
   PARMIS_CHECK_MSG(grew || obs::tracing_enabled() || guard.allocations() == 0,
                    "mis2 warm run allocated");
-  PARMIS_CHECK_MSG(verify_mis2(g, result_.in_set), "mis2 result not a valid MIS-2");
-  return result_;
-}
-
-const Mis2Result& Mis2Handle::run_masked(graph::GraphView g, std::span<const char> active) {
-  Context::Scope scope(ctx_);
-  PARMIS_CHECK_OK(check::validate(g, {.require_loop_free = true, .require_symmetric = true}));
-  PARMIS_CHECK(active.size() == static_cast<std::size_t>(g.num_rows));
-  const std::size_t bytes_before = ws_.capacity_bytes();
-  dispatch<true>(g, opts_, ctx_, active, ws_, result_);
-  ++stats_.runs;
-  stats_.iterations += static_cast<std::uint64_t>(result_.iterations);
-  if (ws_.capacity_bytes() > bytes_before) ++stats_.scratch_grows;
-  PARMIS_CHECK_MSG(verify_mis2_masked(g, result_.in_set, active),
-                   "mis2 result not a valid masked MIS-2");
+  PARMIS_CHECK_MSG(active.empty() ? verify_mis2(g, result_.in_set)
+                                   : verify_mis2_masked(g, result_.in_set, active),
+                   "mis2 result not a valid MIS-2 of the (masked) graph");
   return result_;
 }
 

@@ -66,7 +66,8 @@ struct Mis2Options {
   bool packed_tuples = true;
   /// §V-D: vector-level (SIMD) inner neighbor loops; auto-disabled when the
   /// average degree is below the context's `simd_degree_threshold`, as in
-  /// the paper.
+  /// the paper. Needs `packed_tuples`. Masked runs are eligible too; the
+  /// test uses the whole graph's average degree.
   bool simd = true;
   /// Extra seed folded into the hash; 0 reproduces the paper's generator.
   /// XORed with the executing context's seed.
@@ -130,6 +131,14 @@ class Mis2Handle {
   /// Compute an MIS-2 of the subgraph induced by `active` (vertices with
   /// `active[v] == 0` are absent: they can't join the set and paths through
   /// them do not count). Used by Algorithm 3's phase 2.
+  ///
+  /// Contract: `active.size() == g.num_rows`; the result is an MIS-2 of
+  /// the induced subgraph (what `verify_mis2_masked` checks), keeps the
+  /// original vertex ids, and is bit-identical across backends, schedules
+  /// and thread counts. The mask is read only to set up the initial state
+  /// (an absent vertex is OUT in `row_t` and IN in `col_m`), so a masked
+  /// run shares the unmasked neighbor loops, SIMD included. No subgraph is
+  /// copied, and warm runs are allocation-free like `run`.
   const Mis2Result& run_masked(graph::GraphView g, std::span<const char> active);
 
   [[nodiscard]] const Mis2Result& result() const { return result_; }
@@ -148,6 +157,9 @@ class Mis2Handle {
   [[nodiscard]] const KernelStats& stats() const { return stats_; }
 
  private:
+  /// Shared body of `run` (empty `active`) and `run_masked`.
+  const Mis2Result& execute(graph::GraphView g, std::span<const char> active);
+
   Mis2Options opts_{};
   Context ctx_ = Context::default_ctx();
   Mis2Workspace ws_;

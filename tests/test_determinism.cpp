@@ -74,9 +74,44 @@ const graph::CrsGraph& rgg_graph() {
   return g;
 }
 
+/// Backend × thread-count × schedule contexts swept by the schedule tests.
+/// Dynamic is deliberately absent: it is the documented opt-out from the
+/// determinism contract (see par::Schedule).
+std::vector<Context> schedule_contexts() {
+  std::vector<Context> ctxs;
+  for (const par::Schedule s : {par::Schedule::Static, par::Schedule::EdgeBalanced}) {
+    for (const auto& [backend, threads] : configs()) {
+      Context ctx;
+      ctx.backend = backend;
+      ctx.num_threads = threads;
+      ctx.schedule = s;
+      ctxs.push_back(ctx);
+    }
+  }
+  return ctxs;
+}
+
 TEST(Determinism, Mis2Members) {
   expect_invariant([] { return core::mis2(mesh_graph()).members; });
   expect_invariant([] { return core::mis2(rgg_graph()).members; });
+
+  // Masked runs (Algorithm 3's phase 2) under every schedule too; the RGG's
+  // average degree puts them on the SIMD loops.
+  const std::vector<char> active = test::random_mask(rgg_graph().num_rows, 0.5, 2024);
+  std::uint64_t reference = 0;
+  bool first = true;
+  for (const Context& ctx : schedule_contexts()) {
+    core::Mis2Handle handle(ctx);
+    const std::uint64_t d = check::digest(handle.run_masked(rgg_graph(), active).members);
+    if (first) {
+      reference = d;
+      first = false;
+    } else {
+      EXPECT_EQ(check::digest_hex(d), check::digest_hex(reference))
+          << "masked schedule=" << static_cast<int>(ctx.schedule)
+          << " backend=" << static_cast<int>(ctx.backend) << " threads=" << ctx.num_threads;
+    }
+  }
 }
 
 TEST(Determinism, Mis2Iterations) {
@@ -129,23 +164,6 @@ TEST(Determinism, AmgIterationCounts) {
     cg_opts.max_iterations = 200;
     return h.solve(a, b, x, cg_opts).iterations;
   });
-}
-
-/// Backend × thread-count × schedule contexts swept by the schedule tests.
-/// Dynamic is deliberately absent: it is the documented opt-out from the
-/// determinism contract (see par::Schedule).
-std::vector<Context> schedule_contexts() {
-  std::vector<Context> ctxs;
-  for (const par::Schedule s : {par::Schedule::Static, par::Schedule::EdgeBalanced}) {
-    for (const auto& [backend, threads] : configs()) {
-      Context ctx;
-      ctx.backend = backend;
-      ctx.num_threads = threads;
-      ctx.schedule = s;
-      ctxs.push_back(ctx);
-    }
-  }
-  return ctxs;
 }
 
 TEST(Determinism, SchedulesAcrossRegisteredCoarseners) {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/alloc_guard.hpp"
 #include "core/aggregation.hpp"
 #include "core/coarsener.hpp"
 #include "core/mis2.hpp"
@@ -131,6 +132,27 @@ TEST(Mis2Handle, WarmRunsAreAllocationFreeAndBitIdentical) {
     EXPECT_EQ(again.members, first.members) << "rep=" << rep;
     EXPECT_EQ(again.in_set, first.in_set) << "rep=" << rep;
     EXPECT_EQ(again.iterations, first.iterations) << "rep=" << rep;
+  }
+
+  // Algorithm 3's masked run shares the same scratch: once a cold masked
+  // run has sized the result, warm masked runs allocate nothing (checked
+  // at the allocator in check builds) and repeat their bits.
+  const std::vector<char> active = test::random_mask(rgg_graph().num_rows, 0.5, 11);
+  const core::Mis2Result first_masked = [&] {
+    handle.run_masked(rgg_graph(), active);
+    return handle.result();
+  }();
+  EXPECT_TRUE(core::verify_mis2_masked(rgg_graph(), first_masked.in_set, active));
+  for (int rep = 0; rep < 3; ++rep) {
+    check::AllocGuard guard;
+    const core::Mis2Result& again = handle.run_masked(rgg_graph(), active);
+    if (check::counting_available()) {
+      EXPECT_EQ(0u, guard.allocations()) << "masked rep=" << rep;
+    }
+    EXPECT_EQ(handle.scratch_bytes(), warm_capacity) << "masked rep=" << rep;
+    EXPECT_EQ(again.members, first_masked.members) << "masked rep=" << rep;
+    EXPECT_EQ(again.in_set, first_masked.in_set) << "masked rep=" << rep;
+    EXPECT_EQ(again.iterations, first_masked.iterations) << "masked rep=" << rep;
   }
 }
 

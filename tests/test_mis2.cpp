@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "check/digest.hpp"
 #include "core/mis2.hpp"
 #include "core/mis_spgemm.hpp"
 #include "core/serial_mis2.hpp"
@@ -59,10 +60,16 @@ TEST_P(Mis2Family, DefaultOptionsProduceValidMis2) {
 
 TEST_P(Mis2Family, EveryOptionComboIsValid) {
   const NamedGraph& ng = graph();
+  const std::vector<char> active = test::random_mask(ng.g.num_rows, 0.6, 1234);
   for (const Mis2Options& opts : option_matrix()) {
     const Mis2Result r = mis2(ng.g, opts);
     EXPECT_TRUE(verify_mis2(ng.g, r.in_set))
         << ng.name << " scheme=" << static_cast<int>(opts.priority)
+        << " wl=" << opts.use_worklists << " packed=" << opts.packed_tuples
+        << " simd=" << opts.simd;
+    const Mis2Result rm = mis2_masked(ng.g, active, opts);
+    EXPECT_TRUE(verify_mis2_masked(ng.g, rm.in_set, active))
+        << ng.name << " masked scheme=" << static_cast<int>(opts.priority)
         << " wl=" << opts.use_worklists << " packed=" << opts.packed_tuples
         << " simd=" << opts.simd;
   }
@@ -225,14 +232,20 @@ TEST(Mis2, PackedAndWideTuplesAgree) {
 
 TEST(Mis2, SimdMatchesScalarExactly) {
   // SIMD only reorders associative min/count reductions; the decided set
-  // must be bit-identical. Use a dense graph so the degree heuristic
-  // actually enables SIMD.
+  // must be bit-identical, masked or not. Use a dense graph so the degree
+  // heuristic actually enables SIMD.
   const graph::CrsGraph g = graph::random_geometric_3d(3000, 24.0, 7);
   ASSERT_GE(graph::GraphView(g).avg_degree(), par::simd_degree_threshold);
   Mis2Options simd_on, simd_off;
   simd_on.simd = true;
   simd_off.simd = false;
   EXPECT_EQ(mis2(g, simd_on).members, mis2(g, simd_off).members);
+
+  const std::vector<char> active = test::random_mask(g.num_rows, 0.5, 41);
+  const Mis2Result on = mis2_masked(g, active, simd_on);
+  const Mis2Result off = mis2_masked(g, active, simd_off);
+  EXPECT_EQ(on.members, off.members);
+  EXPECT_EQ(on.iterations, off.iterations);
 }
 
 TEST(Mis2, PrioritySchemeIterationOrdering) {
@@ -288,9 +301,7 @@ TEST(Mis2Masked, PathsThroughInactiveVerticesDoNotCount) {
 TEST(Mis2Masked, ValidOnFamilyWithRandomMasks) {
   for (const NamedGraph& ng : test::test_graph_family()) {
     if (ng.g.num_rows == 0) continue;
-    rng::SplitMix64 gen(1234);
-    std::vector<char> active(static_cast<std::size_t>(ng.g.num_rows));
-    for (auto& a : active) a = gen.next_double() < 0.6 ? 1 : 0;
+    const std::vector<char> active = test::random_mask(ng.g.num_rows, 0.6, 1234);
     const Mis2Result r = mis2_masked(ng.g, active);
     EXPECT_TRUE(verify_mis2_masked(ng.g, r.in_set, active)) << ng.name;
     // Members must be active.
@@ -304,9 +315,7 @@ TEST(Mis2Masked, AgreesWithExplicitInducedSubgraph) {
   // The masked run must produce a set that is valid on the materialized
   // induced subgraph too (same semantics, two implementations).
   const graph::CrsGraph g = graph::random_geometric_2d(500, 8.0, 77);
-  rng::SplitMix64 gen(5);
-  std::vector<char> active(500);
-  for (auto& a : active) a = gen.next_double() < 0.5 ? 1 : 0;
+  const std::vector<char> active = test::random_mask(500, 0.5, 5);
   const Mis2Result r = mis2_masked(g, active);
 
   const graph::InducedSubgraph sub = graph::induced_subgraph(g, active);
@@ -316,6 +325,33 @@ TEST(Mis2Masked, AgreesWithExplicitInducedSubgraph) {
         r.in_set[static_cast<std::size_t>(sub.to_original[static_cast<std::size_t>(sv)])];
   }
   EXPECT_TRUE(verify_mis2(sub.graph, sub_in));
+}
+
+TEST(Mis2Masked, MembersMatchRecordedDigests) {
+  // Pinned digests of the masked members (and round counts) for every
+  // option combination: the induced-subgraph result of Algorithm 1 under
+  // these priorities, which no change to how the mask is applied may
+  // move. Meshes keep the inputs free of floating point; the 27-point one
+  // (degree up to 26) runs the SIMD loops where `simd` is on.
+  const graph::CrsGraph mesh27 = test::adjacency_of(
+      graph::laplace3d(14, 14, 14, graph::Stencil3D::TwentySevenPoint));
+  ASSERT_GE(graph::GraphView(mesh27).avg_degree(), par::simd_degree_threshold);
+  const std::vector<char> active27 = test::random_mask(mesh27.num_rows, 0.5, 41);
+  check::Digest d;
+  for (const Mis2Options& opts : option_matrix()) {
+    const Mis2Result r = mis2_masked(mesh27, active27, opts);
+    EXPECT_TRUE(verify_mis2_masked(mesh27, r.in_set, active27))
+        << "scheme=" << static_cast<int>(opts.priority) << " wl=" << opts.use_worklists
+        << " packed=" << opts.packed_tuples << " simd=" << opts.simd;
+    d.update(std::span<const ordinal_t>(r.members));
+    d.update_value(r.iterations);
+  }
+  EXPECT_EQ(check::digest_hex(d.value()), "0xc9a46841b0b5caf5");
+
+  const graph::CrsGraph mesh7 = test::adjacency_of(graph::laplace3d(16, 16, 16));
+  const std::vector<char> active7 = test::random_mask(mesh7.num_rows, 0.4, 3);
+  EXPECT_EQ(check::digest_hex(check::digest(mis2_masked(mesh7, active7).members)),
+            "0xc1a2e520e762fead");
 }
 
 TEST(Verify, RejectsIndependenceViolations) {

@@ -79,6 +79,15 @@ inline graph::CrsGraph barbell_graph(ordinal_t clique) {
   return graph::graph_from_edges(2 * clique, e);
 }
 
+/// Seeded activity mask for masked MIS-2 runs: each vertex is active with
+/// probability `frac`.
+inline std::vector<char> random_mask(ordinal_t n, double frac, std::uint64_t seed) {
+  rng::SplitMix64 gen(seed);
+  std::vector<char> active(static_cast<std::size_t>(n));
+  for (auto& a : active) a = gen.next_double() < frac ? 1 : 0;
+  return active;
+}
+
 struct NamedGraph {
   std::string name;
   graph::CrsGraph g;
