@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <numeric>
@@ -275,6 +276,208 @@ void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c) {
         c.values[static_cast<std::size_t>(jc)] =
             ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])];
       }
+    }
+  });
+}
+
+namespace {
+
+ordinal_t fused_tile_rows(ordinal_t rows, ordinal_t nc) {
+  const std::int64_t per_tile = std::max<std::int64_t>(1, fused_tile_entries / std::max(nc, 1));
+  return static_cast<ordinal_t>(std::min<std::int64_t>(rows, per_tile));
+}
+
+/// Bits of -0.0, the addend of a column an A·P row does not have.
+constexpr std::uint64_t kNegZeroBits = std::uint64_t{1} << 63;
+
+/// 64-bit words of an nc-column structure bitset.
+std::size_t bitset_words(ordinal_t nc) { return (static_cast<std::size_t>(nc) + 63) / 64; }
+
+/// The fused kernel proper: `Pᵀ·A·P` into `s.dense` and, with `kPattern`,
+/// its structure into the bitsets `s.present` (see the header for the
+/// order argument).
+template <bool kPattern>
+void fused_galerkin_dense(const CrsMatrix& a, const CrsMatrix& p, FusedGalerkinScratch& s) {
+  const ordinal_t n = a.num_rows;
+  const ordinal_t nc = p.num_cols;
+  const std::size_t ncs = static_cast<std::size_t>(nc);
+  const std::size_t words = bitset_words(nc);
+  s.size_for(n, nc);
+
+  // Every (i, P[i,a]) costs its owner one nc-wide row update, so coarse
+  // rows are balanced by their P column counts (in flops, for the gate).
+  const offset_t* cost = product_cost_prefix(GraphView(a), p.row_map.data());
+  const offset_t* owner_cost = nullptr;
+  if (cost != nullptr) {
+    std::fill(s.owner_cost.begin(), s.owner_cost.end(), offset_t{0});
+    for (const ordinal_t c : p.entries) s.owner_cost[static_cast<std::size_t>(c) + 1] += nc;
+    for (std::size_t c = 1; c <= ncs; ++c) s.owner_cost[c] += s.owner_cost[c - 1];
+    owner_cost = s.owner_cost.data();
+  }
+
+  // Seed: -0.0 is the exact additive identity, so every entry's first `+=`
+  // reproduces `spgemm`'s first `=`. Each owner touches its rows first.
+  par::balanced_chunks_by_work(nc, owner_cost, [&](int, ordinal_t lo, ordinal_t hi) {
+    const std::size_t rows = static_cast<std::size_t>(hi - lo);
+    std::fill_n(s.dense.data() + static_cast<std::size_t>(lo) * ncs, rows * ncs, -0.0);
+    if constexpr (kPattern) {
+      std::fill_n(s.present.data() + static_cast<std::size_t>(lo) * words, rows * words,
+                  std::uint64_t{0});
+    }
+  });
+
+  const ordinal_t tile = fused_tile_rows(n, nc);
+  for (ordinal_t t0 = 0; t0 < n; t0 += tile) {
+    const ordinal_t t1 = std::min(n, t0 + tile);
+    // A·P rows of the tile, each formed once, in `spgemm`'s entry order,
+    // straight into its dense tile row seeded with -0.0 (the replay's
+    // seeding, bit-identical to the cold `=`-then-`+=`). A lane mask
+    // records the row's structure without a branch per flop.
+    par::balanced_chunks_by_work(
+        t1 - t0, cost != nullptr ? cost + t0 : nullptr, [&](int, ordinal_t lo, ordinal_t hi) {
+          for (ordinal_t r = lo; r < hi; ++r) {
+            const ordinal_t i = t0 + r;
+            scalar_t* vals = s.tile_vals.data() + static_cast<std::size_t>(r) * ncs;
+            std::uint64_t* mask = s.tile_mask.data() + static_cast<std::size_t>(r) * ncs;
+            std::fill_n(vals, ncs, -0.0);
+            std::fill_n(mask, ncs, std::uint64_t{0});
+            for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+              const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+              const scalar_t av = a.values[static_cast<std::size_t>(ja)];
+              for (offset_t jb = p.row_map[k]; jb < p.row_map[k + 1]; ++jb) {
+                const auto j = static_cast<std::size_t>(p.entries[static_cast<std::size_t>(jb)]);
+                vals[j] += av * p.values[static_cast<std::size_t>(jb)];
+                mask[j] = ~std::uint64_t{0};
+              }
+            }
+            if constexpr (kPattern) {
+              std::uint64_t* bits = s.tile_bits.data() + static_cast<std::size_t>(r) * words;
+              std::fill_n(bits, words, std::uint64_t{0});
+              for (std::size_t j = 0; j < ncs; ++j) bits[j / 64] |= (mask[j] & 1) << (j % 64);
+            }
+          }
+        });
+    // Scatter through Pᵀ: each owner walks the tile's rows in ascending
+    // order and adds P[i,a]·AP[i,:] into the coarse rows it owns. Columns
+    // the A·P row lacks add -0.0, the exact identity, through a branch-free
+    // select, so the nc-wide update vectorizes.
+    par::balanced_chunks_by_work(nc, owner_cost, [&](int, ordinal_t lo, ordinal_t hi) {
+      for (ordinal_t i = t0; i < t1; ++i) {
+        const std::size_t r = static_cast<std::size_t>(i - t0);
+        const scalar_t* vals = s.tile_vals.data() + r * ncs;
+        const std::uint64_t* mask = s.tile_mask.data() + r * ncs;
+        for (offset_t e = p.row_map[i]; e < p.row_map[i + 1]; ++e) {
+          const ordinal_t c = p.entries[static_cast<std::size_t>(e)];
+          if (c < lo || c >= hi) continue;
+          const scalar_t pv = p.values[static_cast<std::size_t>(e)];
+          scalar_t* crow = s.dense.data() + static_cast<std::size_t>(c) * ncs;
+          for (std::size_t j = 0; j < ncs; ++j) {
+            const std::uint64_t prod = std::bit_cast<std::uint64_t>(pv * vals[j]);
+            crow[j] += std::bit_cast<scalar_t>((prod & mask[j]) | (~mask[j] & kNegZeroBits));
+          }
+          if constexpr (kPattern) {
+            const std::uint64_t* bits = s.tile_bits.data() + r * words;
+            std::uint64_t* cbits = s.present.data() + static_cast<std::size_t>(c) * words;
+            for (std::size_t w = 0; w < words; ++w) cbits[w] |= bits[w];
+          }
+        }
+      }
+    });
+  }
+}
+
+void check_fused_operands(const CrsMatrix& a, const CrsMatrix& p) {
+  assert(a.num_rows == a.num_cols && p.num_rows == a.num_rows);
+  PARMIS_CHECK_MSG(a.num_rows == a.num_cols && p.num_rows == a.num_rows,
+                   "galerkin_fused operand shapes do not chain");
+}
+
+}  // namespace
+
+void FusedGalerkinScratch::size_for(ordinal_t rows, ordinal_t nc) {
+  const std::size_t block = static_cast<std::size_t>(nc) * static_cast<std::size_t>(nc);
+  const std::size_t tile = static_cast<std::size_t>(fused_tile_rows(rows, nc));
+  const std::size_t words = bitset_words(nc);
+  dense.resize(block);
+  present.resize(static_cast<std::size_t>(nc) * words);
+  tile_vals.resize(tile * static_cast<std::size_t>(nc));
+  tile_mask.resize(tile * static_cast<std::size_t>(nc));
+  tile_bits.resize(tile * words);
+  owner_cost.resize(static_cast<std::size_t>(nc) + 1);
+}
+
+std::size_t FusedGalerkinScratch::capacity_bytes() const {
+  return dense.capacity() * sizeof(scalar_t) + present.capacity() * sizeof(std::uint64_t) +
+         tile_vals.capacity() * sizeof(scalar_t) + tile_mask.capacity() * sizeof(std::uint64_t) +
+         tile_bits.capacity() * sizeof(std::uint64_t) + owner_cost.capacity() * sizeof(offset_t);
+}
+
+bool fused_galerkin_applies(const CrsMatrix& a, const CrsMatrix& p) {
+  const std::int64_t nc = p.num_cols;
+  return nc * nc <= static_cast<std::int64_t>(a.num_entries());
+}
+
+CrsMatrix galerkin_fused(const CrsMatrix& a, const CrsMatrix& p, FusedGalerkinScratch& scratch) {
+  check_fused_operands(a, p);
+  PARMIS_CHECK_OK(check::validate(a));
+  PARMIS_CHECK_OK(check::validate(p));
+  obs::Span span("spgemm.galerkin_fused");
+  span.arg("rows", a.num_rows);
+  span.arg("nc", p.num_cols);
+  const ordinal_t nc = p.num_cols;
+  const std::size_t ncs = static_cast<std::size_t>(nc);
+  CrsMatrix c;
+  c.num_rows = nc;
+  c.num_cols = nc;
+  c.row_map.assign(ncs + 1, 0);
+  if (nc == 0) return c;
+  fused_galerkin_dense<true>(a, p, scratch);
+  g_rows_traversed.fetch_add(a.num_rows, std::memory_order_relaxed);
+
+  // Emit: each coarse row's present columns, ascending.
+  const std::size_t words = bitset_words(nc);
+  par::parallel_for(nc, [&](ordinal_t r) {
+    const std::uint64_t* bits = scratch.present.data() + static_cast<std::size_t>(r) * words;
+    offset_t count = 0;
+    for (std::size_t w = 0; w < words; ++w) count += std::popcount(bits[w]);
+    c.row_map[static_cast<std::size_t>(r) + 1] = count;
+  });
+  for (std::size_t r = 1; r <= ncs; ++r) c.row_map[r] += c.row_map[r - 1];
+  c.entries.resize(static_cast<std::size_t>(c.row_map.back()));
+  c.values.resize(static_cast<std::size_t>(c.row_map.back()));
+  par::parallel_for(nc, [&](ordinal_t r) {
+    const std::uint64_t* bits = scratch.present.data() + static_cast<std::size_t>(r) * words;
+    const scalar_t* row = scratch.dense.data() + static_cast<std::size_t>(r) * ncs;
+    std::size_t o = static_cast<std::size_t>(c.row_map[r]);
+    for (std::size_t j = 0; j < ncs; ++j) {
+      if (((bits[j / 64] >> (j % 64)) & 1) == 0) continue;
+      c.entries[o] = static_cast<ordinal_t>(j);
+      c.values[o] = row[j];
+      ++o;
+    }
+  });
+  PARMIS_CHECK_OK(check::validate(c));
+  return c;
+}
+
+void galerkin_fused_numeric(const CrsMatrix& a, const CrsMatrix& p,
+                            FusedGalerkinScratch& scratch, CrsMatrix& c) {
+  check_fused_operands(a, p);
+  assert(c.num_rows == p.num_cols && c.num_cols == p.num_cols);
+  PARMIS_CHECK_MSG(c.num_rows == p.num_cols && c.num_cols == p.num_cols,
+                   "galerkin_fused_numeric product shape does not match operands");
+  PARMIS_CHECK(c.values.size() == c.entries.size());
+  if (p.num_cols == 0) return;
+  obs::Span span("spgemm.galerkin_fused_replay");
+  span.arg("rows", a.num_rows);
+  span.arg("nc", p.num_cols);
+  fused_galerkin_dense<false>(a, p, scratch);
+  const std::size_t ncs = static_cast<std::size_t>(p.num_cols);
+  par::parallel_for(c.num_rows, [&](ordinal_t r) {
+    const scalar_t* row = scratch.dense.data() + static_cast<std::size_t>(r) * ncs;
+    for (offset_t e = c.row_map[r]; e < c.row_map[r + 1]; ++e) {
+      c.values[static_cast<std::size_t>(e)] =
+          row[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(e)])];
     }
   });
 }

@@ -31,6 +31,35 @@
 /// - *dense emit*: a row that touched at least 1/8 of the columns is
 ///   emitted by reading its columns off the stamp array in ascending order
 ///   instead of sorting its touched list.
+///
+/// **Fused Galerkin product.** `galerkin_fused` computes the coarse operator
+/// `Pᵀ·A·P` without storing `A·P`. It serves the coarse levels whose dense
+/// `nc × nc` block is no larger than the level operator
+/// (`fused_galerkin_applies`: `nc² ≤ nnz(A)`). There `A·P` is typically
+/// almost dense, and building it as CRS (arenas, zero-fill, scatter copy,
+/// then streaming it from memory once per coarse row) costs more than its
+/// flops. Fine rows go in tiles of about `fused_tile_entries` `A·P` slots:
+/// - each thread forms its share of the tile's `A·P` rows, in the entry
+///   order of `spgemm`, straight into dense tile rows seeded with -0.0, with
+///   a lane mask for each row's structure;
+/// - then each thread owns a contiguous range of coarse rows, balanced by
+///   their `P` column counts, and walks the tile's rows in ascending order:
+///   for each `(a, P[i,a])` it owns, `C[a][j] += P[i,a]·AP[i,j]` across the
+///   row, into a dense block seeded with -0.0. Columns the `A·P` row lacks
+///   add -0.0 through a branch-free select, so the update vectorizes. A cold
+///   build also ORs the row's structure into a bitset per coarse row;
+/// - the dense block is finally written out as CRS (or, on a replay, read
+///   into the existing pattern).
+///
+/// The result is bit-identical to `spgemm(transpose_matrix(p), spgemm(a,
+/// p))`. -0.0 is the exact additive identity (`-0.0 + x == x` bit for bit,
+/// +0.0 included), so a slot seeded with it and then only added to holds
+/// what `spgemm`'s first `=` and later `+=` produce. `A·P`'s rows therefore
+/// hold the same bits, and each `C[a][j]` receives the same products
+/// `P[i,a]·AP[i,j]` in the same ascending-`i` order in which `spgemm` walks
+/// row `a` of `R = Pᵀ`. Tiling, chunking, schedule and thread count decide
+/// only which thread adds a product, never the order in which one entry
+/// receives them.
 
 #include <cstdint>
 #include <span>
@@ -55,13 +84,55 @@ void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c);
 
 /// Pre-size the calling thread's SpGEMM scratch for products with at most
 /// `n` output columns and at most `n` rows. The zero-allocation guarantee
-/// of `spgemm_numeric` is per *thread*: the dense accumulator and the flop
-/// prefix of a parallel replay are thread_local, so the first product a
-/// fresh thread ever runs allocates them. Callers that replay into a
-/// guarded warm path from a thread that never ran a cold build (e.g. a
-/// serving runtime's customize thread) call this first; on an already-warm
-/// thread it is a no-op.
+/// of `spgemm_numeric` and `galerkin_fused_numeric` is per *thread*: the
+/// dense accumulator and the flop prefix of a parallel replay are
+/// thread_local, so the first product a fresh thread ever runs allocates
+/// them. Callers that replay into a guarded warm path from a thread that
+/// never ran a cold build (e.g. a serving runtime's customize thread) call
+/// this first; on an already-warm thread it is a no-op.
 void spgemm_warm_thread(ordinal_t n);
+
+/// `A·P` slots per tile of the fused Galerkin product: a tile holds
+/// `max(1, fused_tile_entries / nc)` fine rows.
+inline constexpr std::int64_t fused_tile_entries = std::int64_t{1} << 18;
+
+/// Caller-owned scratch of the fused Galerkin product: the dense coarse
+/// block and the tile buffers. Owning it outside the kernel (a multilevel
+/// level keeps one) is what makes a replay allocation-free on any thread.
+struct FusedGalerkinScratch {
+  std::vector<scalar_t> dense;          ///< nc × nc coarse block, row-major
+  std::vector<std::uint64_t> present;   ///< structure of `dense`: one nc-bit set per row
+  std::vector<scalar_t> tile_vals;      ///< tile rows × nc: A·P rows of one tile, dense
+  std::vector<std::uint64_t> tile_mask; ///< their structure, one lane per column (all ones = entry)
+  std::vector<std::uint64_t> tile_bits; ///< the same structure as one nc-bit set per row
+  std::vector<offset_t> owner_cost;     ///< nc + 1 scatter-flop prefix over coarse rows
+
+  /// Size every buffer for an `rows`-row level with `nc` coarse columns
+  /// (no-op when already sized so).
+  void size_for(ordinal_t rows, ordinal_t nc);
+  [[nodiscard]] std::size_t capacity_bytes() const;
+};
+
+/// The fused-product gate: true when the dense `nc × nc` coarse block of
+/// `Pᵀ·A·P` is no larger than the level operator `a` (`nc² ≤ nnz(a)`),
+/// `nc = p.num_cols`. Structural only, so a value-only replay always takes
+/// the path its cold build took.
+[[nodiscard]] bool fused_galerkin_applies(const CrsMatrix& a, const CrsMatrix& p);
+
+/// C = Pᵀ·A·P through the fused kernel (see the file comment), with `A·P`
+/// never stored. `a` is square, `p` has `a.num_rows` rows. Bit-identical to
+/// `spgemm(transpose_matrix(p), spgemm(a, p))`, structure included. Sizes
+/// `scratch` for the level.
+[[nodiscard]] CrsMatrix galerkin_fused(const CrsMatrix& a, const CrsMatrix& p,
+                                       FusedGalerkinScratch& scratch);
+
+/// Value-only replay of `galerkin_fused` into `c`, which must hold the
+/// pattern the cold product produced; only `c.values` is rewritten, bit-
+/// identical to a cold product. Zero heap allocations on the calling thread
+/// once `scratch` is sized for the level (`size_for`) and the thread's flop
+/// prefix is warm (`spgemm_warm_thread`).
+void galerkin_fused_numeric(const CrsMatrix& a, const CrsMatrix& p,
+                            FusedGalerkinScratch& scratch, CrsMatrix& c);
 
 /// Structure-only product: pattern of A * B (no values).
 [[nodiscard]] CrsGraph spgemm_symbolic(GraphView a, GraphView b);
@@ -98,10 +169,12 @@ void transpose_numeric(const CrsMatrix& a, std::span<const offset_t> perm, CrsMa
 void extract_diagonal(const CrsMatrix& a, std::span<scalar_t> d);
 
 /// Instrumentation: number of row inner-products computed by `spgemm` /
-/// `spgemm_symbolic` since the last reset (process-wide, relaxed atomic).
-/// A single-pass product traverses each output row exactly once, so after
-/// one `spgemm(a, b)` the counter advances by exactly `a.num_rows` — the
-/// regression guard against reintroducing the two-pass traversal.
+/// `spgemm_symbolic` / `galerkin_fused` since the last reset (process-wide,
+/// relaxed atomic). A single-pass product traverses each output row exactly
+/// once, so after one `spgemm(a, b)` the counter advances by exactly
+/// `a.num_rows` — the regression guard against reintroducing the two-pass
+/// traversal. The fused Galerkin product counts its fine rows, each of
+/// whose `A·P` row it forms once.
 [[nodiscard]] std::int64_t spgemm_rows_traversed();
 
 /// Reset the `spgemm_rows_traversed` counter to zero.

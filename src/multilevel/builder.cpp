@@ -320,8 +320,17 @@ const std::vector<OperatorLevel>& Builder::build_galerkin(graph::CrsMatrix a_fin
       lvl.p = graph::matrix_add(1.0, gl.phat, -opts_.prolongator_omega, gl.ap);
       lvl.r = graph::transpose_matrix(lvl.p);
       gl.tperm = graph::transpose_permutation(lvl.p);
-      gl.apc = graph::spgemm(lvl.a, lvl.p);
-      next = graph::spgemm(lvl.r, gl.apc);
+      // A coarse block no larger than the level operator is built dense by
+      // the fused kernel, which never stores A·P; wider levels keep the two
+      // CRS products.
+      if (graph::fused_galerkin_applies(lvl.a, lvl.p)) {
+        gl.apc = graph::CrsMatrix{};
+        next = graph::galerkin_fused(lvl.a, lvl.p, gl.fused);
+      } else {
+        gl.fused = graph::FusedGalerkinScratch{};
+        gl.apc = graph::spgemm(lvl.a, lvl.p);
+        next = graph::spgemm(lvl.r, gl.apc);
+      }
     }
 
     // Operator-complexity cap: accepting `next` would blow the budget, so
@@ -401,8 +410,12 @@ const std::vector<OperatorLevel>& Builder::rebuild_galerkin(const graph::CrsMatr
     scale_rows(gl.ap, lvl.inv_diag);
     graph::matrix_add_numeric(1.0, gl.phat, -opts_.prolongator_omega, gl.ap, lvl.p);
     graph::transpose_numeric(lvl.p, gl.tperm, lvl.r);
-    graph::spgemm_numeric(lvl.a, lvl.p, gl.apc);
-    graph::spgemm_numeric(lvl.r, gl.apc, h.ops_[l + 1].a);
+    if (graph::fused_galerkin_applies(lvl.a, lvl.p)) {
+      graph::galerkin_fused_numeric(lvl.a, lvl.p, gl.fused, h.ops_[l + 1].a);
+    } else {
+      graph::spgemm_numeric(lvl.a, lvl.p, gl.apc);
+      graph::spgemm_numeric(lvl.r, gl.apc, h.ops_[l + 1].a);
+    }
   }
 
   PARMIS_CHECK_MSG(obs::tracing_enabled() || guard.allocations() == 0,

@@ -47,7 +47,8 @@ std::size_t SetupWorkspace::capacity_bytes() const {
   std::size_t total = coarsen.scratch_bytes() + contraction.capacity_bytes() +
                       bytes_of(spare_step);
   for (const GalerkinLevel& l : galerkin) {
-    total += bytes_of(l.phat) + bytes_of(l.ap) + bytes_of(l.apc) + bytes_of(l.tperm);
+    total += bytes_of(l.phat) + bytes_of(l.ap) + bytes_of(l.apc) + bytes_of(l.tperm) +
+             l.fused.capacity_bytes();
   }
   return total;
 }
@@ -80,6 +81,14 @@ void restore_galerkin(HierarchyHandle& h, std::vector<OperatorLevel> ops,
   // validation, not an internal invariant, and stays on in release.
   const check::Result r = check::validate_hierarchy(ops);
   if (!r) throw std::invalid_argument("restore_galerkin: " + r.diagnostic());
+
+  for (std::size_t l = 0; l < workspace.size(); ++l) {
+    SetupWorkspace::GalerkinLevel& gl = workspace[l];
+    if (graph::fused_galerkin_applies(ops[l].a, ops[l].p)) {
+      gl.apc = graph::CrsMatrix{};
+      gl.fused.size_for(ops[l].a.num_rows, ops[l].p.num_cols);
+    }
+  }
 
   h.steps_.clear();
   h.ops_ = std::move(ops);

@@ -20,6 +20,7 @@
 #include "core/aggregation.hpp"
 #include "core/mis2.hpp"
 #include "graph/crs.hpp"
+#include "graph/spgemm.hpp"
 #include "multilevel/weighted.hpp"
 
 namespace parmis::multilevel {
@@ -89,11 +90,15 @@ struct SetupWorkspace {
   Step spare_step;
 
   /// Galerkin per-level scratch: everything a value-only rebuild needs.
+  /// A level whose coarse block passes `graph::fused_galerkin_applies`
+  /// builds its triple product with the fused kernel: it keeps `fused` and
+  /// an empty `apc`. Every other level keeps `apc` and an empty `fused`.
   struct GalerkinLevel {
     graph::CrsMatrix phat;          ///< tentative prolongator (values fixed by structure)
     graph::CrsMatrix ap;            ///< D⁻¹-scaled A·P̂ (structure fixed, values replayed)
-    graph::CrsMatrix apc;           ///< A·P (structure fixed, values replayed)
+    graph::CrsMatrix apc;           ///< A·P (structure fixed, values replayed); empty when fused
     std::vector<offset_t> tperm;    ///< entry j of P lands at R entry tperm[j]
+    graph::FusedGalerkinScratch fused;  ///< dense coarse block + tile buffers (fused levels)
   };
   std::vector<GalerkinLevel> galerkin;
 
@@ -157,7 +162,9 @@ class HierarchyHandle {
 /// are recomputed from the levels and the handle solves immediately. When
 /// `workspace` is supplied (size `ops.size() - 1`, the per-level Galerkin
 /// rebuild scratch the snapshot format preserves) the handle additionally
-/// keeps the warm zero-allocation `rebuild_galerkin` contract; an empty
+/// keeps the warm zero-allocation `rebuild_galerkin` contract: the fused
+/// levels' scratch is sized here, and an `apc` a fused level does not use
+/// (written by an older build) is dropped; an empty
 /// workspace restores a solve-only hierarchy and a later `rebuild_galerkin`
 /// throws instead of replaying into missing structures. Throws
 /// std::invalid_argument on an empty or shape-inconsistent level stack.

@@ -112,8 +112,10 @@ class SnapshotWriter {
   /// A built Galerkin hierarchy: operator levels, transfers, inverted
   /// diagonals, and — when the handle holds one — the per-level rebuild
   /// workspace (`phat`/`ap`/`apc`/`tperm`), so the loaded hierarchy keeps
-  /// the warm `rebuild_galerkin` contract. Throws std::invalid_argument if
-  /// the handle has no Galerkin levels.
+  /// the warm `rebuild_galerkin` contract. A level built by the fused
+  /// Galerkin kernel stores no A·P: its `.apc` section holds an empty 0×0
+  /// matrix, and loading sizes the fused scratch instead. Throws
+  /// std::invalid_argument if the handle has no Galerkin levels.
   void add_hierarchy(const std::string& name, const multilevel::HierarchyHandle& h);
 
   /// Write the TOC + header and close. Throws SnapshotError on I/O

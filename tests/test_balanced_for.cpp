@@ -4,8 +4,8 @@
 /// `balanced_for` under every schedule, the balanced reductions, the work
 /// gate of `balanced_chunks_by_work`, the single-pass SpGEMM (equivalence
 /// against the historical two-pass reference — including a few-row dense
-/// Galerkin product and its replay — plus the traversal-counter regression
-/// guard), and the parallel transpose.
+/// Galerkin product and its replay, and the fused Galerkin kernel — plus the
+/// traversal-counter regression guard), and the parallel transpose.
 
 #include <gtest/gtest.h>
 
@@ -373,6 +373,19 @@ TEST(SpgemmFused, SinglePassTraversalCounter) {
     (void)graph::spgemm_symbolic(a, a);
     EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
   }
+  // The fused Galerkin product forms each fine row's A·P row once and
+  // never traverses a coarse row.
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::OperatorLevel>& ops =
+      multilevel::Builder(multilevel::Options{}).build_galerkin(a, h);
+  ASSERT_GE(ops.size(), 2u);
+  for (auto [backend, threads] : cfgs) {
+    ScopedExecution scope(backend, threads, Schedule::EdgeBalanced);
+    graph::FusedGalerkinScratch scratch;
+    graph::spgemm_reset_stats();
+    (void)graph::galerkin_fused(ops[0].a, ops[0].p, scratch);
+    EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
+  }
 }
 
 /// Value bit patterns: `==` on doubles equates +0.0 with -0.0, and the
@@ -513,6 +526,77 @@ TEST(SpgemmFused, FewRowsDenseProductMatchesReferenceAcrossConfigs) {
       const graph::CrsGraph pattern = graph::spgemm_symbolic(r, ap);
       EXPECT_EQ(pattern.row_map, c.row_map) << where;
       EXPECT_EQ(pattern.entries, c.entries) << where;
+    }
+  }
+
+  // The fused Galerkin product Pᵀ·A·P against the two CRS products it
+  // replaces, on a level large enough for three tiles of A·P rows. P is
+  // reshaped on the same pattern: column 0 holds zeros of alternating sign,
+  // column 1 holds -0.0, and column 2 holds ±1 by row parity. A's values
+  // are small integers, so every product and sum through column 2 is exact
+  // and some of them cancel to exactly +0.0.
+  const graph::CrsMatrix big =
+      graph::laplacian_matrix(graph::power_law_graph(4000, 2.2, 4, 64, 42), 1.0);
+  multilevel::HierarchyHandle big_h;
+  const std::vector<multilevel::OperatorLevel>& big_ops =
+      multilevel::Builder(multilevel::Options{}).build_galerkin(big, big_h);
+  ASSERT_GE(big_ops.size(), 2u);
+  const graph::CrsMatrix& fa = big_ops[0].a;
+  graph::CrsMatrix fp = big_ops[0].p;
+  ASSERT_TRUE(graph::fused_galerkin_applies(fa, fp));
+  ASSERT_GE(fp.num_cols, 3);
+  ASSERT_GT(fa.num_rows, 2 * (graph::fused_tile_entries / fp.num_cols));
+  for (ordinal_t i = 0; i < fp.num_rows; ++i) {
+    for (offset_t e = fp.row_map[i]; e < fp.row_map[i + 1]; ++e) {
+      const ordinal_t col = fp.entries[static_cast<std::size_t>(e)];
+      scalar_t& v = fp.values[static_cast<std::size_t>(e)];
+      if (col == 0) v = (i % 2 == 0) ? 0.0 : -0.0;
+      if (col == 1) v = -0.0;
+      if (col == 2) v = (i % 2 == 0) ? 1.0 : -1.0;
+    }
+  }
+  const graph::CrsMatrix fap = spgemm_two_pass_reference(fa, fp);
+  const graph::CrsMatrix fref = spgemm_two_pass_reference(graph::transpose_matrix(fp), fap);
+  int full_rows = 0;
+  int cancelled = 0;
+  for (ordinal_t i = 0; i < fap.num_rows; ++i) {
+    full_rows += fap.degree(i) == fap.num_cols ? 1 : 0;
+    for (offset_t e = fap.row_map[i]; e < fap.row_map[i + 1]; ++e) {
+      const scalar_t v = fap.values[static_cast<std::size_t>(e)];
+      const bool plus_zero = std::bit_cast<std::uint64_t>(v) == 0;
+      cancelled += fap.entries[static_cast<std::size_t>(e)] == 2 && plus_zero ? 1 : 0;
+    }
+  }
+  EXPECT_GT(full_rows, 0);
+  EXPECT_LT(full_rows, fap.num_rows);  // partial rows take the masked update
+  EXPECT_GT(cancelled, 0);
+  int fused_negative_zeros = 0;
+  int fused_positive_zeros = 0;
+  for (scalar_t v : fref.values) {
+    if (v != 0.0) continue;
+    ++(std::signbit(v) ? fused_negative_zeros : fused_positive_zeros);
+  }
+  EXPECT_GT(fused_negative_zeros, 0);
+  EXPECT_GT(fused_positive_zeros, 0);
+
+  const std::vector<std::uint64_t> fref_bits = bits_of(fref.values);
+  graph::FusedGalerkinScratch scratch;
+  for (Schedule s : {Schedule::Static, Schedule::EdgeBalanced, Schedule::Dynamic}) {
+    for (auto [backend, threads] : cfgs) {
+      ScopedExecution scope(backend, threads, s);
+      const std::string where = "fused backend=" + std::to_string(static_cast<int>(backend)) +
+                                " threads=" + std::to_string(threads) +
+                                " schedule=" + std::to_string(static_cast<int>(s));
+      const graph::CrsMatrix c = graph::galerkin_fused(fa, fp, scratch);
+      EXPECT_EQ(c.row_map, fref.row_map) << where;
+      EXPECT_EQ(c.entries, fref.entries) << where;
+      EXPECT_EQ(bits_of(c.values), fref_bits) << where;
+
+      graph::CrsMatrix replay = c;
+      std::fill(replay.values.begin(), replay.values.end(),
+                std::numeric_limits<scalar_t>::quiet_NaN());
+      graph::galerkin_fused_numeric(fa, fp, scratch, replay);
+      EXPECT_EQ(bits_of(replay.values), fref_bits) << where;
     }
   }
 }

@@ -24,6 +24,7 @@
 
 #include "check/digest.hpp"
 #include "graph/generators.hpp"
+#include "graph/spgemm.hpp"
 #include "multilevel/builder.hpp"
 #include "resilience/fault.hpp"
 #include "serve/pool.hpp"
@@ -75,6 +76,12 @@ void expect_levels_equal(const std::vector<multilevel::OperatorLevel>& x,
     EXPECT_EQ(level_digest(x[i]), level_digest(y[i])) << what << " level " << i;
     EXPECT_EQ(x[i].num_aggregates, y[i].num_aggregates) << what << " level " << i;
   }
+}
+
+/// A power-law Laplacian whose first coarse block is dense: the fused
+/// Galerkin kernel builds and replays it.
+graph::CrsMatrix power_law_operator() {
+  return graph::laplacian_matrix(graph::power_law_graph(2000, 2.2, 4, 64, 42), 1.0);
 }
 
 /// A small Galerkin hierarchy the service tests share the shape of.
@@ -232,32 +239,57 @@ TEST(ServeSnapshot, VersionAndMagicMismatchRejected) {
 }
 
 TEST(ServeSnapshot, HierarchyRoundTripKeepsWarmRebuild) {
-  const graph::CrsMatrix a = graph::laplace2d(24, 24);
-  multilevel::Builder builder(small_hierarchy_options());
-  multilevel::HierarchyHandle built;
-  (void)builder.build_galerkin(a, built);
-  ASSERT_GE(built.ops().size(), 2u);
+  // A mesh, whose first level keeps the two CRS Galerkin products, and a
+  // power-law Laplacian, whose first coarse block is dense and built by the
+  // fused kernel (its `.apc` section is empty).
+  const graph::CrsMatrix inputs[] = {graph::laplace2d(24, 24), power_law_operator()};
+  for (const graph::CrsMatrix& a : inputs) {
+    const std::string what = "rows=" + std::to_string(a.num_rows);
+    multilevel::Builder builder(small_hierarchy_options());
+    multilevel::HierarchyHandle built;
+    (void)builder.build_galerkin(a, built);
+    ASSERT_GE(built.ops().size(), 2u) << what;
+    const bool fused = graph::fused_galerkin_applies(built.ops()[0].a, built.ops()[0].p);
+    EXPECT_EQ(fused, &a == &inputs[1]) << what;
+    EXPECT_EQ(multilevel::galerkin_workspace(built)[0].apc.num_entries() == 0, fused) << what;
 
-  TempFile file("serve_hier.snap");
-  save_snapshot(file.path, a, &built);
-  const SnapshotView snap = SnapshotView::open(file.path);
-  EXPECT_EQ(snap.hierarchy_levels("hierarchy"),
-            static_cast<int>(built.ops().size()));
-  EXPECT_TRUE(snap.hierarchy_has_workspace("hierarchy"));
+    TempFile file("serve_hier.snap");
+    save_snapshot(file.path, a, &built);
+    const SnapshotView snap = SnapshotView::open(file.path);
+    EXPECT_EQ(snap.hierarchy_levels("hierarchy"), static_cast<int>(built.ops().size())) << what;
+    EXPECT_TRUE(snap.hierarchy_has_workspace("hierarchy")) << what;
 
-  multilevel::HierarchyHandle loaded;
-  snap.load_hierarchy("hierarchy", loaded);
-  expect_levels_equal(built.ops(), loaded.ops(), "loaded hierarchy");
+    multilevel::HierarchyHandle loaded;
+    snap.load_hierarchy("hierarchy", loaded);
+    expect_levels_equal(built.ops(), loaded.ops(), "loaded hierarchy");
 
-  // The serialized rebuild workspace keeps the warm customize contract:
-  // a value-only replay on the loaded handle matches the replay on the
-  // handle that was saved, level for level.
-  graph::CrsMatrix a2 = a;
-  for (scalar_t& v : a2.values) v *= 1.25;
-  multilevel::Builder rebuilder(small_hierarchy_options());
-  (void)builder.rebuild_galerkin(a2, built);
-  (void)rebuilder.rebuild_galerkin(a2, loaded);
-  expect_levels_equal(built.ops(), loaded.ops(), "warm rebuild after load");
+    // A snapshot from an older writer carries the full A·P of a dense
+    // level and no fused scratch; restoring it (what `load_hierarchy` does
+    // with the sections it read) must drop the A·P and size the scratch,
+    // so the warm replay below still works.
+    std::vector<multilevel::SetupWorkspace::GalerkinLevel> legacy_ws =
+        multilevel::galerkin_workspace(built);
+    for (std::size_t l = 0; l < legacy_ws.size(); ++l) {
+      legacy_ws[l].apc = graph::spgemm(built.ops()[l].a, built.ops()[l].p);
+      legacy_ws[l].fused = graph::FusedGalerkinScratch{};
+    }
+    multilevel::HierarchyHandle legacy;
+    multilevel::restore_galerkin(legacy, built.ops(), std::move(legacy_ws),
+                                 multilevel::StopReason::CoarseEnough);
+    EXPECT_EQ(multilevel::galerkin_workspace(legacy)[0].apc.num_entries() == 0, fused) << what;
+
+    // The serialized rebuild workspace keeps the warm customize contract:
+    // a value-only replay on the loaded handle matches the replay on the
+    // handle that was saved, level for level.
+    graph::CrsMatrix a2 = a;
+    for (scalar_t& v : a2.values) v *= 1.25;
+    multilevel::Builder rebuilder(small_hierarchy_options());
+    (void)builder.rebuild_galerkin(a2, built);
+    (void)rebuilder.rebuild_galerkin(a2, loaded);
+    (void)rebuilder.rebuild_galerkin(a2, legacy);
+    expect_levels_equal(built.ops(), loaded.ops(), "warm rebuild after load");
+    expect_levels_equal(built.ops(), legacy.ops(), "warm rebuild after legacy restore");
+  }
 }
 
 TEST(ServeSnapshot, SolveOnlyRestoreRejectsRebuild) {
@@ -446,7 +478,7 @@ Service::Options amg_service_options(std::size_t pool_size = 4) {
   return o;
 }
 
-/// An AMG service over laplace2d(24,24) with the full rebuild workspace.
+/// An AMG service over `a` with the full rebuild workspace.
 Service make_amg_service(const graph::CrsMatrix& a, std::size_t pool_size = 4) {
   multilevel::Builder builder(small_hierarchy_options());
   multilevel::HierarchyHandle h;
@@ -560,28 +592,43 @@ TEST(ServeService, CustomizeSwapIsDeterministicAcrossThreads) {
 }
 
 TEST(ServeService, CustomizeMatchesColdBuild) {
-  const graph::CrsMatrix a = graph::laplace2d(24, 24);
-  graph::CrsMatrix a2 = a;
-  for (scalar_t& v : a2.values) v *= 1.25;
+  const graph::CrsMatrix inputs[] = {graph::laplace2d(24, 24), power_law_operator()};
+  for (const graph::CrsMatrix& a : inputs) {
+    const std::string what = "rows=" + std::to_string(a.num_rows);
+    graph::CrsMatrix a2 = a;
+    for (scalar_t& v : a2.values) v *= 1.25;
 
-  // Warm: customize replays the hierarchy value-only and publishes.
-  Service warm = make_amg_service(a);
-  const std::uint64_t e1 = warm.customize(a2.values);
-  EXPECT_EQ(e1, 1u);
-  EXPECT_EQ(warm.state(e1)->values_digest, check::digest(a2.values));
+    // Warm: customize replays the hierarchy value-only and publishes. It
+    // runs on a thread that never ran a cold build, as a serving write
+    // does; check builds assert the replay allocates nothing there.
+    Service warm = make_amg_service(a);
+    std::uint64_t e1 = 0;
+    std::string error;
+    std::thread writer([&] {
+      try {
+        e1 = warm.customize(a2.values);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    });
+    writer.join();
+    ASSERT_EQ(error, "") << what;
+    EXPECT_EQ(e1, 1u) << what;
+    EXPECT_EQ(warm.state(e1)->values_digest, check::digest(a2.values)) << what;
 
-  // Cold: a fresh service built from scratch on the refreshed values.
-  Service cold = make_amg_service(a2);
+    // Cold: a fresh service built from scratch on the refreshed values.
+    Service cold = make_amg_service(a2);
 
-  ServeRequest req;
-  req.rhs_seed = 11;
-  req.epoch = e1;
-  const RequestOutcome warm_out = warm.solve(req);
-  req.epoch = 0;
-  const RequestOutcome cold_out = cold.solve(req);
-  EXPECT_TRUE(warm_out.converged);
-  EXPECT_EQ(warm_out.solution_digest, cold_out.solution_digest);
-  EXPECT_EQ(warm_out.iterations, cold_out.iterations);
+    ServeRequest req;
+    req.rhs_seed = 11;
+    req.epoch = e1;
+    const RequestOutcome warm_out = warm.solve(req);
+    req.epoch = 0;
+    const RequestOutcome cold_out = cold.solve(req);
+    EXPECT_TRUE(warm_out.converged) << what;
+    EXPECT_EQ(warm_out.solution_digest, cold_out.solution_digest) << what;
+    EXPECT_EQ(warm_out.iterations, cold_out.iterations) << what;
+  }
 }
 
 TEST(ServeService, CustomizeValidatesAndExpiresHistory) {
