@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/aggregation.hpp"
+#include "core/coarsen.hpp"
 #include "core/mis2.hpp"
 #include "core/status_tuple.hpp"
 #include "graph/generators.hpp"
@@ -204,6 +205,19 @@ void BM_aggregate_handle_warm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_entries());
 }
 BENCHMARK(BM_aggregate_handle_warm)->Arg(1 << 14)->Arg(1 << 17);
+
+// Quotient-graph contraction alone: aggregate once, contract in the loop.
+void BM_coarse_graph_rgg(benchmark::State& state) {
+  const ordinal_t n = static_cast<ordinal_t>(state.range(0));
+  const graph::CrsGraph g = graph::random_geometric_3d(n, 16.0, 5);
+  core::CoarsenHandle handle;
+  const core::Aggregation& agg = handle.aggregate_mis2(g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::coarse_graph(g, agg));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_entries());
+}
+BENCHMARK(BM_coarse_graph_rgg)->Arg(1 << 14)->Arg(1 << 17);
 
 // Full multilevel hierarchies with one handle across all levels vs a fresh
 // handle per build — the hierarchy case the redesign targets.

@@ -27,7 +27,9 @@
 ///
 /// `--digest` appends a `digest: 0x...` line hashing the command's result
 /// array (check::digest, FNV-1a) — one word to diff across machines and
-/// backends when checking the bit-identity contract.
+/// backends when checking the bit-identity contract. With `aggregate` it
+/// also contracts the aggregation and adds a `coarse_digest: 0x...` line
+/// hashing the quotient graph (`core::coarse_graph`).
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include "coloring/d2_coloring.hpp"
 #include "coloring/verify.hpp"
 #include "core/aggregation.hpp"
+#include "core/coarsen.hpp"
 #include "core/mis2.hpp"
 #include "core/verify.hpp"
 #include "graph_inputs.hpp"
@@ -118,6 +121,10 @@ int main(int argc, char** argv) {
                 s.min_size, s.max_size, s.avg_size, timer.seconds(),
                 core::verify_aggregation(g, agg) ? "yes" : "NO");
     print_digest(check::digest(agg.labels));
+    if (want_digest) {
+      std::printf("coarse_digest: %s\n",
+                  check::digest_hex(check::digest(core::coarse_graph(g, agg))).c_str());
+    }
   } else if (cmd == "color-d1") {
     const coloring::Coloring c = coloring::parallel_d1_coloring(g);
     std::printf("distance-1 coloring: %d colors, %d rounds, %.3f s, valid=%s\n", c.num_colors,

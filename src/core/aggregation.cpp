@@ -8,6 +8,7 @@
 #include "check/check.hpp"
 #include "check/validate.hpp"
 #include "obs/trace.hpp"
+#include "parallel/balanced_for.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_scan.hpp"
@@ -68,8 +69,8 @@ void build_basic(graph::GraphView g, const Mis2Result& mis, Aggregation& agg,
 
 std::size_t CoarsenHandle::scratch_bytes() const {
   return mis2_.scratch_bytes() + active_.capacity() * sizeof(char) +
-         (tent_.capacity() + agg_size_.capacity() + accepted_.capacity() + mate_.capacity() +
-          order_.capacity()) *
+         (tent_.capacity() + agg_size_.capacity() + coupling_.capacity() + accepted_.capacity() +
+          mate_.capacity() + order_.capacity()) *
              sizeof(ordinal_t) +
          flags_.capacity() * sizeof(std::int64_t);
 }
@@ -165,50 +166,54 @@ const Aggregation& CoarsenHandle::aggregate_mis2(graph::GraphView g) {
   {
     PARMIS_SPAN("aggregate.cleanup");
     tent_.assign(agg.labels.begin(), agg.labels.end());
-    const std::vector<ordinal_t>& tent = tent_;
+    const ordinal_t* tent = tent_.data();
+    const ordinal_t na = agg.num_aggregates;
 
-    // Aggregate sizes under the tentative labels (serial histogram: O(n)
-    // integer counting, negligible next to the coupling pass).
-    agg_size_.assign(static_cast<std::size_t>(agg.num_aggregates), 0);
-    for (ordinal_t v = 0; v < n; ++v) {
-      const ordinal_t a = tent[static_cast<std::size_t>(v)];
-      if (a != invalid_ordinal) ++agg_size_[static_cast<std::size_t>(a)];
-    }
+    // Tentative aggregate sizes: phases 1 and 2 label only a root and some
+    // of its neighbors, so each root counts its own aggregate.
+    agg_size_.resize(static_cast<std::size_t>(na));
+    par::parallel_for(na, [&](ordinal_t a) {
+      ordinal_t size = 1;
+      for (ordinal_t w : g.row(agg.roots[static_cast<std::size_t>(a)])) size += tent[w] == a;
+      agg_size_[static_cast<std::size_t>(a)] = size;
+    });
 
-    par::parallel_for(n, [&](ordinal_t v) {
-      if (tent[static_cast<std::size_t>(v)] != invalid_ordinal) return;
-      // Count coupling to each adjacent aggregate by sorting the (few)
-      // labeled neighbor ids and scanning runs.
-      thread_local std::vector<ordinal_t> nbr_labels;
-      nbr_labels.clear();
-      for (ordinal_t w : g.row(v)) {
-        const ordinal_t a = tent[static_cast<std::size_t>(w)];
-        if (a != invalid_ordinal) nbr_labels.push_back(a);
-      }
-      assert(!nbr_labels.empty() && "maximality violated in cleanup phase");
-      std::sort(nbr_labels.begin(), nbr_labels.end());
-
-      ordinal_t best_agg = invalid_ordinal;
-      ordinal_t best_coupling = 0;
-      ordinal_t best_size = max_ordinal;
-      std::size_t i = 0;
-      while (i < nbr_labels.size()) {
-        const ordinal_t a = nbr_labels[i];
-        std::size_t j = i;
-        while (j < nbr_labels.size() && nbr_labels[j] == a) ++j;
-        const ordinal_t coupling = static_cast<ordinal_t>(j - i);
-        const ordinal_t size = agg_size_[static_cast<std::size_t>(a)];
-        // Max coupling; tie -> min tentative size; tie -> min id (ids are
-        // scanned ascending, so strict inequalities keep the first).
-        if (coupling > best_coupling ||
-            (coupling == best_coupling && size < best_size)) {
-          best_agg = a;
-          best_coupling = coupling;
-          best_size = size;
+    // Coupling of a leftover vertex to each adjacent aggregate, counted in
+    // its chunk's row of `coupling_`. A second sweep over the same
+    // neighbors evaluates each aggregate at its first occurrence and resets
+    // its counter, so the counters are all zero again after every vertex,
+    // and a resize for another layout keeps them so.
+    const int nchunks = par::balanced_chunk_count();
+    const std::size_t stride = static_cast<std::size_t>(na);
+    coupling_.resize(static_cast<std::size_t>(nchunks) * stride, 0);
+    par::balanced_chunks(n, par::schedule_uses_costs() ? g.row_map : nullptr,
+                         [&](int q, ordinal_t lo, ordinal_t hi) {
+      ordinal_t* coupling = coupling_.data() + static_cast<std::size_t>(q) * stride;
+      for (ordinal_t v = lo; v < hi; ++v) {
+        if (tent[v] != invalid_ordinal) continue;
+        for (ordinal_t w : g.row(v)) {
+          if (tent[w] != invalid_ordinal) ++coupling[tent[w]];
         }
-        i = j;
+        ordinal_t best_agg = invalid_ordinal;
+        ordinal_t best_coupling = 0;
+        ordinal_t best_size = max_ordinal;
+        for (ordinal_t w : g.row(v)) {
+          const ordinal_t a = tent[w];
+          if (a == invalid_ordinal || coupling[a] == 0) continue;
+          const ordinal_t c = coupling[a];
+          const ordinal_t size = agg_size_[static_cast<std::size_t>(a)];
+          coupling[a] = 0;
+          // Max coupling; tie -> min tentative size; tie -> min id.
+          if (c > best_coupling ||
+              (c == best_coupling && (size < best_size || (size == best_size && a < best_agg)))) {
+            best_agg = a;
+            best_coupling = c;
+            best_size = size;
+          }
+        }
+        assert(best_agg != invalid_ordinal && "maximality violated in cleanup phase");
+        agg.labels[static_cast<std::size_t>(v)] = best_agg;
       }
-      agg.labels[static_cast<std::size_t>(v)] = best_agg;
     });
   }
 

@@ -28,10 +28,11 @@
 /// registry (coarsener.hpp).
 ///
 /// `CoarsenHandle` owns all aggregation scratch (the nested MIS-2 handle,
-/// the active mask, tentative-label snapshot, size histogram, matching
-/// buffers) and reuses it across calls and across hierarchy levels: warm
-/// repeated aggregations allocate nothing beyond the returned labels. The
-/// free functions remain as thin wrappers over a transient handle.
+/// the active mask, tentative-label snapshot, aggregate sizes, coupling
+/// counters, matching buffers) and reuses it across calls and across
+/// hierarchy levels: warm repeated aggregations allocate nothing beyond the
+/// returned labels. The free functions remain as thin wrappers over a
+/// transient handle.
 ///
 /// All schemes are deterministic for any backend/thread count.
 
@@ -106,7 +107,8 @@ class CoarsenHandle {
   Aggregation agg_;
   std::vector<char> active_;        ///< leftover mask for Algorithm 3 phase 2
   std::vector<ordinal_t> tent_;     ///< immutable tentative labels (phase 3)
-  std::vector<ordinal_t> agg_size_; ///< aggregate-size histogram (phase 3)
+  std::vector<ordinal_t> agg_size_; ///< tentative aggregate sizes (phase 3)
+  std::vector<ordinal_t> coupling_; ///< per-chunk coupling counters, zero between uses (phase 3)
   std::vector<ordinal_t> accepted_; ///< accepted secondary roots
   std::vector<ordinal_t> mate_;     ///< HEM partner array
   std::vector<ordinal_t> order_;    ///< HEM hashed visit order

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
 #include "obs/trace.hpp"
 #include "parallel/balanced_for.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/parallel_scan.hpp"
 
 namespace parmis::core {
@@ -54,113 +56,110 @@ AggregateMembers aggregate_members(const Aggregation& agg) {
   return m;
 }
 
-namespace {
-
-/// Stamp-marker workspace for coarse-row deduplication (same pattern as
-/// SpGEMM's accumulator).
-struct Workspace {
-  std::vector<std::uint64_t> stamp_of;
-  std::vector<ordinal_t> touched;
-  std::uint64_t stamp{0};
-
-  void ensure(ordinal_t ncols) {
-    if (stamp_of.size() < static_cast<std::size_t>(ncols)) {
-      stamp_of.assign(static_cast<std::size_t>(ncols), 0);
-      stamp = 0;
-    }
-  }
-};
-
-thread_local Workspace t_ws;
-
-}  // namespace
-
 graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   assert(agg.labels.size() == static_cast<std::size_t>(g.num_rows));
   PARMIS_CHECK_OK(check::validate(agg, g.num_rows));
-  const AggregateMembers mem = [&] {
-    PARMIS_SPAN("coarse_graph.members");
-    return aggregate_members(agg);
-  }();
   const ordinal_t nc = agg.num_aggregates;
-
+  const ordinal_t* label = agg.labels.data();
   graph::CrsGraph c;
   c.num_rows = nc;
   c.num_cols = nc;
   c.row_map.assign(static_cast<std::size_t>(nc) + 1, 0);
   if (nc == 0) return c;
-  // The rest of the contraction: cost prefix, coarse-row collection and
-  // the scatter into the final entries.
-  PARMIS_SPAN("coarse_graph.collect");
 
-  // Per-aggregate collection cost = Σ over members of (degree + 1);
-  // aggregates around fine-level hubs dwarf the rest, so split the sweep
-  // into equal-cost chunks instead of equal aggregate counts.
-  const bool edge_balanced = par::schedule_uses_costs();
-  std::vector<offset_t> cost;
-  if (edge_balanced) {
-    cost.resize(static_cast<std::size_t>(nc) + 1);
-    par::parallel_for(nc, [&](ordinal_t a) {
-      offset_t w = 1;
-      for (offset_t mi = mem.offsets[static_cast<std::size_t>(a)];
-           mi < mem.offsets[static_cast<std::size_t>(a) + 1]; ++mi) {
-        const ordinal_t v = mem.members[static_cast<std::size_t>(mi)];
-        w += g.row_map[v + 1] - g.row_map[v] + 1;
+  // Two counting sorts over identical chunk sequences, each a histogram
+  // pass and a placement pass sharing the per-chunk rows of `counts`.
+  const std::size_t nkeys = static_cast<std::size_t>(nc);
+  const int nchunks = par::balanced_chunk_count();
+  const bool by_cost = par::schedule_uses_costs();
+  std::vector<offset_t> counts(static_cast<std::size_t>(nchunks) * nkeys, 0);
+  auto chunk_row = [&](int q) { return counts.data() + static_cast<std::size_t>(q) * nkeys; };
+
+  // Fine rows in storage order: `take(cnt, a, fresh, k)` receives the
+  // chunk's row of `counts`, a = label(v) and the k distinct foreign labels
+  // among v's neighbors. Branch-free stamp dedup: v's own aggregate is
+  // pre-stamped, so it drops out.
+  auto walk_fine = [&](auto&& take) {
+    par::balanced_chunks(g.num_rows, by_cost ? g.row_map : nullptr,
+                         [&](int q, ordinal_t lo, ordinal_t hi) {
+      std::vector<ordinal_t> mark(nkeys, invalid_ordinal);
+      ordinal_t max_degree = 0;
+      for (ordinal_t v = lo; v < hi; ++v) max_degree = std::max(max_degree, g.degree(v));
+      std::vector<ordinal_t> fresh(static_cast<std::size_t>(max_degree));
+      for (ordinal_t v = lo; v < hi; ++v) {
+        mark[label[v]] = v;
+        ordinal_t k = 0;
+        for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
+          const ordinal_t b = label[g.entries[j]];
+          const ordinal_t old = mark[b];
+          mark[b] = v;
+          fresh[k] = b;
+          k += old != v;
+        }
+        take(chunk_row(q), label[v], fresh.data(), k);
       }
-      cost[static_cast<std::size_t>(a)] = w;
     });
-    cost[static_cast<std::size_t>(nc)] = 0;
-    par::exclusive_scan_inplace(std::span<offset_t>(cost));
+  };
+  std::vector<offset_t> seg(nkeys + 1, 0);
+  {
+    PARMIS_SPAN("coarse_graph.count");
+    walk_fine([](offset_t* cnt, ordinal_t a, const ordinal_t*, ordinal_t k) { cnt[a] += k; });
+    par::chunked_cursor_scan(nc, nchunks, counts, seg);
+    par::inclusive_scan_inplace(std::span<offset_t>(seg.data() + 1, nkeys));
+  }
+  // One bucket entry per (fine vertex, foreign aggregate) pair, filed under
+  // the vertex's aggregate. Every slot is written, so no zero fill.
+  const auto bucket =
+      std::make_unique_for_overwrite<ordinal_t[]>(static_cast<std::size_t>(seg[nkeys]));
+  {
+    PARMIS_SPAN("coarse_graph.group");
+    walk_fine([&](offset_t* cursor, ordinal_t a, const ordinal_t* fresh, ordinal_t k) {
+      std::copy_n(fresh, k, bucket.get() + seg[a] + cursor[a]);
+      cursor[a] += k;
+    });
   }
 
-  // Single collection pass (the old builder re-ran it to size the rows):
-  // each chunk dedups its aggregates' coarse rows into an arena; after the
-  // row-length scan a scatter pass copies arenas into the final entries.
-  const int nchunks = par::balanced_chunk_count();
-  std::vector<std::vector<ordinal_t>> arenas(static_cast<std::size_t>(nchunks));
-  std::vector<int> arena_of(static_cast<std::size_t>(nc));
-  std::vector<offset_t> arena_off(static_cast<std::size_t>(nc));
-
-  par::balanced_chunks(nc, edge_balanced ? cost.data() : nullptr,
-                       [&](int chunk, ordinal_t lo, ordinal_t hi) {
-    std::vector<ordinal_t>& arena = arenas[static_cast<std::size_t>(chunk)];
-    Workspace& ws = t_ws;
-    ws.ensure(nc);
+  // Rows: dedup each segment in place, counting survivors b per chunk;
+  // then scatter each kept pair (a, b) into row b. Aggregates go in
+  // ascending order, so every row receives its columns sorted, and by
+  // symmetry row b of that transpose is the quotient row of b.
+  PARMIS_SPAN("coarse_graph.rows");
+  const offset_t* seg_cost = by_cost ? seg.data() : nullptr;
+  const auto kept = std::make_unique_for_overwrite<offset_t[]>(nkeys);
+  std::fill(counts.begin(), counts.end(), 0);
+  par::balanced_chunks(nc, seg_cost, [&](int q, ordinal_t lo, ordinal_t hi) {
+    offset_t* cnt = chunk_row(q);
+    std::vector<ordinal_t> mark(nkeys, invalid_ordinal);
     for (ordinal_t a = lo; a < hi; ++a) {
-      ++ws.stamp;
-      ws.touched.clear();
-      for (offset_t mi = mem.offsets[static_cast<std::size_t>(a)];
-           mi < mem.offsets[static_cast<std::size_t>(a) + 1]; ++mi) {
-        const ordinal_t v = mem.members[static_cast<std::size_t>(mi)];
-        for (ordinal_t w : g.row(v)) {
-          const ordinal_t b = agg.labels[static_cast<std::size_t>(w)];
-          if (b == a) continue;
-          if (ws.stamp_of[static_cast<std::size_t>(b)] != ws.stamp) {
-            ws.stamp_of[static_cast<std::size_t>(b)] = ws.stamp;
-            ws.touched.push_back(b);
-          }
-        }
+      ordinal_t* row = bucket.get() + seg[a];
+      offset_t k = 0;
+      for (offset_t i = 0; i < seg[a + 1] - seg[a]; ++i) {
+        const ordinal_t b = row[i];
+        const bool is_new = mark[b] != a;
+        mark[b] = a;
+        row[k] = b;
+        cnt[b] += is_new;
+        k += is_new;
       }
-      std::sort(ws.touched.begin(), ws.touched.end());
-      arena_of[static_cast<std::size_t>(a)] = chunk;
-      arena_off[static_cast<std::size_t>(a)] = static_cast<offset_t>(arena.size());
-      arena.insert(arena.end(), ws.touched.begin(), ws.touched.end());
-      c.row_map[static_cast<std::size_t>(a) + 1] = static_cast<offset_t>(ws.touched.size());
+      kept[a] = k;
     }
   });
-
-  par::inclusive_scan_inplace(
-      std::span<offset_t>(c.row_map.data() + 1, static_cast<std::size_t>(nc)));
+  par::chunked_cursor_scan(nc, nchunks, counts, c.row_map);
+  par::inclusive_scan_inplace(std::span<offset_t>(c.row_map.data() + 1, nkeys));
   c.entries.resize(static_cast<std::size_t>(c.row_map.back()));
-  par::balanced_for(nc, c.row_map.data(), [&](ordinal_t a) {
-    const std::vector<ordinal_t>& arena =
-        arenas[static_cast<std::size_t>(arena_of[static_cast<std::size_t>(a)])];
-    std::copy_n(arena.begin() + static_cast<std::ptrdiff_t>(arena_off[static_cast<std::size_t>(a)]),
-                c.row_map[a + 1] - c.row_map[a],
-                c.entries.begin() + static_cast<std::ptrdiff_t>(c.row_map[a]));
+  par::balanced_chunks(nc, seg_cost, [&](int q, ordinal_t lo, ordinal_t hi) {
+    offset_t* cursor = chunk_row(q);
+    for (ordinal_t a = lo; a < hi; ++a) {
+      for (offset_t i = seg[a]; i < seg[a] + kept[a]; ++i) {
+        const ordinal_t b = bucket[i];
+        c.entries[c.row_map[b] + cursor[b]++] = a;
+      }
+    }
   });
-  PARMIS_CHECK_OK(check::validate(
-      graph::GraphView(c), {.require_sorted = true, .require_unique = true, .require_loop_free = true}));
+  PARMIS_CHECK_OK(check::validate(graph::GraphView(c), {.require_sorted = true,
+                                                        .require_unique = true,
+                                                        .require_loop_free = true,
+                                                        .require_symmetric = true}));
   return c;
 }
 

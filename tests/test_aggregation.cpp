@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/aggregation.hpp"
 #include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "core/verify.hpp"
+#include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "graph/rgg.hpp"
 #include "multilevel/builder.hpp"
+#include "parallel/context.hpp"
 #include "parallel/execution.hpp"
 #include "test_utils.hpp"
 
@@ -211,6 +217,101 @@ TEST(CoarseGraph, CompleteCrossEdgeCoverage) {
       auto row = c.row(a);
       EXPECT_TRUE(std::binary_search(row.begin(), row.end(), b))
           << "missing coarse edge " << a << "-" << b;
+    }
+  }
+}
+
+/// Serial quotient graph through `std::set`, independent of the library's
+/// contraction: one row per aggregate, every foreign label of a member's
+/// neighbor once, ascending.
+graph::CrsGraph set_quotient(const graph::CrsGraph& g, const Aggregation& agg) {
+  std::vector<std::set<ordinal_t>> rows(static_cast<std::size_t>(agg.num_aggregates));
+  for (ordinal_t v = 0; v < g.num_rows; ++v) {
+    const ordinal_t a = agg.labels[static_cast<std::size_t>(v)];
+    for (ordinal_t w : g.row(v)) {
+      const ordinal_t b = agg.labels[static_cast<std::size_t>(w)];
+      if (b != a) rows[static_cast<std::size_t>(a)].insert(b);
+    }
+  }
+  graph::CrsGraph c;
+  c.num_rows = c.num_cols = agg.num_aggregates;
+  c.row_map.assign(1, 0);
+  for (const std::set<ordinal_t>& row : rows) {
+    c.entries.insert(c.entries.end(), row.begin(), row.end());
+    c.row_map.push_back(static_cast<offset_t>(c.entries.size()));
+  }
+  return c;
+}
+
+/// `g` with `extra` isolated vertices appended.
+graph::CrsGraph with_isolated(const graph::CrsGraph& g, ordinal_t extra) {
+  graph::CrsGraph h = g;
+  h.num_rows = h.num_cols = g.num_rows + extra;
+  h.row_map.resize(static_cast<std::size_t>(h.num_rows) + 1, g.row_map.back());
+  return h;
+}
+
+/// Two disjoint copies of `g`.
+graph::CrsGraph two_copies(const graph::CrsGraph& g) {
+  graph::CrsGraph h;
+  h.num_rows = h.num_cols = 2 * g.num_rows;
+  h.row_map = g.row_map;
+  h.entries = g.entries;
+  for (ordinal_t v = 0; v < g.num_rows; ++v) {
+    h.row_map.push_back(g.num_entries() + g.row_map[static_cast<std::size_t>(v) + 1]);
+  }
+  for (ordinal_t w : g.entries) h.entries.push_back(w + g.num_rows);
+  return h;
+}
+
+TEST(CoarseGraph, MatchesSetReferenceOnEveryConfig) {
+  const std::vector<test::NamedGraph> inputs = {
+      {"rgg", graph::random_geometric_3d(6000, 18.0, 3)},
+      {"powerlaw", graph::power_law_graph(6000, 2.2, 3, 1500, 5)},
+      {"laplace2d", test::adjacency_of(graph::laplace2d(70, 70))},
+      {"er", test::er_graph(3000, 0.003, 9)},
+      {"star", test::star_graph(3000)},
+      {"isolated", with_isolated(graph::random_geometric_3d(3000, 10.0, 4), 700)},
+      {"disconnected", two_copies(test::adjacency_of(graph::laplace2d(40, 40)))},
+  };
+  std::vector<Context> ctxs = {Context::serial()};
+#ifdef PARMIS_HAVE_OPENMP
+  for (const int threads : {1, 3, 4}) {
+    for (const par::Schedule s :
+         {par::Schedule::Static, par::Schedule::EdgeBalanced, par::Schedule::Dynamic}) {
+      Context ctx = Context::openmp(threads);
+      ctx.schedule = s;
+      ctxs.push_back(ctx);
+    }
+  }
+#endif
+  for (const test::NamedGraph& in : inputs) {
+    CoarsenHandle h(Context::serial());
+    std::vector<std::pair<std::string, Aggregation>> aggs;
+    aggs.emplace_back("mis2", h.aggregate_mis2(in.g));
+    aggs.emplace_back("basic", h.aggregate_basic(in.g));
+    aggs.emplace_back("hem", h.aggregate_hem(in.g, {}, 17));
+    Aggregation single;
+    single.num_aggregates = 1;
+    single.labels.assign(static_cast<std::size_t>(in.g.num_rows), 0);
+    single.roots = {0};
+    aggs.emplace_back("single", single);
+
+    for (const auto& [agg_name, agg] : aggs) {
+      const graph::CrsGraph ref = set_quotient(in.g, agg);
+      if (agg_name == "single") EXPECT_EQ(ref.num_entries(), 0);
+      for (const Context& ctx : ctxs) {
+        const Context::Scope scope(ctx);
+        const graph::CrsGraph c = coarse_graph(in.g, agg);
+        const std::string where = in.name + "/" + agg_name + " backend=" +
+                                  std::to_string(static_cast<int>(ctx.backend)) +
+                                  " threads=" + std::to_string(ctx.num_threads) +
+                                  " schedule=" + std::to_string(static_cast<int>(ctx.schedule));
+        EXPECT_EQ(c.num_rows, ref.num_rows) << where;
+        EXPECT_EQ(c.num_cols, ref.num_cols) << where;
+        EXPECT_EQ(c.row_map, ref.row_map) << where;
+        EXPECT_EQ(c.entries, ref.entries) << where;
+      }
     }
   }
 }

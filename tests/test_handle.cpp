@@ -19,6 +19,7 @@
 #include "multilevel/builder.hpp"
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
+#include "parallel/parallel_scan.hpp"
 #include "test_utils.hpp"
 
 namespace parmis {
@@ -153,6 +154,35 @@ TEST(Mis2Handle, WarmRunsAreAllocationFreeAndBitIdentical) {
     EXPECT_EQ(again.members, first_masked.members) << "masked rep=" << rep;
     EXPECT_EQ(again.in_set, first_masked.in_set) << "masked rep=" << rep;
     EXPECT_EQ(again.iterations, first_masked.iterations) << "masked rep=" << rep;
+  }
+}
+
+// Above `par::scan_block` vertices the worklist compactions take the
+// blocked parallel scan, whose block totals must stay off the heap too.
+TEST(Mis2Handle, WarmRunsAboveScanBlockAreAllocationFree) {
+  const graph::CrsGraph g = graph::random_geometric_3d(20000, 24.0, 7);
+  ASSERT_GT(static_cast<std::int64_t>(g.num_rows), par::scan_block);
+  const std::vector<char> active = test::random_mask(g.num_rows, 0.5, 3);
+  core::Mis2Handle handle(Context::openmp(3));
+  const core::Mis2Result first = handle.run(g);
+  const core::Mis2Result first_masked = handle.run_masked(g, active);
+  const std::size_t warm_capacity = handle.scratch_bytes();
+  for (int rep = 0; rep < 2; ++rep) {
+    {
+      check::AllocGuard guard;
+      const core::Mis2Result& again = handle.run(g);
+      if (check::counting_available()) EXPECT_EQ(0u, guard.allocations()) << "rep=" << rep;
+      EXPECT_EQ(again.members, first.members) << "rep=" << rep;
+    }
+    {
+      check::AllocGuard guard;
+      const core::Mis2Result& again = handle.run_masked(g, active);
+      if (check::counting_available()) {
+        EXPECT_EQ(0u, guard.allocations()) << "masked rep=" << rep;
+      }
+      EXPECT_EQ(again.members, first_masked.members) << "masked rep=" << rep;
+    }
+    EXPECT_EQ(handle.scratch_bytes(), warm_capacity) << "rep=" << rep;
   }
 }
 

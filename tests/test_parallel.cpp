@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "check/alloc_guard.hpp"
 #include "parallel/execution.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
@@ -172,6 +173,25 @@ TEST_P(ScanTest, InclusiveMatchesStd) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanTest,
                          ::testing::Values(0, 1, 2, 100, 8191, 8192, 8193, 50000, 262144));
+
+// Past `scan_block * scan_max_blocks` elements the block widens instead of
+// multiplying; at every length a parallel scan stays exact and off the heap.
+TEST(Scan, WideInputsAreExactAndAllocationFree) {
+  ScopedExecution scope(Backend::OpenMP, 3);
+  const std::int64_t wide = par::scan_block * par::scan_max_blocks + 12345;
+  EXPECT_GT(par::scan_block_width(wide), par::scan_block);
+  for (const std::int64_t n : {par::scan_block + 1, std::int64_t{100000}, wide}) {
+    std::vector<std::int32_t> data(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) data[static_cast<std::size_t>(i)] = (i * 37) % 11;
+    std::vector<std::int32_t> expected(data.size());
+    std::exclusive_scan(data.begin(), data.end(), expected.begin(), std::int32_t{0});
+    const check::AllocGuard guard;
+    const std::int32_t total = par::exclusive_scan_inplace(std::span<std::int32_t>(data));
+    if (check::counting_available()) EXPECT_EQ(0u, guard.allocations()) << "n=" << n;
+    EXPECT_EQ(total, expected.back() + static_cast<std::int32_t>(((n - 1) * 37) % 11)) << n;
+    EXPECT_EQ(data, expected) << "n=" << n;
+  }
+}
 
 TEST(Compact, StableFilter) {
   const ordinal_t n = 100000;
