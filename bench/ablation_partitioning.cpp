@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::vector<double> mis2_cuts, hem_cuts;
   for (const Case& c : cases) {
     const partition::WeightedGraph wg = partition::WeightedGraph::unit(c.g);
-    for (const partition::PartitionerSpec& spec : partition::partitioner_registry()) {
+    for (const partition::PartitionerSpec& spec : partition::partitioners().specs()) {
       const partition::PartitionResult r = spec.make()->run(wg, k);
       const partition::QualityReport& q = r.quality;
       std::printf("%-10s %10d %-16s | %12lld %6.2f%% %10lld %7.2f%% %6.2f%% | %7.2fs\n", c.name,

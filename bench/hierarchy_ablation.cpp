@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     graph::CrsMatrix a2 = a;
     for (scalar_t& v : a2.values) v *= 1.01;
 
-    for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
+    for (const core::CoarsenerSpec& spec : core::coarseners().specs()) {
       multilevel::Options mo;
       mo.coarsener = spec.name;
       mo.min_coarse_size = 200;

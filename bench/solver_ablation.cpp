@@ -112,10 +112,10 @@ int main(int argc, char** argv) {
     const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 1);
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
 
-    for (const std::string& pname : solver::preconditioner_names()) {
-      const std::vector<std::string> coarseners = solver::find_preconditioner(pname).uses_coarsener
-                                                      ? core::coarsener_names()
-                                                      : std::vector<std::string>{"-"};
+    for (const std::string& pname : solver::preconditioners().names()) {
+      const std::vector<std::string> coarseners =
+          solver::preconditioners().find(pname).uses_coarsener ? core::coarseners().names()
+                                                               : std::vector<std::string>{"-"};
       for (const std::string& cname : coarseners) {
         solver::SolveHandle handle;
         handle.set_preconditioner(pname);
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
           // silently dropped from the sweep — absent rows read as
           // "not measured", not "failed".
           const auto* classified = dynamic_cast<const resilience::SolveError*>(&e);
-          for (const std::string& sname : solver::solver_names()) {
+          for (const std::string& sname : solver::solvers().names()) {
             obs::Report report;
             report.set("bench", "solver_ablation");
             obs::add_graph(report, in.name, a.num_rows, a.num_entries());
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
         }
         const double setup_s = setup_timer.seconds();
 
-        for (const std::string& sname : solver::solver_names()) {
+        for (const std::string& sname : solver::solvers().names()) {
           handle.set_solver(sname);
           const double solve_s = bench::time_mean_s(opt.trials, [&] {
             std::fill(x.begin(), x.end(), 0.0);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   bench::print_rule();
 
   for (const PaperRow& row : kPaper) {
-    const graph::MatrixSpec& spec = graph::find_matrix(row.name);
+    const graph::MatrixSpec& spec = graph::experiment_matrices().find(row.name);
     const graph::CrsGraph g = bench::build_adjacency(spec, args.scale);
 
     auto iters = [&](core::PriorityScheme scheme) {

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   for (const char* name : systems) {
     // bodyy5 is small; always run it at paper scale.
     const double scale = std::string(name) == "bodyy5" ? 1.0 : args.scale;
-    const graph::CrsMatrix a = graph::find_matrix(name).build(scale);
+    const graph::CrsMatrix a = graph::experiment_matrices().find(name).build(scale);
     const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 3);
     solver::IterOptions opts;
     opts.tolerance = 1e-8;

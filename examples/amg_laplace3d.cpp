@@ -9,13 +9,14 @@
 ///   `linear_solve --list`), routed through `AmgOptions::hierarchy`.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/coarsener.hpp"
 #include "graph/generators.hpp"
+#include "graph_inputs.hpp"
 #include "obs/timer.hpp"
 #include "solver/amg.hpp"
 #include "solver/handle.hpp"
@@ -23,7 +24,13 @@
 
 int main(int argc, char** argv) {
   using namespace parmis;
-  const ordinal_t side = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 40;
+  ordinal_t side = 40;
+  try {
+    if (argc > 1) side = examples::parse_size_arg(argv[1], "grid side", 2, 3);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   solver::AmgOptions amg_opts;
   std::string scheme_name = solver::to_string(solver::AggregationScheme::Mis2Agg);
   if (argc > 2) {
@@ -46,9 +53,9 @@ int main(int argc, char** argv) {
     if (!table5_scheme) {
       // Not a Table V scheme: try the core coarsener registry.
       try {
-        (void)core::find_coarsener(s);
-      } catch (const std::out_of_range&) {
-        std::fprintf(stderr, "unknown scheme %s\n", s);
+        (void)core::coarseners().find(s);
+      } catch (const std::out_of_range& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 1;
       }
       amg_opts.hierarchy.coarsener = s;

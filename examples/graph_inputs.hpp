@@ -46,10 +46,35 @@ inline std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// A positional size argument of the example drivers (a vertex count or a
+/// grid side): a decimal integer >= `min` whose `dims`-th power, the
+/// vertex count it generates, fits the 32-bit vertex ordinal. Throws
+/// std::invalid_argument naming `what` otherwise.
+inline ordinal_t parse_size_arg(const char* text, const char* what, ordinal_t min = 2,
+                                int dims = 1) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (*text == '\0' || *end != '\0' || errno == ERANGE || v < min) {
+    throw std::invalid_argument(std::string(what) + " must be an integer >= " +
+                                std::to_string(min) + ", got '" + text + "'");
+  }
+  std::int64_t cells = 1;
+  for (int d = 0; d < dims; ++d) {
+    if (v > max_ordinal / cells) {
+      throw std::invalid_argument(std::string(what) + " " + text +
+                                  " overflows the 32-bit vertex ordinal");
+    }
+    cells *= v;
+  }
+  return static_cast<ordinal_t>(v);
+}
+
 /// Build the adjacency described by `spec`; `scale` applies to registry
 /// surrogates only (fraction of the paper |V|). Throws std::runtime_error
-/// on a malformed spec, unknown generator/registry name, or unreadable
-/// file, so batch drivers can report the spec and keep going.
+/// on a malformed spec, unknown generator, or unreadable file, and
+/// std::out_of_range ("unknown experiment matrix 'NAME'") on an unknown
+/// `reg:NAME`, so batch drivers can report the spec and keep going.
 inline graph::CrsGraph load_graph(const std::string& spec, double scale = 1.0) {
   // idx-th colon-separated field; empty when the spec has too few fields.
   auto field = [&](std::size_t idx) -> std::string {
@@ -124,7 +149,7 @@ inline graph::CrsGraph load_graph(const std::string& spec, double scale = 1.0) {
       throw bad_spec("unknown generator");
     }
   } else if (spec.rfind("reg:", 0) == 0) {
-    m = graph::find_matrix(spec.substr(4)).build(scale);
+    m = graph::experiment_matrices().find(spec.substr(4)).build(scale);
   } else {
     m = graph::read_matrix_market(spec);
   }

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     const char* s = argv[i];
     if (!std::strncmp(s, "--algos=", 8)) {
       const std::string v = s + 8;
-      algos = v == "all" ? partition::partitioner_names() : split_csv(v);
+      algos = v == "all" ? partition::partitioners().names() : split_csv(v);
     } else if (!std::strncmp(s, "--graphs=", 9)) {
       graphs = split_csv(s + 9);
     } else if (!std::strncmp(s, "--k=", 4)) {
@@ -84,9 +84,7 @@ int main(int argc, char** argv) {
       trace_sample = std::atoi(s + 15);
     } else if (!std::strcmp(s, "--list")) {
       std::printf("registered partitioners:\n");
-      for (const partition::PartitionerSpec& spec : partition::partitioner_registry()) {
-        std::printf("  %-16s %s\n", spec.name.c_str(), spec.description.c_str());
-      }
+      partition::partitioners().print(stdout, 16);
       return 0;
     } else {
       usage(argv[0]);
@@ -100,7 +98,7 @@ int main(int argc, char** argv) {
   // Fault points (e.g. partition.bisect_fail) armed from the environment;
   // compiled out unless the build configures PARMIS_CHECK_INVARIANTS.
   resilience::arm_faults_from_env();
-  if (algos.empty()) algos = partition::partitioner_names();
+  if (algos.empty()) algos = partition::partitioners().names();
   if (graphs.empty()) graphs = {"gen:rgg:100000:14"};
 
   // reg:table2 expands to the full Table II suite.
@@ -122,7 +120,7 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<partition::Partitioner>> partitioners;
   for (const std::string& name : algos) {
     try {
-      partitioners.push_back(partition::make_partitioner(name));
+      partitioners.push_back(partition::partitioners().find(name).make());
     } catch (const std::out_of_range& e) {
       std::fprintf(stderr, "%s (try --list)\n", e.what());
       return 1;

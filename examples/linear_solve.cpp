@@ -128,13 +128,13 @@ int main(int argc, char** argv) {
     const char* s = argv[i];
     if (!std::strncmp(s, "--solvers=", 10)) {
       const std::string v = s + 10;
-      solvers = v == "all" ? solver::solver_names() : split_csv(v);
+      solvers = v == "all" ? solver::solvers().names() : split_csv(v);
     } else if (!std::strncmp(s, "--precs=", 8)) {
       const std::string v = s + 8;
-      precs = v == "all" ? solver::preconditioner_names() : split_csv(v);
+      precs = v == "all" ? solver::preconditioners().names() : split_csv(v);
     } else if (!std::strncmp(s, "--coarseners=", 13)) {
       const std::string v = s + 13;
-      coarseners = v == "all" ? core::coarsener_names() : split_csv(v);
+      coarseners = v == "all" ? core::coarseners().names() : split_csv(v);
     } else if (!std::strncmp(s, "--graphs=", 9)) {
       graphs = split_csv(s + 9);
     } else if (!std::strncmp(s, "--scale=", 8)) {
@@ -165,25 +165,19 @@ int main(int argc, char** argv) {
       trace_sample = std::atoi(s + 15);
     } else if (!std::strcmp(s, "--list")) {
       std::printf("registered solvers:\n");
-      for (const solver::SolverSpec& spec : solver::solver_registry()) {
-        std::printf("  %-12s %s\n", spec.name.c_str(), spec.description.c_str());
-      }
+      solver::solvers().print(stdout, 12);
       std::printf("registered preconditioners:\n");
-      for (const solver::PreconditionerSpec& spec : solver::preconditioner_registry()) {
-        std::printf("  %-12s %s\n", spec.name.c_str(), spec.description.c_str());
-      }
+      solver::preconditioners().print(stdout, 12);
       std::printf("registered coarseners (for --precs=cluster-gs,amg):\n");
-      for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
-        std::printf("  %-12s %s\n", spec.name.c_str(), spec.description.c_str());
-      }
+      core::coarseners().print(stdout, 12);
       return 0;
     } else {
       usage(argv[0]);
       return 1;
     }
   }
-  if (solvers.empty()) solvers = solver::solver_names();
-  if (precs.empty()) precs = solver::preconditioner_names();
+  if (solvers.empty()) solvers = solver::solvers().names();
+  if (precs.empty()) precs = solver::preconditioners().names();
   if (coarseners.empty()) coarseners = {"mis2"};
   if (graphs.empty()) graphs = {"gen:laplace3d:20"};
   if (tol <= 0 || maxit < 1) {
@@ -197,9 +191,9 @@ int main(int argc, char** argv) {
 
   // Fail fast on unknown registry names before loading any graph.
   try {
-    for (const std::string& name : solvers) (void)solver::find_solver(name);
-    for (const std::string& name : precs) (void)solver::find_preconditioner(name);
-    for (const std::string& name : coarseners) (void)core::find_coarsener(name);
+    for (const std::string& name : solvers) (void)solver::solvers().find(name);
+    for (const std::string& name : precs) (void)solver::preconditioners().find(name);
+    for (const std::string& name : coarseners) (void)core::coarseners().find(name);
   } catch (const std::out_of_range& e) {
     std::fprintf(stderr, "%s (try --list)\n", e.what());
     return 1;
@@ -279,7 +273,7 @@ int main(int argc, char** argv) {
     for (const std::string& pname : precs) {
       // Only the coarsening preconditioners fan out over --coarseners.
       const std::vector<std::string> row_coarseners =
-          solver::find_preconditioner(pname).uses_coarsener ? coarseners
+          solver::preconditioners().find(pname).uses_coarsener ? coarseners
                                                             : std::vector<std::string>{"-"};
       for (const std::string& cname : row_coarseners) {
         // One handle per row group: the preconditioner sets up once and is

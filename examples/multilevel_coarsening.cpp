@@ -7,26 +7,36 @@
 /// Run: ./multilevel_coarsening [n] [target] [coarsener]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "core/coarsener.hpp"
 #include "graph/rgg.hpp"
+#include "graph_inputs.hpp"
 #include "multilevel/builder.hpp"
 #include "obs/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmis;
-  const ordinal_t n = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 200000;
-  const ordinal_t target = argc > 2 ? static_cast<ordinal_t>(std::atoi(argv[2])) : 64;
+  // Check every argument before generating the graph.
+  ordinal_t n = 200000;
+  ordinal_t target = 64;
   const std::string coarsener = argc > 3 ? argv[3] : "mis2";
+  const core::CoarsenerSpec* spec = nullptr;
+  try {
+    if (argc > 1) n = examples::parse_size_arg(argv[1], "n");
+    if (argc > 2) target = examples::parse_size_arg(argv[2], "target");
+    spec = &core::coarseners().find(coarsener);
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // A mesh-like unstructured graph (what a partitioner would see).
   const graph::CrsGraph g = graph::random_geometric_3d(n, 16.0, 1);
   std::printf("input: %d vertices, %lld edges\n", g.num_rows,
               static_cast<long long>(g.num_entries() / 2));
-  std::printf("coarsener: %s (%s)\n", coarsener.c_str(),
-              core::find_coarsener(coarsener).description.c_str());
+  std::printf("coarsener: %s (%s)\n", coarsener.c_str(), spec->description.c_str());
 
   multilevel::Options opts;
   opts.min_coarse_size = target;

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     const std::string algo = argc > 4 ? argv[4] : "multilevel-mis2";
     std::unique_ptr<partition::Partitioner> p;
     try {
-      p = partition::make_partitioner(algo);
+      p = partition::partitioners().find(algo).make();
     } catch (const std::out_of_range& e) {
       std::fprintf(stderr, "%s (see graph_partition --list)\n", e.what());
       return 1;

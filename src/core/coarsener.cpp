@@ -50,42 +50,18 @@ class HemCoarsener final : public Coarsener {
   }
 };
 
-std::vector<CoarsenerSpec> make_registry() {
-  std::vector<CoarsenerSpec> specs;
-  specs.push_back(
-      {"mis2", "two-round MIS-2 aggregation with coupling cleanup (Algorithm 3, the paper)",
-       [] { return std::make_unique<Mis2Coarsener>("mis2", true); }});
-  specs.push_back(
-      {"mis2-basic", "single-round MIS-2 aggregation, roots + neighbors (Algorithm 2, Bell)",
-       [] { return std::make_unique<Mis2Coarsener>("mis2-basic", false); }});
-  specs.push_back({"hem", "greedy heavy-edge matching, hashed visit order (classical baseline)",
-                   [] { return std::make_unique<HemCoarsener>(); }});
-  return specs;
-}
-
 }  // namespace
 
-const std::vector<CoarsenerSpec>& coarsener_registry() {
-  static const std::vector<CoarsenerSpec> registry = make_registry();
+const Registry<CoarsenerSpec>& coarseners() {
+  static const Registry<CoarsenerSpec> registry(
+      "coarsener",
+      {{"mis2", "two-round MIS-2 aggregation with coupling cleanup (Algorithm 3, the paper)",
+        [] { return std::make_unique<Mis2Coarsener>("mis2", true); }},
+       {"mis2-basic", "single-round MIS-2 aggregation, roots + neighbors (Algorithm 2, Bell)",
+        [] { return std::make_unique<Mis2Coarsener>("mis2-basic", false); }},
+       {"hem", "greedy heavy-edge matching, hashed visit order (classical baseline)",
+        [] { return std::make_unique<HemCoarsener>(); }}});
   return registry;
-}
-
-std::vector<std::string> coarsener_names() {
-  std::vector<std::string> names;
-  names.reserve(coarsener_registry().size());
-  for (const CoarsenerSpec& s : coarsener_registry()) names.push_back(s.name);
-  return names;
-}
-
-const CoarsenerSpec& find_coarsener(const std::string& name) {
-  for (const CoarsenerSpec& s : coarsener_registry()) {
-    if (s.name == name) return s;
-  }
-  throw std::out_of_range("unknown coarsener: " + name);
-}
-
-std::unique_ptr<Coarsener> make_coarsener(const std::string& name) {
-  return find_coarsener(name).make();
 }
 
 }  // namespace parmis::core

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/registry.hpp"
 #include "core/aggregation.hpp"
 #include "graph/crs.hpp"
 
@@ -68,16 +69,6 @@ struct CoarsenerSpec {
 };
 
 /// All registered coarseners, stable order (the paper's scheme first).
-const std::vector<CoarsenerSpec>& coarsener_registry();
-
-/// Names of all registered coarseners, registry order.
-[[nodiscard]] std::vector<std::string> coarsener_names();
-
-/// Look up one spec by name; throws std::out_of_range if unknown.
-const CoarsenerSpec& find_coarsener(const std::string& name);
-
-/// Construct a coarsener by registry name; throws std::out_of_range if
-/// unknown.
-[[nodiscard]] std::unique_ptr<Coarsener> make_coarsener(const std::string& name);
+const Registry<CoarsenerSpec>& coarseners();
 
 }  // namespace parmis::core

@@ -1,7 +1,6 @@
 #include "graph/registry.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "graph/generators.hpp"
 #include "graph/rgg.hpp"
@@ -62,7 +61,7 @@ MatrixSpec grid3d_spec(std::string name, PaperStats paper, ordinal_t nx, ordinal
   return spec;
 }
 
-std::vector<MatrixSpec> make_registry() {
+std::vector<MatrixSpec> matrix_specs() {
   std::vector<MatrixSpec> specs;
 
   // Table II order. Paper stats: {rows, |E| (millions), avg deg, max deg}.
@@ -129,24 +128,17 @@ std::vector<MatrixSpec> make_registry() {
 
 }  // namespace
 
-const std::vector<MatrixSpec>& experiment_matrices() {
-  static const std::vector<MatrixSpec> registry = make_registry();
+const Registry<MatrixSpec>& experiment_matrices() {
+  static const Registry<MatrixSpec> registry("experiment matrix", matrix_specs());
   return registry;
 }
 
 std::vector<MatrixSpec> table2_matrices() {
   std::vector<MatrixSpec> out;
-  for (const MatrixSpec& s : experiment_matrices()) {
+  for (const MatrixSpec& s : experiment_matrices().specs()) {
     if (s.in_table2) out.push_back(s);
   }
   return out;
-}
-
-const MatrixSpec& find_matrix(const std::string& name) {
-  for (const MatrixSpec& s : experiment_matrices()) {
-    if (s.name == name) return s;
-  }
-  throw std::out_of_range("unknown experiment matrix: " + name);
 }
 
 }  // namespace parmis::graph

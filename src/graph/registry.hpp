@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/registry.hpp"
 #include "graph/crs.hpp"
 
 namespace parmis::graph {
@@ -39,12 +40,9 @@ struct MatrixSpec {
 
 /// All experiment matrices, Table II's 17 first (in the paper's row order),
 /// then extras (bodyy5).
-const std::vector<MatrixSpec>& experiment_matrices();
+const Registry<MatrixSpec>& experiment_matrices();
 
 /// The 17 Table II matrices only.
 std::vector<MatrixSpec> table2_matrices();
-
-/// Look up one matrix by name; throws std::out_of_range if unknown.
-const MatrixSpec& find_matrix(const std::string& name);
 
 }  // namespace parmis::graph

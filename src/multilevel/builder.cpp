@@ -136,7 +136,7 @@ const std::vector<Step>& Builder::build_steps(graph::GraphView g0, const Weighte
   st.rebuild_seconds = 0;
 
   std::unique_ptr<core::Coarsener> coarsener;
-  if (!opts_.aggregator) coarsener = core::make_coarsener(opts_.coarsener);
+  if (!opts_.aggregator) coarsener = core::coarseners().find(opts_.coarsener).make();
 
   const graph::GraphView fine_view = weighted ? graph::GraphView(weighted->graph) : g0;
   st.level_rows.push_back(fine_view.num_rows);
@@ -249,7 +249,7 @@ const std::vector<OperatorLevel>& Builder::build_galerkin(graph::CrsMatrix a_fin
   st.rebuild_seconds = 0;
 
   std::unique_ptr<core::Coarsener> coarsener;
-  if (!opts_.aggregator) coarsener = core::make_coarsener(opts_.coarsener);
+  if (!opts_.aggregator) coarsener = core::coarseners().find(opts_.coarsener).make();
 
   std::vector<OperatorLevel>& ops = h.ops_;
   std::vector<SetupWorkspace::GalerkinLevel>& gws = h.ws_.galerkin;

@@ -87,75 +87,45 @@ class FunctionPartitioner final : public Partitioner {
 
 PartitionerSpec multilevel_spec(std::string name, std::string description,
                                 std::string coarsener) {
-  PartitionerSpec spec;
-  spec.name = name;
-  spec.description = std::move(description);
-  spec.make = [name, coarsener]() -> std::unique_ptr<Partitioner> {
-    return std::make_unique<MultilevelPartitioner>(name, coarsener);
-  };
-  return spec;
+  return {name, std::move(description), [name, coarsener]() -> std::unique_ptr<Partitioner> {
+            return std::make_unique<MultilevelPartitioner>(name, coarsener);
+          }};
 }
 
 PartitionerSpec function_spec(std::string name, std::string description,
                               FunctionPartitioner::Fn fn) {
-  PartitionerSpec spec;
-  spec.name = name;
-  spec.description = std::move(description);
-  spec.make = [name, fn]() -> std::unique_ptr<Partitioner> {
-    return std::make_unique<FunctionPartitioner>(name, fn);
-  };
-  return spec;
-}
-
-std::vector<PartitionerSpec> make_registry() {
-  std::vector<PartitionerSpec> specs;
-  specs.push_back(multilevel_spec(
-      "multilevel-mis2",
-      "multilevel recursive bisection, MIS-2 aggregation coarsening (the paper's scheme)",
-      "mis2"));
-  specs.push_back(multilevel_spec(
-      "multilevel-hem",
-      "multilevel recursive bisection, heavy-edge-matching coarsening (classical baseline)",
-      "hem"));
-  specs.push_back(multilevel_spec(
-      "multilevel-mis2basic",
-      "multilevel recursive bisection, basic MIS-2 coarsening (Algorithm 2 ablation)",
-      "mis2-basic"));
-  specs.push_back(function_spec(
-      "ldg", "streaming linear deterministic greedy (Stanton-Kliot), hashed stream order",
-      &ldg_partition));
-  specs.push_back(function_spec(
-      "lp-grow", "BFS region growing from farthest-point seeds + label-propagation refinement",
-      &lp_grow_partition));
-  specs.push_back(function_spec(
-      "block", "contiguous vertex-id blocks balanced by weight (zero-information baseline)",
-      &block_partition));
-  return specs;
+  return {name, std::move(description), [name, fn]() -> std::unique_ptr<Partitioner> {
+            return std::make_unique<FunctionPartitioner>(name, fn);
+          }};
 }
 
 }  // namespace
 
-const std::vector<PartitionerSpec>& partitioner_registry() {
-  static const std::vector<PartitionerSpec> registry = make_registry();
+const Registry<PartitionerSpec>& partitioners() {
+  static const Registry<PartitionerSpec> registry(
+      "partitioner",
+      {multilevel_spec(
+           "multilevel-mis2",
+           "multilevel recursive bisection, MIS-2 aggregation coarsening (the paper's scheme)",
+           "mis2"),
+       multilevel_spec(
+           "multilevel-hem",
+           "multilevel recursive bisection, heavy-edge-matching coarsening (classical baseline)",
+           "hem"),
+       multilevel_spec(
+           "multilevel-mis2basic",
+           "multilevel recursive bisection, basic MIS-2 coarsening (Algorithm 2 ablation)",
+           "mis2-basic"),
+       function_spec("ldg",
+                     "streaming linear deterministic greedy (Stanton-Kliot), hashed stream order",
+                     &ldg_partition),
+       function_spec("lp-grow",
+                     "BFS region growing from farthest-point seeds + label-propagation refinement",
+                     &lp_grow_partition),
+       function_spec("block",
+                     "contiguous vertex-id blocks balanced by weight (zero-information baseline)",
+                     &block_partition)});
   return registry;
-}
-
-std::vector<std::string> partitioner_names() {
-  std::vector<std::string> names;
-  names.reserve(partitioner_registry().size());
-  for (const PartitionerSpec& s : partitioner_registry()) names.push_back(s.name);
-  return names;
-}
-
-const PartitionerSpec& find_partitioner(const std::string& name) {
-  for (const PartitionerSpec& s : partitioner_registry()) {
-    if (s.name == name) return s;
-  }
-  throw std::out_of_range("unknown partitioner: " + name);
-}
-
-std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
-  return find_partitioner(name).make();
 }
 
 }  // namespace parmis::partition

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/registry.hpp"
 #include "multilevel/weighted.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/quality.hpp"
@@ -60,16 +61,6 @@ struct PartitionerSpec {
 
 /// All registered partitioners, stable order (multilevel first, then the
 /// streaming and propagation algorithms, then baselines).
-const std::vector<PartitionerSpec>& partitioner_registry();
-
-/// Names of all registered partitioners, registry order.
-[[nodiscard]] std::vector<std::string> partitioner_names();
-
-/// Look up one spec by name; throws std::out_of_range if unknown.
-const PartitionerSpec& find_partitioner(const std::string& name);
-
-/// Construct a partitioner by registry name; throws std::out_of_range if
-/// unknown.
-[[nodiscard]] std::unique_ptr<Partitioner> make_partitioner(const std::string& name);
+const Registry<PartitionerSpec>& partitioners();
 
 }  // namespace parmis::partition

@@ -175,7 +175,7 @@ class HandlePool {
   ///   3. otherwise built — by `AmgHierarchy::adopt` of `levels` when the
   ///      configuration is "amg" and the caller published a level stack
   ///      (copies arrays, skips aggregation + SpGEMM), else via the
-  ///      registry (`make_preconditioner`).
+  ///      registry (`preconditioners().find(prec).make`).
   /// `a` must stay alive (same address) while any setup keyed `key` can be
   /// served — the serving runtime guarantees this by keeping published
   /// states alive as long as their epoch is reachable.

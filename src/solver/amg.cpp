@@ -44,10 +44,10 @@ core::Aggregation run_aggregation(graph::GraphView adjacency, AggregationScheme 
     case AggregationScheme::NBD2C:
       return coloring::aggregate_d2c(adjacency, coloring::D2cMode::Parallel);
     case AggregationScheme::Mis2Basic:
-      (void)core::find_coarsener("mis2-basic").make()->run(adjacency, {}, handle, copts);
+      (void)core::coarseners().find("mis2-basic").make()->run(adjacency, {}, handle, copts);
       return handle.take_aggregation();
     case AggregationScheme::Mis2Agg:
-      (void)core::find_coarsener("mis2").make()->run(adjacency, {}, handle, copts);
+      (void)core::coarseners().find("mis2").make()->run(adjacency, {}, handle, copts);
       return handle.take_aggregation();
   }
   throw std::invalid_argument("unknown aggregation scheme");

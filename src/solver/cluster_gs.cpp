@@ -27,7 +27,7 @@ ClusterMulticolorGS::ClusterMulticolorGS(const graph::CrsMatrix& a, const std::s
   core::CoarsenHandle handle(mis2_opts, ctx);
   core::CoarsenOptions copts;
   copts.mis2 = mis2_opts;
-  core::find_coarsener(coarsener).make()->run(adj, {}, handle, copts);
+  core::coarseners().find(coarsener).make()->run(adj, {}, handle, copts);
   aggregation_ = handle.take_aggregation();
   members_ = core::aggregate_members(aggregation_);
 

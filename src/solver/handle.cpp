@@ -21,12 +21,12 @@ SolveHandle::SolveHandle(const std::string& solver, const std::string& prec,
 }
 
 void SolveHandle::set_solver(const std::string& name) {
-  solver_ = make_solver(name);  // validates: throws std::out_of_range if unknown
+  solver_ = solvers().find(name).make();  // validates: throws std::out_of_range if unknown
   solver_name_ = name;
 }
 
 void SolveHandle::set_preconditioner(const std::string& name) {
-  (void)find_preconditioner(name);  // validate before dropping cached state
+  (void)preconditioners().find(name);  // validate before dropping cached state
   prec_name_ = name;
   invalidate();
 }
@@ -44,8 +44,8 @@ void SolveHandle::set_fallback(resilience::FallbackPolicy policy) {
   // Validate every registry name now, where the registries are visible —
   // a typo should fail at configuration time, not mid-chain.
   for (const resilience::FallbackPolicy::Attempt& entry : policy.chain) {
-    (void)find_solver(entry.solver);
-    (void)find_preconditioner(entry.prec);
+    (void)solvers().find(entry.solver);
+    (void)preconditioners().find(entry.prec);
   }
   fallback_ = std::move(policy);
 }
@@ -80,7 +80,7 @@ void SolveHandle::adopt_preconditioner(std::unique_ptr<Preconditioner> p,
 }
 
 void SolveHandle::ensure_solver() {
-  if (!solver_) solver_ = make_solver(solver_name_);
+  if (!solver_) solver_ = solvers().find(solver_name_).make();
 }
 
 void SolveHandle::ensure_preconditioner(const graph::CrsMatrix& a) {
@@ -97,7 +97,7 @@ void SolveHandle::ensure_preconditioner(const graph::CrsMatrix& a) {
                     prec_entries_ == a.num_entries();
   if (warm) return;
   PARMIS_SPAN("solver.prec_setup");
-  prec_ = make_preconditioner(prec_name_, a, prec_opts_, ctx_);
+  prec_ = preconditioners().find(prec_name_).make(a, prec_opts_, ctx_);
   prec_matrix_ = &a;
   prec_rows_ = a.num_rows;
   prec_entries_ = a.num_entries();
@@ -129,7 +129,7 @@ resilience::SolveStatus SolveHandle::run_attempt(const graph::CrsMatrix& a,
       ensure_solver();
       solver = solver_.get();
     } else {
-      transient_solver = make_solver(sname);
+      transient_solver = solvers().find(sname).make();
       solver = transient_solver.get();
       used_transient = true;
     }
@@ -143,7 +143,7 @@ resilience::SolveStatus SolveHandle::run_attempt(const graph::CrsMatrix& a,
         prec = prec_.get();
       } else {
         PARMIS_SPAN("solver.prec_setup.transient");
-        transient_prec = make_preconditioner(pname, a, prec_opts_, ctx_);
+        transient_prec = preconditioners().find(pname).make(a, prec_opts_, ctx_);
         prec = transient_prec.get();
         used_transient = true;
         ++stats_.prec_setups;

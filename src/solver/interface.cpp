@@ -159,8 +159,8 @@ std::unique_ptr<Solver> make_krylov(const char* name, KrylovCore core) {
 
 }  // namespace
 
-const std::vector<SolverSpec>& solver_registry() {
-  static const std::vector<SolverSpec> registry = {
+const Registry<SolverSpec>& solvers() {
+  static const Registry<SolverSpec> registry("solver", {
       {"cg",
        "preconditioned conjugate gradient (SPD; the Table V outer solver); "
        "solve_batch advances K RHS in lockstep over fused SpMM",
@@ -177,30 +177,14 @@ const std::vector<SolverSpec>& solver_registry() {
        [] { return make_krylov("block-cg", block_cg_solve); }},
       {"block-gmres", "alias of \"gmres\" (the same core for one RHS or K)",
        [] { return make_krylov("block-gmres", block_gmres_solve); }},
-  };
+  });
   return registry;
 }
 
-std::vector<std::string> solver_names() {
-  std::vector<std::string> names;
-  names.reserve(solver_registry().size());
-  for (const SolverSpec& spec : solver_registry()) names.push_back(spec.name);
-  return names;
-}
-
-const SolverSpec& find_solver(const std::string& name) {
-  for (const SolverSpec& spec : solver_registry()) {
-    if (spec.name == name) return spec;
-  }
-  throw std::out_of_range("unknown solver '" + name + "'");
-}
-
-std::unique_ptr<Solver> make_solver(const std::string& name) { return find_solver(name).make(); }
-
 // ------------------------------------------------------- preconditioners
 
-const std::vector<PreconditionerSpec>& preconditioner_registry() {
-  static const std::vector<PreconditionerSpec> registry = {
+const Registry<PreconditionerSpec>& preconditioners() {
+  static const Registry<PreconditionerSpec> registry("preconditioner", {
       {"none", "identity (unpreconditioned)", false,
        [](const graph::CrsMatrix&, const PrecOptions&, const Context&) {
          return std::unique_ptr<Preconditioner>(std::make_unique<IdentityPreconditioner>());
@@ -234,29 +218,8 @@ const std::vector<PreconditionerSpec>& preconditioner_registry() {
          return std::unique_ptr<Preconditioner>(
              std::make_unique<AmgHierarchy>(AmgHierarchy::build(a, amg)));
        }},
-  };
+  });
   return registry;
-}
-
-std::vector<std::string> preconditioner_names() {
-  std::vector<std::string> names;
-  names.reserve(preconditioner_registry().size());
-  for (const PreconditionerSpec& spec : preconditioner_registry()) names.push_back(spec.name);
-  return names;
-}
-
-const PreconditionerSpec& find_preconditioner(const std::string& name) {
-  for (const PreconditionerSpec& spec : preconditioner_registry()) {
-    if (spec.name == name) return spec;
-  }
-  throw std::out_of_range("unknown preconditioner '" + name + "'");
-}
-
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name,
-                                                    const graph::CrsMatrix& a,
-                                                    const PrecOptions& opts,
-                                                    const Context& ctx) {
-  return find_preconditioner(name).make(a, opts, ctx);
 }
 
 }  // namespace parmis::solver

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/registry.hpp"
 #include "core/mis2.hpp"
 #include "graph/crs.hpp"
 #include "solver/amg.hpp"
@@ -133,16 +134,7 @@ struct SolverSpec {
 };
 
 /// All registered solvers, stable order (the Table V outer solver first).
-const std::vector<SolverSpec>& solver_registry();
-
-/// Names of all registered solvers, registry order.
-[[nodiscard]] std::vector<std::string> solver_names();
-
-/// Look up one spec by name; throws std::out_of_range if unknown.
-const SolverSpec& find_solver(const std::string& name);
-
-/// Construct a solver by registry name; throws std::out_of_range if unknown.
-[[nodiscard]] std::unique_ptr<Solver> make_solver(const std::string& name);
+const Registry<SolverSpec>& solvers();
 
 // ------------------------------------------------------- preconditioners
 
@@ -176,19 +168,8 @@ struct PreconditionerSpec {
 
 /// All registered preconditioners, stable order ("none" first, then the
 /// smoothers, then the paper's cluster method and the multigrid hierarchy).
-const std::vector<PreconditionerSpec>& preconditioner_registry();
-
-/// Names of all registered preconditioners, registry order.
-[[nodiscard]] std::vector<std::string> preconditioner_names();
-
-/// Look up one spec by name; throws std::out_of_range if unknown.
-const PreconditionerSpec& find_preconditioner(const std::string& name);
-
-/// Build a preconditioner for `a` by registry name; throws
-/// std::out_of_range if unknown.
-[[nodiscard]] std::unique_ptr<Preconditioner> make_preconditioner(
-    const std::string& name, const graph::CrsMatrix& a, const PrecOptions& opts = {},
-    const Context& ctx = Context::default_ctx());
+/// A spec's `make(a, opts, ctx)` builds the preconditioner for `a`.
+const Registry<PreconditionerSpec>& preconditioners();
 
 // ------------------------------------------------- workspace-based cores
 

@@ -369,7 +369,7 @@ TEST(Multilevel, ProjectionIsConsistent) {
 
 TEST(Multilevel, EveryRegisteredCoarsenerWorks) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace3d(10, 10, 10));
-  for (const std::string& name : coarsener_names()) {
+  for (const std::string& name : coarseners().names()) {
     multilevel::Options opts;
     opts.coarsener = name;
     opts.min_coarse_size = 50;

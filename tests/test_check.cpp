@@ -338,5 +338,19 @@ TEST(CheckLoaders, GenSpecRejectsGarbageAndOverflow) {
   EXPECT_EQ(examples::load_graph("gen:laplace2d:4").num_rows, 16);
 }
 
+TEST(CheckLoaders, SizeArgRejectsGarbageSmallAndOverflow) {
+  EXPECT_EQ(examples::parse_size_arg("40", "side", 2, 3), 40);
+  EXPECT_EQ(examples::parse_size_arg("1290", "side", 2, 3), 1290);  // 1290^3 < 2^31
+  EXPECT_THROW((void)examples::parse_size_arg("1291", "side", 2, 3), std::invalid_argument);
+  EXPECT_THROW((void)examples::parse_size_arg("-3", "side"), std::invalid_argument);
+  EXPECT_THROW((void)examples::parse_size_arg("1", "side"), std::invalid_argument);
+  EXPECT_THROW((void)examples::parse_size_arg("", "side"), std::invalid_argument);
+  EXPECT_THROW((void)examples::parse_size_arg("12x", "side"), std::invalid_argument);
+  EXPECT_THROW((void)examples::parse_size_arg("99999999999999999999", "n"),
+               std::invalid_argument);
+  EXPECT_EQ(examples::parse_size_arg("2147483647", "n"), max_ordinal);
+  EXPECT_THROW((void)examples::parse_size_arg("2147483648", "n"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace parmis

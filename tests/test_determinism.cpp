@@ -146,7 +146,7 @@ TEST(Determinism, D1D2Colorings) {
 
 TEST(Determinism, SurrogateBuilders) {
   expect_invariant([] {
-    const graph::CrsMatrix m = graph::find_matrix("Geo_1438").build(0.005);
+    const graph::CrsMatrix m = graph::experiment_matrices().find("Geo_1438").build(0.005);
     return std::make_pair(m.row_map, m.entries);
   });
 }
@@ -174,7 +174,7 @@ TEST(Determinism, SchedulesAcrossRegisteredCoarseners) {
     static const graph::CrsGraph g = graph::power_law_graph(4000, 2.2, 3, 400, 5);
     return g;
   }();
-  for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
+  for (const core::CoarsenerSpec& spec : core::coarseners().specs()) {
     // One 64-bit check::digest per configuration carries the bit-identity
     // evidence; hex digests in the failure message diff across machines.
     std::uint64_t reference = 0;
@@ -199,7 +199,7 @@ TEST(Determinism, SchedulesAcrossRegisteredPartitioners) {
   const partition::WeightedGraph wg =
       partition::WeightedGraph::unit(graph::power_law_graph(2500, 2.3, 3, 250, 17));
   const ordinal_t k = 4;
-  for (const partition::PartitionerSpec& spec : partition::partitioner_registry()) {
+  for (const partition::PartitionerSpec& spec : partition::partitioners().specs()) {
     std::uint64_t reference = 0;
     bool first = true;
     for (const Context& ctx : schedule_contexts()) {
@@ -224,7 +224,7 @@ TEST(Determinism, SchedulesAcrossBuilderHierarchies) {
   const graph::CrsGraph skew = graph::power_law_graph(3000, 2.3, 3, 300, 23);
   const multilevel::WeightedGraph wskew = multilevel::WeightedGraph::unit(skew);
   const graph::CrsMatrix a = graph::laplacian_matrix(skew, 1.0);
-  for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
+  for (const core::CoarsenerSpec& spec : core::coarseners().specs()) {
     std::uint64_t ref_labels = 0;
     std::uint64_t ref_wlabels = 0;
     std::uint64_t ref_values = 0;
@@ -284,8 +284,8 @@ TEST(Determinism, SchedulesAcrossSolverStack) {
   opts.tolerance = 1e-8;
   opts.max_iterations = 200;
 
-  for (const solver::SolverSpec& sspec : solver::solver_registry()) {
-    for (const solver::PreconditionerSpec& pspec : solver::preconditioner_registry()) {
+  for (const solver::SolverSpec& sspec : solver::solvers().specs()) {
+    for (const solver::PreconditionerSpec& pspec : solver::preconditioners().specs()) {
       std::uint64_t reference = 0;
       int reference_iters = 0;
       bool first = true;

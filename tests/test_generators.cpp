@@ -266,16 +266,15 @@ TEST(MatrixMarket, RejectsGarbage) {
 
 TEST(Registry, SeventeenTable2Matrices) {
   EXPECT_EQ(table2_matrices().size(), 17u);
-  EXPECT_NO_THROW(find_matrix("Laplace3D_100"));
-  EXPECT_NO_THROW(find_matrix("bodyy5"));
-  EXPECT_THROW(find_matrix("no_such_matrix"), std::out_of_range);
+  EXPECT_NO_THROW(experiment_matrices().find("Laplace3D_100"));
+  EXPECT_NO_THROW(experiment_matrices().find("bodyy5"));
 }
 
 TEST(Registry, SurrogatesMatchPaperStatsAtSmallScale) {
   // At 2% scale every surrogate should still be SPD-structured, symmetric,
   // and roughly match the paper's average degree (the structural knob the
   // experiments depend on).
-  for (const MatrixSpec& spec : experiment_matrices()) {
+  for (const MatrixSpec& spec : experiment_matrices().specs()) {
     const CrsMatrix m = spec.build(0.02);
     EXPECT_TRUE(m.structure().validate()) << spec.name;
     EXPECT_TRUE(is_symmetric(m)) << spec.name;
@@ -290,9 +289,9 @@ TEST(Registry, SurrogatesMatchPaperStatsAtSmallScale) {
 }
 
 TEST(Registry, ExactGaleriProblemsAtFullScale) {
-  const CrsMatrix lap = find_matrix("Laplace3D_100").build(1.0);
+  const CrsMatrix lap = experiment_matrices().find("Laplace3D_100").build(1.0);
   EXPECT_EQ(lap.num_rows, 1000000);
-  const CrsMatrix ela = find_matrix("Elasticity3D_60").build(0.03);  // 1/33 of 60^3
+  const CrsMatrix ela = experiment_matrices().find("Elasticity3D_60").build(0.03);  // 1/33 of 60^3
   EXPECT_EQ(ela.num_rows % 3, 0);
 }
 

@@ -291,22 +291,20 @@ TEST(CoarsenHandle, TelemetryCountersAccumulate) {
 // ------------------------------------------------------------- registry
 
 TEST(CoarsenerRegistry, NamesAndLookup) {
-  const std::vector<std::string> names = core::coarsener_names();
+  const std::vector<std::string> names = core::coarseners().names();
   ASSERT_GE(names.size(), 3u);
   EXPECT_EQ(names.front(), "mis2");  // the paper's scheme leads
   for (const std::string& name : names) {
-    const auto coarsener = core::make_coarsener(name);
+    const auto coarsener = core::coarseners().find(name).make();
     ASSERT_NE(coarsener, nullptr);
     EXPECT_EQ(coarsener->name(), name);
-    EXPECT_FALSE(core::find_coarsener(name).description.empty());
   }
-  EXPECT_THROW((void)core::find_coarsener("no-such-coarsener"), std::out_of_range);
 }
 
 TEST(CoarsenerRegistry, EveryCoarsenerProducesValidAggregations) {
-  for (const std::string& name : core::coarsener_names()) {
+  for (const std::string& name : core::coarseners().names()) {
     core::CoarsenHandle handle;
-    const auto coarsener = core::make_coarsener(name);
+    const auto coarsener = core::coarseners().find(name).make();
     const core::Aggregation& agg = coarsener->run(mesh_graph(), {}, handle, {});
     EXPECT_GT(agg.num_aggregates, 0) << name;
     EXPECT_LT(agg.num_aggregates, mesh_graph().num_rows) << name;
@@ -318,8 +316,8 @@ TEST(CoarsenerRegistry, EveryCoarsenerProducesValidAggregations) {
 /// several thread counts) agree bit-for-bit for every registered
 /// coarsener, on both test graphs.
 TEST(CoarsenerRegistry, DeterministicAcrossContextsForEveryCoarsener) {
-  for (const std::string& name : core::coarsener_names()) {
-    const auto coarsener = core::make_coarsener(name);
+  for (const std::string& name : core::coarseners().names()) {
+    const auto coarsener = core::coarseners().find(name).make();
     for (const graph::CrsGraph* g : {&mesh_graph(), &rgg_graph()}) {
       std::vector<ordinal_t> reference;
       bool first = true;

@@ -49,7 +49,7 @@ TEST(Pipeline, MatrixMarketToMis2ToAggregation) {
 
 TEST(Pipeline, RegistrySurrogateThroughFullSolverStack) {
   // A Table II surrogate end to end: build, precondition with AMG, solve.
-  const graph::CrsMatrix a = graph::find_matrix("StocF-1465").build(0.01);
+  const graph::CrsMatrix a = graph::experiment_matrices().find("StocF-1465").build(0.01);
   solver::SolveHandle h("cg", "amg");
   const std::vector<scalar_t> b = solver::random_vector(a.num_rows, 31);
   std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);

@@ -96,7 +96,7 @@ std::vector<LegacyLevel> legacy_multilevel_coarsen(graph::GraphView g,
   std::vector<LegacyLevel> levels;
   core::CoarsenHandle handle(mis2);
   graph::GraphView view = g;
-  const std::unique_ptr<core::Coarsener> coarsener = core::make_coarsener(coarsener_name);
+  const std::unique_ptr<core::Coarsener> coarsener = core::coarseners().find(coarsener_name).make();
   core::CoarsenOptions copts;
   copts.mis2 = mis2;
   copts.hem_seed = mis2.seed + 1;
@@ -245,7 +245,7 @@ std::vector<LegacyAmgLevel> legacy_amg_levels(graph::CrsMatrix a_fine,
   const core::Mis2Options mis2;
   std::vector<LegacyAmgLevel> levels;
   core::CoarsenHandle handle(mis2);
-  const std::unique_ptr<core::Coarsener> coarsener = core::make_coarsener(coarsener_name);
+  const std::unique_ptr<core::Coarsener> coarsener = core::coarseners().find(coarsener_name).make();
   core::CoarsenOptions copts;
   copts.mis2 = mis2;
   graph::CrsMatrix current = std::move(a_fine);
@@ -469,7 +469,7 @@ TEST(Builder, ComplexityCapStopsDensifyingHierarchy) {
 TEST(Builder, ComplexityCapHonoredForEveryRegisteredCoarsener) {
   const graph::CrsGraph g = graph::power_law_graph(3000, 2.3, 3, 300, 11);
   const graph::CrsMatrix a = graph::laplacian_matrix(g, 1.0);
-  for (const core::CoarsenerSpec& spec : core::coarsener_registry()) {
+  for (const core::CoarsenerSpec& spec : core::coarseners().specs()) {
     solver::AmgOptions opts;
     opts.hierarchy.coarsener = spec.name;
     opts.hierarchy.min_coarse_size = 200;

@@ -317,7 +317,7 @@ TEST_F(ObsDeterminism, TracingNeverChangesResults) {
     Snapshot s;
     s.mis = core::mis2(g).in_set;
     const partition::WeightedGraph wg = partition::WeightedGraph::unit(graph::CrsGraph(g));
-    s.parts = partition::make_partitioner("multilevel-mis2")->run(wg, 4).part;
+    s.parts = partition::partitioners().find("multilevel-mis2").make()->run(wg, 4).part;
     multilevel::Options mo;
     mo.min_coarse_size = 100;
     multilevel::HierarchyHandle handle;
