@@ -7,9 +7,10 @@
 /// Run: ./cluster_gs_gmres [grid_side]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "graph_inputs.hpp"
 #include "obs/timer.hpp"
 #include "solver/cluster_gs.hpp"
 #include "solver/gauss_seidel.hpp"
@@ -18,7 +19,14 @@
 
 int main(int argc, char** argv) {
   using namespace parmis;
-  const ordinal_t side = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 20;
+  ordinal_t side = 20;
+  try {
+    // elasticity3d: three unknowns per grid point.
+    if (argc > 1) side = examples::parse_size_arg(argv[1], "grid side", 2, 3, 3);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // An elasticity-like problem — the matrix family where Table VI shows
   // the largest cluster-GS gains.

@@ -7,10 +7,11 @@
 /// Run: ./determinism_demo [n]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "core/mis2.hpp"
 #include "graph/rgg.hpp"
+#include "graph_inputs.hpp"
 #include "parallel/context.hpp"
 #include "random/hash.hpp"
 
@@ -29,7 +30,13 @@ std::uint64_t checksum(const std::vector<parmis::ordinal_t>& members) {
 
 int main(int argc, char** argv) {
   using namespace parmis;
-  const ordinal_t n = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 100000;
+  ordinal_t n = 100000;
+  try {
+    if (argc > 1) n = examples::parse_size_arg(argv[1], "n");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   const graph::CrsGraph g = graph::random_geometric_3d(n, 16.0, 3);
 
   struct Config {

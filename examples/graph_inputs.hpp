@@ -47,11 +47,12 @@ inline std::vector<std::string> split_csv(const std::string& s) {
 }
 
 /// A positional size argument of the example drivers (a vertex count or a
-/// grid side): a decimal integer >= `min` whose `dims`-th power, the
-/// vertex count it generates, fits the 32-bit vertex ordinal. Throws
-/// std::invalid_argument naming `what` otherwise.
+/// grid side): a decimal integer >= `min` whose `dims`-th power times
+/// `dofs` (unknowns per grid point), the row count it generates, fits the
+/// 32-bit vertex ordinal. Throws std::invalid_argument naming `what`
+/// otherwise.
 inline ordinal_t parse_size_arg(const char* text, const char* what, ordinal_t min = 2,
-                                int dims = 1) {
+                                int dims = 1, int dofs = 1) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text, &end, 10);
@@ -59,7 +60,7 @@ inline ordinal_t parse_size_arg(const char* text, const char* what, ordinal_t mi
     throw std::invalid_argument(std::string(what) + " must be an integer >= " +
                                 std::to_string(min) + ", got '" + text + "'");
   }
-  std::int64_t cells = 1;
+  std::int64_t cells = dofs;
   for (int d = 0; d < dims; ++d) {
     if (v > max_ordinal / cells) {
       throw std::invalid_argument(std::string(what) + " " + text +

@@ -6,18 +6,25 @@
 /// Run: ./quickstart [grid_side]
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "core/aggregation.hpp"
 #include "core/mis2.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "graph_inputs.hpp"
 #include "parallel/context.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmis;
-  const ordinal_t side = argc > 1 ? static_cast<ordinal_t>(std::atoi(argv[1])) : 50;
+  ordinal_t side = 50;
+  try {
+    if (argc > 1) side = examples::parse_size_arg(argv[1], "grid side", 2, 2);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // 1. Build a problem: a `side x side` 2D Poisson matrix, then take its
   //    loop-free adjacency (all MIS/coarsening algorithms operate on

@@ -165,7 +165,10 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
     col_m[static_cast<std::size_t>(v)] = P::is_in(m) ? pol.out() : m;
   };
 
-  auto decide = [&](ordinal_t v) {
+  // `out_possible` is false in worklist round 0: every active column then
+  // holds the minimum over its own undecided row, and inactive columns hold
+  // IN, so no column is OUT yet and the OUT test over the row is skipped.
+  auto decide = [&](ordinal_t v, bool out_possible) {
     const tuple_t t = row_t[static_cast<std::size_t>(v)];
     const tuple_t own_m = col_m[static_cast<std::size_t>(v)];
     bool any_out = P::is_out(own_m);
@@ -174,8 +177,8 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       if constexpr (P::is_packed) {
         const offset_t lo = g.row_map[v];
         const offset_t hi = g.row_map[v + 1];
-        any_out = any_out ||
-                  par::simd_count_equal_gather(col_m.data(), g.entries, lo, hi, pol.out()) > 0;
+        any_out = any_out || (out_possible && par::simd_any_equal_gather(
+                                                  col_m.data(), g.entries, lo, hi, pol.out()));
         if (!any_out && all_eq) {
           // Absent neighbors hold IN (see the initial state); unmasked runs
           // have none, so only masked runs pay for the second count.
@@ -285,7 +288,7 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       {
         PARMIS_SPAN("mis2.decide");
         par::balanced_for(n1, cost_ptr(ws.wl1_cost),
-                          [&](ordinal_t i) { decide(wl1[static_cast<std::size_t>(i)]); });
+                          [&](ordinal_t i) { decide(wl1[static_cast<std::size_t>(i)], iter > 0); });
       }
 
       filter_worklist(wl1, [&](ordinal_t v) {
@@ -321,7 +324,7 @@ void mis2_impl(graph::GraphView g, const Mis2Options& opts, const Context& ctx,
       {
         PARMIS_SPAN("mis2.sweep.decide");
         par::balanced_for(n, g.row_map, [&](ordinal_t v) {
-          if (P::is_undecided(row_t[static_cast<std::size_t>(v)])) decide(v);
+          if (P::is_undecided(row_t[static_cast<std::size_t>(v)])) decide(v, true);
         });
       }
       ++iter;

@@ -14,6 +14,7 @@
 #include "parallel/balanced_for.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_scan.hpp"
+#include "parallel/simd.hpp"
 
 namespace parmis::graph {
 
@@ -293,6 +294,108 @@ constexpr std::uint64_t kNegZeroBits = std::uint64_t{1} << 63;
 /// 64-bit words of an nc-column structure bitset.
 std::size_t bitset_words(ordinal_t nc) { return (static_cast<std::size_t>(nc) + 63) / 64; }
 
+}  // namespace
+
+// The fused product's two per-tile kernels. Each is one body built for
+// every ISA `PARMIS_WIDE_KERNEL` names; neither reassociates anything, so
+// every build writes the same bits (see the header). Named-namespace
+// linkage: the multi-versioning dispatch is an ifunc, the best-trodden
+// path for an externally visible symbol.
+namespace detail {
+
+/// `C[j] += pv·AP[j]` over columns `[lo, hi)` of one dense row, where
+/// columns the `A·P` row lacks (`mask[j] == 0`) add -0.0, the exact
+/// identity. Per lane: one multiply, one bit-select, one add — no
+/// cross-lane operation.
+inline void fused_masked_axpy(scalar_t* __restrict crow, const scalar_t* __restrict vals,
+                              const std::uint64_t* __restrict mask, scalar_t pv, std::size_t lo,
+                              std::size_t hi) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    const std::uint64_t prod = std::bit_cast<std::uint64_t>(pv * vals[j]);
+    crow[j] += std::bit_cast<scalar_t>((prod & mask[j]) | (~mask[j] & kNegZeroBits));
+  }
+}
+
+/// Rows `[t0 + lo, t0 + hi)` of `A·P`, each formed once, in `spgemm`'s
+/// entry order, straight into its dense tile row (row `r` of the tile at
+/// `tile_vals + r·nc`) seeded with -0.0, with a lane mask recording its
+/// structure without a branch per flop. The flop loop stays scalar. With
+/// `tile_bits` (a cold build) the mask is also packed into an nc-bit
+/// bitset per row, one register-built word at a time.
+PARMIS_WIDE_KERNEL
+void fused_ap_rows(const CrsMatrix& a, const CrsMatrix& p, ordinal_t t0, ordinal_t lo,
+                   ordinal_t hi, scalar_t* tile_vals, std::uint64_t* tile_mask,
+                   std::uint64_t* tile_bits) {
+  const std::size_t ncs = static_cast<std::size_t>(p.num_cols);
+  const std::size_t words = bitset_words(p.num_cols);
+  for (ordinal_t r = lo; r < hi; ++r) {
+    const ordinal_t i = t0 + r;
+    scalar_t* vals = tile_vals + static_cast<std::size_t>(r) * ncs;
+    std::uint64_t* mask = tile_mask + static_cast<std::size_t>(r) * ncs;
+    std::fill_n(vals, ncs, -0.0);
+    std::fill_n(mask, ncs, std::uint64_t{0});
+    for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+      const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+      const scalar_t av = a.values[static_cast<std::size_t>(ja)];
+      for (offset_t jb = p.row_map[k]; jb < p.row_map[k + 1]; ++jb) {
+        const auto j = static_cast<std::size_t>(p.entries[static_cast<std::size_t>(jb)]);
+        vals[j] += av * p.values[static_cast<std::size_t>(jb)];
+        mask[j] = ~std::uint64_t{0};
+      }
+    }
+    if (tile_bits == nullptr) continue;
+    std::uint64_t* bits = tile_bits + static_cast<std::size_t>(r) * words;
+    const std::size_t full = ncs / 64;
+    for (std::size_t w = 0; w < full; ++w) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < 64; ++b) word |= (mask[w * 64 + b] & 1) << b;
+      bits[w] = word;
+    }
+    if (full < words) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < ncs - full * 64; ++b) word |= (mask[full * 64 + b] & 1) << b;
+      bits[full] = word;
+    }
+  }
+}
+
+/// Scatter of the tile's `A·P` rows (fine rows `[t0, t1)`) through `Pᵀ`
+/// into the coarse rows `[lo, hi)` of the dense block: the tile's rows in
+/// ascending order, and for each `(c, P[i,c])` with `c` owned,
+/// `C[c][:] += P[i,c]·AP[i,:]`. With `tile_bits` (a cold build) each
+/// coarse row's structure bitset in `present` also ORs in the row's.
+PARMIS_WIDE_KERNEL
+void fused_scatter_tile(const CrsMatrix& p, ordinal_t t0, ordinal_t t1, ordinal_t lo,
+                        ordinal_t hi, const scalar_t* tile_vals, const std::uint64_t* tile_mask,
+                        const std::uint64_t* tile_bits, scalar_t* dense, std::uint64_t* present) {
+  const std::size_t ncs = static_cast<std::size_t>(p.num_cols);
+  const std::size_t words = bitset_words(p.num_cols);
+  const std::size_t body = ncs & ~std::size_t{7};
+  for (ordinal_t i = t0; i < t1; ++i) {
+    const std::size_t r = static_cast<std::size_t>(i - t0);
+    for (offset_t e = p.row_map[i]; e < p.row_map[i + 1]; ++e) {
+      const ordinal_t c = p.entries[static_cast<std::size_t>(e)];
+      if (c < lo || c >= hi) continue;
+      scalar_t* crow = dense + static_cast<std::size_t>(c) * ncs;
+      const scalar_t* vals = tile_vals + r * ncs;
+      const std::uint64_t* mask = tile_mask + r * ncs;
+      const scalar_t pv = p.values[static_cast<std::size_t>(e)];
+      // A multiple-of-8 body, then the rest: below -O3, GCC vectorizes
+      // only loops that need no scalar remainder.
+      fused_masked_axpy(crow, vals, mask, pv, 0, body);
+      fused_masked_axpy(crow, vals, mask, pv, body, ncs);
+      if (tile_bits == nullptr) continue;
+      const std::uint64_t* bits = tile_bits + r * words;
+      std::uint64_t* cbits = present + static_cast<std::size_t>(c) * words;
+      for (std::size_t w = 0; w < words; ++w) cbits[w] |= bits[w];
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
 /// The fused kernel proper: `Pᵀ·A·P` into `s.dense` and, with `kPattern`,
 /// its structure into the bitsets `s.present` (see the header for the
 /// order argument).
@@ -303,6 +406,8 @@ void fused_galerkin_dense(const CrsMatrix& a, const CrsMatrix& p, FusedGalerkinS
   const std::size_t ncs = static_cast<std::size_t>(nc);
   const std::size_t words = bitset_words(nc);
   s.size_for(n, nc);
+  std::uint64_t* const tile_bits = kPattern ? s.tile_bits.data() : nullptr;
+  std::uint64_t* const present = kPattern ? s.present.data() : nullptr;
 
   // Every (i, P[i,a]) costs its owner one nc-wide row update, so coarse
   // rows are balanced by their P column counts (in flops, for the gate).
@@ -321,7 +426,7 @@ void fused_galerkin_dense(const CrsMatrix& a, const CrsMatrix& p, FusedGalerkinS
     const std::size_t rows = static_cast<std::size_t>(hi - lo);
     std::fill_n(s.dense.data() + static_cast<std::size_t>(lo) * ncs, rows * ncs, -0.0);
     if constexpr (kPattern) {
-      std::fill_n(s.present.data() + static_cast<std::size_t>(lo) * words, rows * words,
+      std::fill_n(present + static_cast<std::size_t>(lo) * words, rows * words,
                   std::uint64_t{0});
     }
   });
@@ -329,59 +434,14 @@ void fused_galerkin_dense(const CrsMatrix& a, const CrsMatrix& p, FusedGalerkinS
   const ordinal_t tile = fused_tile_rows(n, nc);
   for (ordinal_t t0 = 0; t0 < n; t0 += tile) {
     const ordinal_t t1 = std::min(n, t0 + tile);
-    // A·P rows of the tile, each formed once, in `spgemm`'s entry order,
-    // straight into its dense tile row seeded with -0.0 (the replay's
-    // seeding, bit-identical to the cold `=`-then-`+=`). A lane mask
-    // records the row's structure without a branch per flop.
     par::balanced_chunks_by_work(
         t1 - t0, cost != nullptr ? cost + t0 : nullptr, [&](int, ordinal_t lo, ordinal_t hi) {
-          for (ordinal_t r = lo; r < hi; ++r) {
-            const ordinal_t i = t0 + r;
-            scalar_t* vals = s.tile_vals.data() + static_cast<std::size_t>(r) * ncs;
-            std::uint64_t* mask = s.tile_mask.data() + static_cast<std::size_t>(r) * ncs;
-            std::fill_n(vals, ncs, -0.0);
-            std::fill_n(mask, ncs, std::uint64_t{0});
-            for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
-              const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
-              const scalar_t av = a.values[static_cast<std::size_t>(ja)];
-              for (offset_t jb = p.row_map[k]; jb < p.row_map[k + 1]; ++jb) {
-                const auto j = static_cast<std::size_t>(p.entries[static_cast<std::size_t>(jb)]);
-                vals[j] += av * p.values[static_cast<std::size_t>(jb)];
-                mask[j] = ~std::uint64_t{0};
-              }
-            }
-            if constexpr (kPattern) {
-              std::uint64_t* bits = s.tile_bits.data() + static_cast<std::size_t>(r) * words;
-              std::fill_n(bits, words, std::uint64_t{0});
-              for (std::size_t j = 0; j < ncs; ++j) bits[j / 64] |= (mask[j] & 1) << (j % 64);
-            }
-          }
+          detail::fused_ap_rows(a, p, t0, lo, hi, s.tile_vals.data(), s.tile_mask.data(),
+                                tile_bits);
         });
-    // Scatter through Pᵀ: each owner walks the tile's rows in ascending
-    // order and adds P[i,a]·AP[i,:] into the coarse rows it owns. Columns
-    // the A·P row lacks add -0.0, the exact identity, through a branch-free
-    // select, so the nc-wide update vectorizes.
     par::balanced_chunks_by_work(nc, owner_cost, [&](int, ordinal_t lo, ordinal_t hi) {
-      for (ordinal_t i = t0; i < t1; ++i) {
-        const std::size_t r = static_cast<std::size_t>(i - t0);
-        const scalar_t* vals = s.tile_vals.data() + r * ncs;
-        const std::uint64_t* mask = s.tile_mask.data() + r * ncs;
-        for (offset_t e = p.row_map[i]; e < p.row_map[i + 1]; ++e) {
-          const ordinal_t c = p.entries[static_cast<std::size_t>(e)];
-          if (c < lo || c >= hi) continue;
-          const scalar_t pv = p.values[static_cast<std::size_t>(e)];
-          scalar_t* crow = s.dense.data() + static_cast<std::size_t>(c) * ncs;
-          for (std::size_t j = 0; j < ncs; ++j) {
-            const std::uint64_t prod = std::bit_cast<std::uint64_t>(pv * vals[j]);
-            crow[j] += std::bit_cast<scalar_t>((prod & mask[j]) | (~mask[j] & kNegZeroBits));
-          }
-          if constexpr (kPattern) {
-            const std::uint64_t* bits = s.tile_bits.data() + r * words;
-            std::uint64_t* cbits = s.present.data() + static_cast<std::size_t>(c) * words;
-            for (std::size_t w = 0; w < words; ++w) cbits[w] |= bits[w];
-          }
-        }
-      }
+      detail::fused_scatter_tile(p, t0, t1, lo, hi, s.tile_vals.data(), s.tile_mask.data(),
+                                 tile_bits, s.dense.data(), present);
     });
   }
 }

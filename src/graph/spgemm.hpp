@@ -60,6 +60,17 @@
 /// row `a` of `R = Pᵀ`. Tiling, chunking, schedule and thread count decide
 /// only which thread adds a product, never the order in which one entry
 /// receives them.
+///
+/// The two tile kernels (`A·P` row formation and the `Pᵀ` scatter) are
+/// `PARMIS_WIDE_KERNEL`s: on x86-64 ELF they are built for AVX-512F, AVX2
+/// and the baseline (SSE2), and the loader picks the widest build the CPU
+/// has. The bits cannot move between builds. The scatter's lanes are
+/// independent — each is one multiply, one bit-select and one add on its
+/// own column — so a wider vector changes no per-lane operation and no
+/// order. The row kernel's flop loop stays scalar (its stores are indirect);
+/// only its fills and its structure bitset, which is integer work, widen.
+/// The library is built with `-ffp-contract=off`, so no build fuses a
+/// multiply and an add into an FMA.
 
 #include <cstdint>
 #include <span>

@@ -10,10 +10,25 @@
 /// least 16 (`simd_degree_threshold`); below that the per-row setup overhead
 /// outweighs the gain. These helpers are branch-free single loops annotated
 /// with `omp simd` so the compiler can vectorize the reduction.
+///
+/// The library targets the baseline ISA of its platform (SSE2 on x86-64).
+/// A kernel whose speed is set by the vector width rather than by memory
+/// is marked `PARMIS_WIDE_KERNEL`: on x86-64 ELF the compiler emits an
+/// AVX-512F, an AVX2 and a baseline build of it, and the loader binds the
+/// widest one the CPU supports. Only kernels whose lanes are independent
+/// (no cross-lane reduction, no reassociation) may carry it, and the
+/// library is built with `-ffp-contract=off`, so every build computes the
+/// same per-lane operations in the same order: same bits on every CPU.
 
 #include <cstdint>
 
 #include "common/config.hpp"
+
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && defined(__ELF__)
+#define PARMIS_WIDE_KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define PARMIS_WIDE_KERNEL
+#endif
 
 namespace parmis::par {
 
@@ -51,6 +66,29 @@ inline offset_t simd_count_equal_gather(const Word* values, const ordinal_t* ent
     count += values[entries[j]] == match ? 1 : 0;
   }
   return count;
+}
+
+/// Whether some `j in [begin, end)` has `values[entries[j]] == match`
+/// (Algorithm 1 line 28's `exists`). Tests blocks of 8 gathers at once and
+/// stops at the first block with a hit, so rows with an early match read
+/// only part of their neighbors.
+template <typename Word>
+inline bool simd_any_equal_gather(const Word* values, const ordinal_t* entries, offset_t begin,
+                                  offset_t end, Word match) {
+  constexpr offset_t kBlock = 8;
+  offset_t j = begin;
+  for (; j + kBlock <= end; j += kBlock) {
+    int hit = 0;
+#if defined(_OPENMP)
+#pragma omp simd reduction(| : hit)
+#endif
+    for (offset_t l = 0; l < kBlock; ++l) hit |= values[entries[j + l]] == match ? 1 : 0;
+    if (hit != 0) return true;
+  }
+  for (; j < end; ++j) {
+    if (values[entries[j]] == match) return true;
+  }
+  return false;
 }
 
 }  // namespace parmis::par

@@ -252,7 +252,8 @@ void AmgHierarchy::ensure_mwork(int k_count) const {
 }
 
 void AmgHierarchy::smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
-                                      std::span<scalar_t> sol, int k_count) const {
+                                      std::span<scalar_t> sol, int k_count,
+                                      bool sol_is_zero) const {
   const AmgLevel& level = handle_.ops()[lvl];
   const std::size_t nk =
       static_cast<std::size_t>(level.a.num_rows) * static_cast<std::size_t>(k_count);
@@ -266,12 +267,13 @@ void AmgHierarchy::smooth_level_multi(std::size_t lvl, std::span<const scalar_t>
   } else {
     jacobi_smooth_multi(level.a, level.inv_diag, rhs, sol, opts_.smoother_sweeps,
                         opts_.jacobi_omega, std::span<scalar_t>(mwork_s1_[lvl].data(), nk),
-                        k_count);
+                        k_count, sol_is_zero);
   }
 }
 
 void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> b,
-                                     std::span<scalar_t> x, int k_count) const {
+                                     std::span<scalar_t> x, int k_count,
+                                     bool x_is_zero) const {
   const std::vector<AmgLevel>& levels = handle_.ops();
   const AmgLevel& level = levels[lvl];
   const std::size_t uk = static_cast<std::size_t>(k_count);
@@ -279,13 +281,13 @@ void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> 
     if (coarse_lu_) {
       coarse_lu_->solve_multi(b, x, k_count);
     } else {
-      smooth_level_multi(lvl, b, x, k_count);
+      smooth_level_multi(lvl, b, x, k_count, x_is_zero);
     }
     return;
   }
 
   // Pre-smooth.
-  smooth_level_multi(lvl, b, x, k_count);
+  smooth_level_multi(lvl, b, x, k_count, x_is_zero);
 
   // Coarse-grid correction — one fused kernel per grid transfer.
   const ordinal_t n = level.a.num_rows;
@@ -297,17 +299,17 @@ void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> 
   graph::spmm(level.r, r, bc, k_count);
   std::span<scalar_t> xc(mwork_xc_[lvl].data(), static_cast<std::size_t>(nc) * uk);
   fill(xc, 0.0);
-  cycle_level_multi(lvl + 1, bc, xc, k_count);
+  cycle_level_multi(lvl + 1, bc, xc, k_count, /*x_is_zero=*/true);
   // X += P Xc
   graph::spmm(1.0, level.p, xc, 0.0, r, k_count);
   mv_axpby(1.0, r, 1.0, x, n, k_count);
 
   // Post-smooth.
-  smooth_level_multi(lvl, b, x, k_count);
+  smooth_level_multi(lvl, b, x, k_count, /*sol_is_zero=*/false);
 }
 
 void AmgHierarchy::vcycle(std::span<const scalar_t> b, std::span<scalar_t> x) const {
-  cycle_level_multi(0, b, x, 1);
+  cycle_level_multi(0, b, x, 1, /*x_is_zero=*/false);  // x is the caller's guess
 }
 
 void AmgHierarchy::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
@@ -320,7 +322,8 @@ void AmgHierarchy::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> 
   ensure_mwork(k_count);
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
   fill(std::span<scalar_t>(z.data(), nk), 0.0);
-  cycle_level_multi(0, r.subspan(0, nk), std::span<scalar_t>(z.data(), nk), k_count);
+  cycle_level_multi(0, r.subspan(0, nk), std::span<scalar_t>(z.data(), nk), k_count,
+                    /*x_is_zero=*/true);
 }
 
 std::string AmgHierarchy::name() const {

@@ -175,10 +175,12 @@ class AmgHierarchy final : public Preconditioner {
   [[nodiscard]] const char* bottom_solve() const { return bottom_solve_; }
 
  private:
+  /// One V-cycle from level `lvl` down. `x_is_zero`: `x` holds zeros, so
+  /// the pre-smoother starts from zero (the caller zero-filled it).
   void cycle_level_multi(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x,
-                         int k_count) const;
+                         int k_count, bool x_is_zero) const;
   void smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
-                          std::span<scalar_t> sol, int k_count) const;
+                          std::span<scalar_t> sol, int k_count, bool sol_is_zero) const;
   /// Grow the per-level multi-vector workspaces to batch width `k_count`.
   void ensure_mwork(int k_count) const;
   /// Smoothers, coarse LU, and V-cycle workspaces for the current levels.

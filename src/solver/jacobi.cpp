@@ -229,16 +229,57 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
 
 void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                          std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                         scalar_t omega, std::span<scalar_t> x_next, int k_count) {
+                         scalar_t omega, std::span<scalar_t> x_next, int k_count,
+                         bool x_is_zero) {
   const std::size_t uk = static_cast<std::size_t>(k_count);
   const std::size_t nk = static_cast<std::size_t>(a.num_rows) * uk;
   assert(k_count > 0);
   assert(b.size() >= nk && x.size() >= nk && x_next.size() >= nk);
-  for (int s = 0; s < sweeps; ++s) {
-    jacobi_sweep_multi(a, inv_diag, b, x, x_next, omega, k_count);
-    par::parallel_for(static_cast<std::int64_t>(nk), [&](std::int64_t t) {
-      x[static_cast<std::size_t>(t)] = x_next[static_cast<std::size_t>(t)];
+  if (sweeps <= 0) return;
+  // Buffers ping-pong: a per-sweep copy-back would be pure data movement,
+  // and the sweep values are identical wherever they land.
+  std::span<scalar_t> ping(x_next.data(), nk);
+  std::span<scalar_t> out(x.data(), nk);
+  if (!x_is_zero) {
+    std::span<scalar_t> cur = out;
+    std::span<scalar_t> nxt = ping;
+    for (int s = 0; s < sweeps; ++s) {
+      jacobi_sweep_multi(a, inv_diag, b, cur, nxt, omega, k_count);
+      std::swap(cur, nxt);
+    }
+    if (sweeps % 2 != 0) {
+      par::parallel_for(static_cast<std::int64_t>(nk), [&](std::int64_t t) {
+        out[static_cast<std::size_t>(t)] = ping[static_cast<std::size_t>(t)];
+      });
+    }
+    return;
+  }
+  // First sweep from x = 0: the traversal's accumulator is exactly +0.0
+  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
+  // sweep expression with acc = 0 elementwise produces the identical bits
+  // without touching the matrix — one full traversal saved.
+  //
+  // With several columns the second sweep also skips re-reading that
+  // output: it recomputes each gathered operand from b instead
+  // (jacobi_first_sweep_multi). For one column the recompute costs more
+  // than the 8-byte read it saves (measured 1.33x slower), so K = 1 keeps
+  // this two-pass form.
+  //
+  // The start buffer is picked by parity so the LAST pass writes x.
+  const bool fused = k_count > 1 && sweeps >= 2;
+  const int rest = sweeps - (fused ? 2 : 1);
+  std::span<scalar_t> cur = (rest % 2 == 0) ? out : ping;
+  std::span<scalar_t> nxt = (rest % 2 == 0) ? ping : out;
+  if (fused) {
+    jacobi_first_sweep_multi(a, inv_diag, b, cur, omega, k_count);
+  } else {
+    mv_for_each_lane(a.num_rows, k_count, [&](ordinal_t i, std::size_t at) {
+      cur[at] = 0.0 + omega * inv_diag[static_cast<std::size_t>(i)] * (b[at] - 0.0);
     });
+  }
+  for (int s = 0; s < rest; ++s) {
+    jacobi_sweep_multi(a, inv_diag, b, cur, nxt, omega, k_count);
+    std::swap(cur, nxt);
   }
 }
 
@@ -256,36 +297,8 @@ void JacobiPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<sc
                       [&](std::int64_t t) { z[static_cast<std::size_t>(t)] = 0; });
     return;
   }
-  // First sweep from z = 0: the traversal's accumulator is exactly +0.0
-  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
-  // sweep expression with acc = 0 elementwise produces the identical bits
-  // without touching the matrix — one full traversal saved per apply.
-  //
-  // With several columns the second sweep also skips re-reading that
-  // output: it recomputes each gathered operand from r instead
-  // (jacobi_first_sweep_multi). For one column the recompute costs more
-  // than the 8-byte read it saves (measured 1.33x slower), so K = 1 keeps
-  // this two-pass form.
-  //
-  // Buffers ping-pong so the LAST pass writes z directly: the per-sweep
-  // copy-back of jacobi_smooth is pure data movement, and the sweep values
-  // are identical wherever they land.
-  const bool fused = k_count > 1 && sweeps_ >= 2;
-  const int rest = sweeps_ - (fused ? 2 : 1);
-  std::span<scalar_t> ping(x_next_.data(), nk);
-  std::span<scalar_t> cur = (rest % 2 == 0) ? z : ping;
-  std::span<scalar_t> nxt = (rest % 2 == 0) ? ping : z;
-  if (fused) {
-    jacobi_first_sweep_multi(a_, inv_diag_, r, cur, omega_, k_count);
-  } else {
-    mv_for_each_lane(n, k_count, [&](ordinal_t i, std::size_t at) {
-      cur[at] = 0.0 + omega_ * inv_diag_[static_cast<std::size_t>(i)] * (r[at] - 0.0);
-    });
-  }
-  for (int s = 0; s < rest; ++s) {
-    jacobi_sweep_multi(a_, inv_diag_, r, cur, nxt, omega_, k_count);
-    std::swap(cur, nxt);
-  }
+  jacobi_smooth_multi(a_, inv_diag_, r, z, sweeps_, omega_, x_next_, k_count,
+                      /*x_is_zero=*/true);
 }
 
 }  // namespace parmis::solver

@@ -38,10 +38,19 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
 /// single-vector sweep (per-row accumulation in entry order, identical
 /// update expression), so column c is bit-identical to the same call on
 /// the gathered column. `x_next` is the caller-owned double buffer
-/// (`a.num_rows * k_count` elements). The AMG V-cycle smooths through it.
+/// (`a.num_rows * k_count` elements); the sweeps ping-pong between it and
+/// `x`, with one copy back at the end for an odd sweep count.
+///
+/// `x_is_zero` starts the sweeps from x = 0 without reading `x`: the first
+/// sweep needs no matrix traversal, for K > 1 the second is fused with it,
+/// and the last sweep lands in `x` with no copy. The values are those of
+/// the same sweeps run on a zero-filled `x`, bit for bit. The Jacobi
+/// preconditioner and the AMG V-cycle (pre-smoothing after a zero fill)
+/// both smooth through this.
 void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                          std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                         scalar_t omega, std::span<scalar_t> x_next, int k_count);
+                         scalar_t omega, std::span<scalar_t> x_next, int k_count,
+                         bool x_is_zero = false);
 
 /// Preconditioner adapter: z = M^{-1} r approximated by `sweeps` damped
 /// Jacobi sweeps on A z = r from z = 0. All state (inverted diagonal,

@@ -4,7 +4,8 @@
 /// `balanced_for` under every schedule, the balanced reductions, the work
 /// gate of `balanced_chunks_by_work`, the single-pass SpGEMM (equivalence
 /// against the historical two-pass reference — including a few-row dense
-/// Galerkin product and its replay, and the fused Galerkin kernel — plus the
+/// Galerkin product and its replay, and the fused Galerkin kernel at every
+/// vector remainder of its wide-vector builds — plus the
 /// traversal-counter regression guard), and the parallel transpose.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -597,6 +599,71 @@ TEST(SpgemmFused, FewRowsDenseProductMatchesReferenceAcrossConfigs) {
                 std::numeric_limits<scalar_t>::quiet_NaN());
       graph::galerkin_fused_numeric(fa, fp, scratch, replay);
       EXPECT_EQ(bits_of(replay.values), fref_bits) << where;
+    }
+  }
+}
+
+/// The `PARMIS_WIDE_KERNEL` build the loader binds on this CPU: the same
+/// priority the multi-versioning resolver applies (parallel/simd.hpp).
+const char* wide_kernel_build() {
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && defined(__ELF__)
+  if (__builtin_cpu_supports("avx512f")) return "avx512f";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+  return "default";
+#else
+  return "single build";
+#endif
+}
+
+TEST(SpgemmFused, WideKernelRemaindersMatchReference) {
+  // Synthetic P at coarse widths that land on every vector remainder and
+  // on a partial last bitset word: 1, 7, 63 lanes (one partial word), 64
+  // (one full word), 65 and 130 (a full word plus a partial one). Values
+  // are inexact fractions of both signs and some -0.0, so a reassociated
+  // or contracted lane would show in the bits; every fifth P row is empty,
+  // so A·P rows stay partial even at small widths.
+  std::printf("[ wide kernel ] fused Galerkin product runs the %s build\n", wide_kernel_build());
+  const graph::CrsMatrix a =
+      graph::laplacian_matrix(graph::power_law_graph(3000, 2.2, 3, 80, 11), 0.3);
+  const std::pair<Backend, int> cfgs[] = {
+      {Backend::Serial, 1}, {Backend::OpenMP, 1}, {Backend::OpenMP, 3}, {Backend::OpenMP, 4}};
+  for (const ordinal_t nc : {1, 7, 63, 64, 65, 130}) {
+    graph::CrsMatrix p;
+    p.num_rows = a.num_rows;
+    p.num_cols = nc;
+    p.row_map.assign(1, 0);
+    for (ordinal_t i = 0; i < a.num_rows; ++i) {
+      if (i % 5 != 4) {
+        const ordinal_t c0 = (i * 7 + 3) % nc;
+        const ordinal_t c1 = (i * 13 + 5) % nc;
+        p.entries.push_back(std::min(c0, c1));
+        p.values.push_back(i % 11 == 0 ? -0.0 : 0.1 * ((i * 29) % 17) - 0.75);
+        if (c1 != c0) {
+          p.entries.push_back(std::max(c0, c1));
+          p.values.push_back(1.0 / (3.0 + (i % 7)));
+        }
+      }
+      p.row_map.push_back(static_cast<offset_t>(p.entries.size()));
+    }
+    const graph::CrsMatrix ref =
+        spgemm_two_pass_reference(graph::transpose_matrix(p), spgemm_two_pass_reference(a, p));
+    const std::vector<std::uint64_t> ref_bits = bits_of(ref.values);
+    graph::FusedGalerkinScratch scratch;
+    for (auto [backend, threads] : cfgs) {
+      ScopedExecution scope(backend, threads);
+      const std::string where = "nc=" + std::to_string(nc) +
+                                " backend=" + std::to_string(static_cast<int>(backend)) +
+                                " threads=" + std::to_string(threads);
+      const graph::CrsMatrix c = graph::galerkin_fused(a, p, scratch);
+      EXPECT_EQ(c.row_map, ref.row_map) << where;
+      EXPECT_EQ(c.entries, ref.entries) << where;
+      EXPECT_EQ(bits_of(c.values), ref_bits) << where;
+
+      graph::CrsMatrix replay = c;
+      std::fill(replay.values.begin(), replay.values.end(),
+                std::numeric_limits<scalar_t>::quiet_NaN());
+      graph::galerkin_fused_numeric(a, p, scratch, replay);
+      EXPECT_EQ(bits_of(replay.values), ref_bits) << where;
     }
   }
 }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
@@ -132,6 +136,41 @@ TEST(Jacobi, ReducesResidualMonotonically) {
     const double cur = residual_norm(a, b, x);
     EXPECT_LT(cur, prev);
     prev = cur;
+  }
+}
+
+TEST(Jacobi, ZeroStartAndPingPongMatchOneSweepAtATime) {
+  // One sweep per call (sweep into the double buffer, copy back) is the
+  // plain definition. A multi-sweep call ping-pongs between the buffers,
+  // and a zero start skips the first traversal (and for K > 1 fuses the
+  // second sweep into it); both must reproduce the definition bit for bit.
+  const graph::CrsMatrix a = graph::laplace2d(12, 12);
+  const std::vector<scalar_t> inv_diag = inverted_diagonal(a);
+  const std::size_t n = static_cast<std::size_t>(a.num_rows);
+  auto bits = [](const std::vector<scalar_t>& v) {
+    std::vector<std::uint64_t> out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(v[i]);
+    return out;
+  };
+  for (const int k : {1, 3}) {
+    const std::size_t nk = n * static_cast<std::size_t>(k);
+    const std::vector<scalar_t> b = random_vector(static_cast<ordinal_t>(nk), 8);
+    const std::vector<scalar_t> x0 = random_vector(static_cast<ordinal_t>(nk), 9);
+    std::vector<scalar_t> buf(nk);
+    for (const int sweeps : {1, 2, 3, 4}) {
+      const std::string where = "k=" + std::to_string(k) + " sweeps=" + std::to_string(sweeps);
+      for (const bool zero : {true, false}) {
+        std::vector<scalar_t> ref = zero ? std::vector<scalar_t>(nk, 0.0) : x0;
+        for (int s = 0; s < sweeps; ++s) {
+          jacobi_smooth_multi(a, inv_diag, b, ref, 1, 2.0 / 3.0, buf, k);
+        }
+        // A zero start does not read x: garbage in it must not leak out.
+        std::vector<scalar_t> x =
+            zero ? std::vector<scalar_t>(nk, std::numeric_limits<scalar_t>::quiet_NaN()) : x0;
+        jacobi_smooth_multi(a, inv_diag, b, x, sweeps, 2.0 / 3.0, buf, k, zero);
+        EXPECT_EQ(bits(x), bits(ref)) << where << " zero=" << zero;
+      }
+    }
   }
 }
 

@@ -20,6 +20,11 @@ that are *specific to this codebase* and invisible to a generic tool:
   R4  unique-span-names Every PARMIS_SPAN literal is unique per file, so
                         trace aggregation never folds two distinct sites
                         into one row.
+  R5  no-raw-target     `target_clones` / `__attribute__((target` appear
+                        only in the PARMIS_WIDE_KERNEL macro of
+                        src/parallel/simd.hpp. One macro keeps the ISA set,
+                        the platform gate and the same-bits argument in one
+                        place; a kernel opts in by carrying the macro.
 
 Usage:
   python3 tools/lint_parmis.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -60,6 +65,12 @@ RULES = [
         re.compile(r"\bnew\s+[A-Za-z_][\w:<>, ]*\[|(?<![\w:])(?:malloc|calloc|realloc)\s*\("),
         lambda rel: rel != "src/check/alloc_guard.cpp",
         "naked array-new/malloc — scratch belongs in handle-owned std::vectors",
+    ),
+    (
+        "no-raw-target",
+        re.compile(r"\btarget_clones\b|__attribute__\s*\(\(\s*target\b|\bgnu::target(?:_clones)?\b"),
+        lambda rel: rel != "src/parallel/simd.hpp",
+        "raw ISA multi-versioning — mark the kernel PARMIS_WIDE_KERNEL (parallel/simd.hpp)",
     ),
 ]
 
@@ -118,6 +129,10 @@ SEEDED = {
     "no-raw-omp": ("src/core/seeded.cpp", "#pragma omp parallel for\n"),
     "no-ambient-rng": ("src/core/seeded.cpp", "int x = rand();\n"),
     "no-naked-alloc": ("src/core/seeded.cpp", "int* p = new int[16];\n"),
+    "no-raw-target": (
+        "src/graph/seeded.cpp",
+        '__attribute__((target("avx2"))) void kernel(double* x);\n',
+    ),
     "unique-span-names": (
         "src/core/seeded.cpp",
         'PARMIS_SPAN("dup.name");\nPARMIS_SPAN("dup.name");\n',
@@ -129,6 +144,10 @@ CLEAN_SNIPPETS = [
     ("src/core/clean.cpp", "// int x = rand();  commented out\n"),
     ("src/core/allowed.cpp", "int* p = new int[4];  // lint-parmis: allow(no-naked-alloc)\n"),
     ("src/core/spans.cpp", 'PARMIS_SPAN("a.b");\nPARMIS_SPAN("a.c");\n'),
+    (  # R5 scoped to the one macro
+        "src/parallel/simd.hpp",
+        '#define PARMIS_WIDE_KERNEL __attribute__((target_clones("avx2", "default")))\n',
+    ),
 ]
 
 
