@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 
 #include "check/check.hpp"
 #include "check/validate.hpp"
@@ -30,11 +31,15 @@ struct Workspace {
   /// Flop-cost prefix of the product this thread is driving (see
   /// `product_cost_prefix`); kept so warm replays reuse its capacity.
   std::vector<offset_t> cost;
+  /// Touched columns of the current `smoothed_prolongator` row as an
+  /// `ncols`-bit set; all zero between rows.
+  std::vector<std::uint64_t> bits;
 
   void ensure(ordinal_t ncols) {
     if (stamp_of.size() < static_cast<std::size_t>(ncols)) {
       stamp_of.assign(static_cast<std::size_t>(ncols), 0);
       acc.assign(static_cast<std::size_t>(ncols), 0);
+      bits.assign((static_cast<std::size_t>(ncols) + 63) / 64, 0);
       stamp = 0;
     }
   }
@@ -288,6 +293,18 @@ ordinal_t fused_tile_rows(ordinal_t rows, ordinal_t nc) {
   return static_cast<ordinal_t>(std::min<std::int64_t>(rows, per_tile));
 }
 
+/// `A` entries the fused row kernel looks ahead when it prefetches `P` rows.
+constexpr offset_t kPrefetchAhead = 8;
+
+/// Hint that `addr` will be read soon; moves no data the program sees.
+inline void prefetch_read(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr);
+#else
+  (void)addr;
+#endif
+}
+
 /// Bits of -0.0, the addend of a column an A·P row does not have.
 constexpr std::uint64_t kNegZeroBits = std::uint64_t{1} << 63;
 
@@ -321,13 +338,15 @@ inline void fused_masked_axpy(scalar_t* __restrict crow, const scalar_t* __restr
 /// `tile_vals + r·nc`) seeded with -0.0, with a lane mask recording its
 /// structure without a branch per flop. The flop loop stays scalar. With
 /// `tile_bits` (a cold build) the mask is also packed into an nc-bit
-/// bitset per row, one register-built word at a time.
+/// bitset per row, one register-built word at a time. The `P` row of the
+/// `A` entry `kPrefetchAhead` steps on is prefetched, across row ends.
 PARMIS_WIDE_KERNEL
 void fused_ap_rows(const CrsMatrix& a, const CrsMatrix& p, ordinal_t t0, ordinal_t lo,
                    ordinal_t hi, scalar_t* tile_vals, std::uint64_t* tile_mask,
                    std::uint64_t* tile_bits) {
   const std::size_t ncs = static_cast<std::size_t>(p.num_cols);
   const std::size_t words = bitset_words(p.num_cols);
+  const offset_t prefetch_end = a.row_map[t0 + hi];
   for (ordinal_t r = lo; r < hi; ++r) {
     const ordinal_t i = t0 + r;
     scalar_t* vals = tile_vals + static_cast<std::size_t>(r) * ncs;
@@ -335,6 +354,12 @@ void fused_ap_rows(const CrsMatrix& a, const CrsMatrix& p, ordinal_t t0, ordinal
     std::fill_n(vals, ncs, -0.0);
     std::fill_n(mask, ncs, std::uint64_t{0});
     for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+      if (ja + kPrefetchAhead < prefetch_end) {
+        const auto ahead = static_cast<std::size_t>(
+            p.row_map[a.entries[static_cast<std::size_t>(ja + kPrefetchAhead)]]);
+        prefetch_read(p.entries.data() + ahead);
+        prefetch_read(p.values.data() + ahead);
+      }
       const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
       const scalar_t av = a.values[static_cast<std::size_t>(ja)];
       for (offset_t jb = p.row_map[k]; jb < p.row_map[k + 1]; ++jb) {
@@ -616,38 +641,200 @@ CrsMatrix matrix_add(scalar_t alpha, const CrsMatrix& a, scalar_t beta, const Cr
   return c;
 }
 
-void matrix_add_numeric(scalar_t alpha, const CrsMatrix& a, scalar_t beta, const CrsMatrix& b,
-                        CrsMatrix& c) {
-  assert(a.num_rows == b.num_rows && a.num_cols == b.num_cols);
-  assert(c.num_rows == a.num_rows);
-  par::balanced_for(a.num_rows, c.row_map.data(), [&](ordinal_t i) {
-    auto ra = a.row(i);
-    auto rb = b.row(i);
-    auto va = a.row_values(i);
-    auto vb = b.row_values(i);
-    std::size_t ia = 0, ib = 0;
-    offset_t o = c.row_map[i];
-    while (ia < ra.size() || ib < rb.size()) {
-      scalar_t val;
-      if (ib >= rb.size() || (ia < ra.size() && ra[ia] < rb[ib])) {
-        val = alpha * va[ia];
-        ++ia;
-      } else if (ia >= ra.size() || rb[ib] < ra[ia]) {
-        val = beta * vb[ib];
-        ++ib;
-      } else {
-        val = alpha * va[ia] + beta * vb[ib];
-        ++ia;
-        ++ib;
+namespace {
+
+/// Shapes `smoothed_prolongator` relies on: `a` square, `phat` one entry
+/// per row (its `row_map` is the identity), `inv_diag` one scale per row.
+void check_prolongator_operands(const CrsMatrix& a, const CrsMatrix& phat,
+                                std::span<const scalar_t> inv_diag) {
+  assert(a.num_rows == a.num_cols && phat.num_rows == a.num_rows);
+  assert(inv_diag.size() == static_cast<std::size_t>(a.num_rows));
+  PARMIS_CHECK_MSG(a.num_rows == a.num_cols && phat.num_rows == a.num_rows &&
+                       inv_diag.size() == static_cast<std::size_t>(a.num_rows),
+                   "smoothed_prolongator operand shapes do not chain");
+  PARMIS_CHECK_MSG(phat.num_entries() == static_cast<offset_t>(phat.num_rows),
+                   "smoothed_prolongator needs one tentative-prolongator entry per row");
+}
+
+/// `P` from `D⁻¹·A·P̂`: `matrix_add(1.0, phat, -omega, ap)`'s value for an
+/// entry of row `i` in column `j`, where `P̂` row `i` is `(own, w)`.
+inline scalar_t prolongator_value(ordinal_t j, scalar_t apv, ordinal_t own, scalar_t w,
+                                  scalar_t beta) {
+  constexpr scalar_t alpha = 1.0;
+  return j == own ? alpha * w + beta * apv : beta * apv;
+}
+
+}  // namespace
+
+void smoothed_prolongator(const CrsMatrix& a, const CrsMatrix& phat,
+                          std::span<const scalar_t> inv_diag, scalar_t omega, CrsMatrix& ap,
+                          CrsMatrix& p) {
+  check_prolongator_operands(a, phat, inv_diag);
+  PARMIS_CHECK_OK(check::validate(a));
+  obs::Span span("spgemm.smoothed_prolongator");
+  span.arg("rows", a.num_rows);
+  const ordinal_t n = a.num_rows;
+  const ordinal_t nc = phat.num_cols;
+  const std::size_t words = bitset_words(nc);
+  ap.num_rows = n;
+  ap.num_cols = nc;
+  ap.row_map.assign(static_cast<std::size_t>(n) + 1, 0);
+
+  // `P̂` row `k` is `(label(k), w(k))`, so `A·P̂` row `i` is one gather per
+  // `A` entry. The row's touched columns live in the thread's bitset, all
+  // zero between rows. First the row lengths: distinct labels per row.
+  std::atomic<bool> missing_diagonal{false};
+  par::balanced_chunks(n, a.row_map.data(), [&](int, ordinal_t lo, ordinal_t hi) {
+    Workspace& ws = t_ws;
+    ws.ensure(nc);
+    std::uint64_t* const bits = ws.bits.data();
+    for (ordinal_t i = lo; i < hi; ++i) {
+      offset_t count = 0;
+      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+        const auto j = static_cast<std::size_t>(
+            phat.entries[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(ja)])]);
+        const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+        count += (bits[j / 64] & bit) == 0 ? 1 : 0;
+        bits[j / 64] |= bit;
       }
-      c.values[static_cast<std::size_t>(o)] = val;
-      ++o;
+      const auto own = static_cast<std::size_t>(phat.entries[static_cast<std::size_t>(i)]);
+      if (((bits[own / 64] >> (own % 64)) & 1) == 0) {
+        missing_diagonal.store(true, std::memory_order_relaxed);
+      }
+      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+        bits[static_cast<std::size_t>(
+                 phat.entries[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(ja)])]) /
+             64] = 0;
+      }
+      ap.row_map[static_cast<std::size_t>(i) + 1] = count;
     }
-    assert(o == c.row_map[i + 1]);
+  });
+  if (missing_diagonal.load(std::memory_order_relaxed)) {
+    throw std::invalid_argument(
+        "smoothed_prolongator: a row of A·P̂ lacks its own aggregate (no structural diagonal)");
+  }
+  par::inclusive_scan_inplace(
+      std::span<offset_t>(ap.row_map.data() + 1, static_cast<std::size_t>(n)));
+  const std::size_t nnz = static_cast<std::size_t>(ap.row_map.back());
+  ap.entries.resize(nnz);
+  ap.values.resize(nnz);
+  p.num_rows = n;
+  p.num_cols = nc;
+  p.row_map = ap.row_map;
+  p.entries.resize(nnz);
+  p.values.resize(nnz);
+
+  // Then the values, straight into both outputs: each row accumulates in
+  // `A`'s entry order with `spgemm`'s first `=` and later `+=`, and is
+  // emitted in column order — by walking the bitset when its words are no
+  // more than the row's columns, else by sorting the (short) touched list.
+  const scalar_t beta = -omega;
+  par::balanced_chunks(n, a.row_map.data(), [&](int, ordinal_t lo, ordinal_t hi) {
+    Workspace& ws = t_ws;
+    ws.ensure(nc);
+    std::uint64_t* const bits = ws.bits.data();
+    scalar_t* const acc = ws.acc.data();
+    for (ordinal_t i = lo; i < hi; ++i) {
+      ws.touched.clear();
+      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+        const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+        const ordinal_t j = phat.entries[static_cast<std::size_t>(k)];
+        const scalar_t prod =
+            a.values[static_cast<std::size_t>(ja)] * phat.values[static_cast<std::size_t>(k)];
+        std::uint64_t& word = bits[static_cast<std::size_t>(j) / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (static_cast<std::size_t>(j) % 64);
+        if ((word & bit) == 0) {
+          word |= bit;
+          acc[static_cast<std::size_t>(j)] = prod;
+          ws.touched.push_back(j);
+        } else {
+          acc[static_cast<std::size_t>(j)] += prod;
+        }
+      }
+
+      const scalar_t scale = inv_diag[static_cast<std::size_t>(i)];
+      const ordinal_t own = phat.entries[static_cast<std::size_t>(i)];
+      const scalar_t w = phat.values[static_cast<std::size_t>(i)];
+      auto o = static_cast<std::size_t>(ap.row_map[i]);
+      const auto emit = [&](ordinal_t j) {
+        const scalar_t apv = acc[static_cast<std::size_t>(j)] * scale;
+        ap.entries[o] = j;
+        ap.values[o] = apv;
+        p.entries[o] = j;
+        p.values[o] = prolongator_value(j, apv, own, w, beta);
+        ++o;
+      };
+      if (words <= ws.touched.size()) {
+        for (std::size_t wi = 0; wi < words; ++wi) {
+          std::uint64_t word = bits[wi];
+          bits[wi] = 0;
+          while (word != 0) {
+            emit(static_cast<ordinal_t>(wi * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+            word &= word - 1;
+          }
+        }
+      } else {
+        std::sort(ws.touched.begin(), ws.touched.end());
+        for (const ordinal_t j : ws.touched) {
+          bits[static_cast<std::size_t>(j) / 64] = 0;
+          emit(j);
+        }
+      }
+      assert(o == static_cast<std::size_t>(ap.row_map[i + 1]));
+    }
+  });
+  PARMIS_CHECK_OK(check::validate(ap));
+  PARMIS_CHECK_OK(check::validate(p));
+}
+
+void smoothed_prolongator_numeric(const CrsMatrix& a, const CrsMatrix& phat,
+                                  std::span<const scalar_t> inv_diag, scalar_t omega,
+                                  CrsMatrix& ap, CrsMatrix& p) {
+  check_prolongator_operands(a, phat, inv_diag);
+  assert(ap.num_rows == a.num_rows && p.num_rows == a.num_rows);
+  PARMIS_CHECK_MSG(ap.num_rows == a.num_rows && p.num_rows == a.num_rows &&
+                       ap.num_entries() == p.num_entries(),
+                   "smoothed_prolongator_numeric pattern does not match operands");
+  if (a.num_rows == 0) return;
+  obs::Span span("spgemm.smoothed_prolongator_replay");
+  span.arg("rows", a.num_rows);
+
+  // The cold pass with its pattern known: slots reset to -0.0, the exact
+  // additive identity, so the first `+=` reproduces the cold `=`; then the
+  // same products in the same `A` entry order, read back off the pattern.
+  const scalar_t beta = -omega;
+  par::balanced_chunks(a.num_rows, a.row_map.data(), [&](int, ordinal_t lo, ordinal_t hi) {
+    Workspace& ws = t_ws;
+    ws.ensure(phat.num_cols);
+    scalar_t* const acc = ws.acc.data();
+    for (ordinal_t i = lo; i < hi; ++i) {
+      for (offset_t e = ap.row_map[i]; e < ap.row_map[i + 1]; ++e) {
+        acc[static_cast<std::size_t>(ap.entries[static_cast<std::size_t>(e)])] = -0.0;
+      }
+      for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+        const auto k = static_cast<std::size_t>(a.entries[static_cast<std::size_t>(ja)]);
+        acc[static_cast<std::size_t>(phat.entries[k])] +=
+            a.values[static_cast<std::size_t>(ja)] * phat.values[k];
+      }
+      const scalar_t scale = inv_diag[static_cast<std::size_t>(i)];
+      const ordinal_t own = phat.entries[static_cast<std::size_t>(i)];
+      const scalar_t w = phat.values[static_cast<std::size_t>(i)];
+      for (offset_t e = ap.row_map[i]; e < ap.row_map[i + 1]; ++e) {
+        const auto se = static_cast<std::size_t>(e);
+        const ordinal_t j = ap.entries[se];
+        const scalar_t apv = acc[static_cast<std::size_t>(j)] * scale;
+        ap.values[se] = apv;
+        p.values[se] = prolongator_value(j, apv, own, w, beta);
+      }
+    }
   });
 }
 
-CrsMatrix transpose_matrix(const CrsMatrix& a) {
+namespace {
+
+/// The parallel counting-sort transpose; with `perm`, the placement pass
+/// also records where each entry of `a` lands.
+CrsMatrix transpose_into(const CrsMatrix& a, offset_t* perm) {
   PARMIS_SPAN("spgemm.transpose");
   CrsMatrix t;
   t.num_rows = a.num_cols;
@@ -664,7 +851,8 @@ CrsMatrix transpose_matrix(const CrsMatrix& a) {
   // cursors, and the placement pass writes entries at those cursors. A
   // column's entries arrive ordered by (chunk, row-within-chunk) = source
   // row ascending for *any* contiguous chunking, so the result — rows
-  // sorted by original row id — is identical to the serial transpose.
+  // sorted by original row id — is identical to the serial transpose, and
+  // so is the permutation.
   const std::size_t ncols = static_cast<std::size_t>(a.num_cols);
   const int nchunks = par::balanced_chunk_count();
   std::vector<offset_t> counts(static_cast<std::size_t>(nchunks) * ncols, 0);
@@ -691,30 +879,20 @@ CrsMatrix transpose_matrix(const CrsMatrix& a) {
                            cursor[static_cast<std::size_t>(col)]++;
         t.entries[static_cast<std::size_t>(o)] = i;
         t.values[static_cast<std::size_t>(o)] = a.values[static_cast<std::size_t>(j)];
+        if (perm != nullptr) perm[static_cast<std::size_t>(j)] = o;
       }
     }
   });
   return t;
 }
 
-std::vector<offset_t> transpose_permutation(const CrsMatrix& a) {
-  // Serial counting-sort replay of `transpose_matrix`'s placement: a
-  // column's entries arrive in source-row order, so a single ascending
-  // sweep with per-column cursors reproduces the transpose's entry
-  // positions exactly.
-  std::vector<offset_t> perm(static_cast<std::size_t>(a.num_entries()));
-  std::vector<offset_t> cursor(static_cast<std::size_t>(a.num_cols) + 1, 0);
-  for (const ordinal_t col : a.entries) ++cursor[static_cast<std::size_t>(col) + 1];
-  for (ordinal_t c = 0; c < a.num_cols; ++c) {
-    cursor[static_cast<std::size_t>(c) + 1] += cursor[static_cast<std::size_t>(c)];
-  }
-  for (ordinal_t i = 0; i < a.num_rows; ++i) {
-    for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-      perm[static_cast<std::size_t>(j)] =
-          cursor[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])]++;
-    }
-  }
-  return perm;
+}  // namespace
+
+CrsMatrix transpose_matrix(const CrsMatrix& a) { return transpose_into(a, nullptr); }
+
+CrsMatrix transpose_matrix(const CrsMatrix& a, std::vector<offset_t>& perm) {
+  perm.resize(static_cast<std::size_t>(a.num_entries()));
+  return transpose_into(a, perm.data());
 }
 
 void transpose_numeric(const CrsMatrix& a, std::span<const offset_t> perm, CrsMatrix& t) {

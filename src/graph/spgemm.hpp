@@ -70,7 +70,32 @@
 /// order. The row kernel's flop loop stays scalar (its stores are indirect);
 /// only its fills and its structure bitset, which is integer work, widen.
 /// The library is built with `-ffp-contract=off`, so no build fuses a
-/// multiply and an add into an FMA.
+/// multiply and an add into an FMA. The row kernel prefetches the `P` rows
+/// of the `A` entries a few steps ahead; a prefetch moves no value.
+///
+/// **Smoothed prolongator.** `smoothed_prolongator` builds the
+/// smoothed-aggregation prolongator `P = P̂ − ω·D⁻¹·A·P̂` without a general
+/// product, reading the aggregate label and weight that the tentative
+/// prolongator `P̂` (one entry per row) holds for each `A` entry. Two
+/// parallel sweeps over the fine rows: the first counts each row's distinct
+/// aggregates, the second accumulates `A·P̂` in `A`'s entry order, first
+/// `=` then `+=`, as `spgemm` does, applies `D⁻¹` and writes `D⁻¹·A·P̂` and
+/// `P` straight into their final arrays (no per-chunk arenas, no copy).
+/// `P`'s pattern is the product's, because `A`'s structural diagonal puts
+/// column `label(i)` into row `i`, so no merge runs. A row is emitted in
+/// column order by one of two walks, chosen per row:
+/// - when the row's touched count is at least `nc/64` (the words of an
+///   `nc`-bit set), it walks a per-thread `nc`-bit set word by word with
+///   count-trailing-zeros;
+/// - otherwise it sorts its touched list, which on a wide level (`nc` in
+///   the thousands, a few columns per row) is far cheaper than the walk.
+/// The result equals scaling `spgemm(a, phat)`'s rows by `D⁻¹` and then
+/// `matrix_add(1.0, phat, -omega, ·)`, bit for bit.
+///
+/// **Transpose permutation.** `transpose_matrix(a, perm)` also writes,
+/// from its parallel placement pass, where each entry of `a` lands in the
+/// transpose, so a value-only replay (`transpose_numeric`) skips the
+/// counting sort.
 
 #include <cstdint>
 #include <span>
@@ -153,23 +178,39 @@ void galerkin_fused_numeric(const CrsMatrix& a, const CrsMatrix& p,
 [[nodiscard]] CrsMatrix matrix_add(scalar_t alpha, const CrsMatrix& a, scalar_t beta,
                                    const CrsMatrix& b);
 
-/// Value-only replay of C = alpha * A + beta * B: `c` must hold the exact
-/// sparsity `matrix_add(alpha, a, beta, b)` would produce; only `c.values`
-/// is rewritten. Zero heap allocations.
-void matrix_add_numeric(scalar_t alpha, const CrsMatrix& a, scalar_t beta, const CrsMatrix& b,
-                        CrsMatrix& c);
+/// Smoothed-aggregation prolongator without a general product (see the
+/// file comment): `ap = D⁻¹·(A·P̂)` and `p = P̂ − omega·ap`, with
+/// `D⁻¹ = inv_diag`. `a` is
+/// square with a structural diagonal; `phat` has `a.num_rows` rows and
+/// exactly one entry per row. Bit-identical to `spgemm(a, phat)` with row
+/// `i` scaled by `inv_diag[i]`, followed by `matrix_add(1.0, phat, -omega,
+/// ap)`; `ap` and `p` share one pattern. Throws `std::invalid_argument` if
+/// some row `i` of `A·P̂` lacks column `label(i)` (no structural diagonal).
+void smoothed_prolongator(const CrsMatrix& a, const CrsMatrix& phat,
+                          std::span<const scalar_t> inv_diag, scalar_t omega, CrsMatrix& ap,
+                          CrsMatrix& p);
+
+/// Value-only replay of `smoothed_prolongator` into `ap` and `p`, which
+/// must hold the pattern the cold pass produced; only their values are
+/// rewritten, bit-identical to a cold pass. Runs through the thread's
+/// SpGEMM accumulator: zero heap allocations once that is warm
+/// (`spgemm_warm_thread`).
+void smoothed_prolongator_numeric(const CrsMatrix& a, const CrsMatrix& phat,
+                                  std::span<const scalar_t> inv_diag, scalar_t omega,
+                                  CrsMatrix& ap, CrsMatrix& p);
 
 /// Transpose with values (used for R = Pᵀ in AMG). Output rows sorted.
 [[nodiscard]] CrsMatrix transpose_matrix(const CrsMatrix& a);
 
-/// Entry permutation of the transpose: entry `j` of `a` lands at entry
-/// `perm[j]` of `transpose_matrix(a)`. Lets a caller replay a transpose's
-/// values without recomputing its structure.
-[[nodiscard]] std::vector<offset_t> transpose_permutation(const CrsMatrix& a);
+/// `transpose_matrix` that also writes its entry permutation: entry `j` of
+/// `a` lands at entry `perm[j]` of the transpose (`perm` is resized to
+/// `a.num_entries()`). Lets a caller replay the transpose's values without
+/// recomputing its structure.
+[[nodiscard]] CrsMatrix transpose_matrix(const CrsMatrix& a, std::vector<offset_t>& perm);
 
-/// Value-only transpose replay through a permutation from
-/// `transpose_permutation`: `t.values[perm[j]] = a.values[j]`. `t` must be
-/// the structural transpose of `a`. Zero heap allocations.
+/// Value-only transpose replay through the permutation `transpose_matrix`
+/// wrote: `t.values[perm[j]] = a.values[j]`. `t` must be the structural
+/// transpose of `a`. Zero heap allocations.
 void transpose_numeric(const CrsMatrix& a, std::span<const offset_t> perm, CrsMatrix& t);
 
 /// Diagonal of a square matrix; zero where a row has no diagonal entry.
@@ -185,7 +226,8 @@ void extract_diagonal(const CrsMatrix& a, std::span<scalar_t> d);
 /// once, so after one `spgemm(a, b)` the counter advances by exactly
 /// `a.num_rows` — the regression guard against reintroducing the two-pass
 /// traversal. The fused Galerkin product counts its fine rows, each of
-/// whose `A·P` row it forms once.
+/// whose `A·P` row it forms once. `smoothed_prolongator` is not a general
+/// product and does not count.
 [[nodiscard]] std::int64_t spgemm_rows_traversed();
 
 /// Reset the `spgemm_rows_traversed` counter to zero.

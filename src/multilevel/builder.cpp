@@ -15,7 +15,6 @@
 #include "graph/spgemm.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
-#include "parallel/balanced_for.hpp"
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
@@ -102,16 +101,6 @@ void invert_diagonal(const graph::CrsMatrix& a, std::vector<scalar_t>& inv) {
     }
     inv[i] = 1.0 / v;
   }
-}
-
-/// Row-scale `m` by `scale` in place (the D⁻¹ of prolongator smoothing).
-void scale_rows(graph::CrsMatrix& m, std::span<const scalar_t> scale) {
-  par::parallel_for(m.num_rows, [&](ordinal_t i) {
-    const scalar_t s = scale[static_cast<std::size_t>(i)];
-    for (offset_t j = m.row_map[i]; j < m.row_map[i + 1]; ++j) {
-      m.values[static_cast<std::size_t>(j)] *= s;
-    }
-  });
 }
 
 double ratio(double num, double den) { return den > 0 ? num / den : 1.0; }
@@ -313,13 +302,15 @@ const std::vector<OperatorLevel>& Builder::build_galerkin(graph::CrsMatrix a_fin
       tentative_prolongator(agg, gl.phat);
       PARMIS_CHECK_OK(check::validate_prolongator(gl.phat, lvl.a.num_rows, agg.num_aggregates,
                                                   /*require_column_partition=*/true));
-      // P = (I - omega D^{-1} A) P̂: ap holds the D⁻¹-scaled product so the
-      // warm rebuild can replay the same three steps value-only.
-      gl.ap = graph::spgemm(lvl.a, gl.phat);
-      scale_rows(gl.ap, lvl.inv_diag);
-      lvl.p = graph::matrix_add(1.0, gl.phat, -opts_.prolongator_omega, gl.ap);
-      lvl.r = graph::transpose_matrix(lvl.p);
-      gl.tperm = graph::transpose_permutation(lvl.p);
+      // P = (I - omega D^{-1} A) P̂ without a general product; ap keeps the
+      // D⁻¹-scaled A·P̂, which the snapshot stores with the level.
+      // invert_diagonal has guaranteed the structural diagonal it needs.
+      {
+        PARMIS_SPAN("multilevel.prolongator");
+        graph::smoothed_prolongator(lvl.a, gl.phat, lvl.inv_diag, opts_.prolongator_omega,
+                                    gl.ap, lvl.p);
+      }
+      lvl.r = graph::transpose_matrix(lvl.p, gl.tperm);
       // A coarse block no larger than the level operator is built dense by
       // the fused kernel, which never stores A·P; wider levels keep the two
       // CRS products.
@@ -406,9 +397,8 @@ const std::vector<OperatorLevel>& Builder::rebuild_galerkin(const graph::CrsMatr
     // Value-only replay of the setup: P̂'s values depend only on aggregate
     // sizes (unchanged), so smoothing and the triple product recompute in
     // place, in the cold build's exact accumulation order.
-    graph::spgemm_numeric(lvl.a, gl.phat, gl.ap);
-    scale_rows(gl.ap, lvl.inv_diag);
-    graph::matrix_add_numeric(1.0, gl.phat, -opts_.prolongator_omega, gl.ap, lvl.p);
+    graph::smoothed_prolongator_numeric(lvl.a, gl.phat, lvl.inv_diag, opts_.prolongator_omega,
+                                        gl.ap, lvl.p);
     graph::transpose_numeric(lvl.p, gl.tperm, lvl.r);
     if (graph::fused_galerkin_applies(lvl.a, lvl.p)) {
       graph::galerkin_fused_numeric(lvl.a, lvl.p, gl.fused, h.ops_[l + 1].a);

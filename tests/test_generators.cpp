@@ -266,8 +266,8 @@ TEST(MatrixMarket, RejectsGarbage) {
 
 TEST(Registry, SeventeenTable2Matrices) {
   EXPECT_EQ(table2_matrices().size(), 17u);
-  EXPECT_NO_THROW(experiment_matrices().find("Laplace3D_100"));
-  EXPECT_NO_THROW(experiment_matrices().find("bodyy5"));
+  EXPECT_EQ(experiment_matrices().find("Laplace3D_100").name, "Laplace3D_100");
+  EXPECT_EQ(experiment_matrices().find("bodyy5").name, "bodyy5");
 }
 
 TEST(Registry, SurrogatesMatchPaperStatsAtSmallScale) {

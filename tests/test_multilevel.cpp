@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/digest.hpp"
@@ -18,6 +23,8 @@
 #include "graph/ops.hpp"
 #include "graph/spgemm.hpp"
 #include "multilevel/builder.hpp"
+#include "parallel/context.hpp"
+#include "random/hash.hpp"
 #include "solver/amg.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/vector_ops.hpp"
@@ -28,13 +35,21 @@ namespace {
 
 graph::CrsGraph mesh_graph() { return test::adjacency_of(graph::laplace2d(24, 24)); }
 
+/// Same structure and the same value bits (so +0.0 and -0.0 differ).
 void expect_same_matrix(const graph::CrsMatrix& a, const graph::CrsMatrix& b,
                         const char* what) {
   EXPECT_EQ(a.num_rows, b.num_rows) << what;
   EXPECT_EQ(a.num_cols, b.num_cols) << what;
   EXPECT_EQ(a.row_map, b.row_map) << what;
   EXPECT_EQ(a.entries, b.entries) << what;
-  EXPECT_EQ(a.values, b.values) << what;
+  ASSERT_EQ(a.values.size(), b.values.size()) << what;
+  for (std::size_t e = 0; e < a.values.size(); ++e) {
+    if (std::bit_cast<std::uint64_t>(a.values[e]) != std::bit_cast<std::uint64_t>(b.values[e])) {
+      ADD_FAILURE() << what << ": value " << e << " is " << a.values[e] << ", expected "
+                    << b.values[e];
+      return;
+    }
+  }
 }
 
 // ------------------------------------------------------- numeric replays
@@ -56,23 +71,213 @@ TEST(SpgemmNumeric, ReplayMatchesColdProduct) {
   EXPECT_EQ(c.values, cold);
 }
 
+/// Reference for the transpose permutation: a serial counting-sort sweep.
+/// A column's entries arrive in source-row order, so one ascending sweep
+/// with per-column cursors gives each entry's position in the transpose.
+std::vector<offset_t> serial_transpose_permutation(const graph::CrsMatrix& a) {
+  std::vector<offset_t> perm(static_cast<std::size_t>(a.num_entries()));
+  std::vector<offset_t> cursor(static_cast<std::size_t>(a.num_cols) + 1, 0);
+  for (const ordinal_t col : a.entries) ++cursor[static_cast<std::size_t>(col) + 1];
+  for (ordinal_t c = 0; c < a.num_cols; ++c) {
+    cursor[static_cast<std::size_t>(c) + 1] += cursor[static_cast<std::size_t>(c)];
+  }
+  for (ordinal_t i = 0; i < a.num_rows; ++i) {
+    for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
+      perm[static_cast<std::size_t>(j)] =
+          cursor[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])]++;
+    }
+  }
+  return perm;
+}
+
 TEST(SpgemmNumeric, MatrixAddAndTransposeReplay) {
   const graph::CrsMatrix a = graph::laplace2d(9, 8);
   graph::CrsMatrix b = a;
   for (scalar_t& v : b.values) v = -0.5 * v;
 
-  graph::CrsMatrix sum = graph::matrix_add(1.0, a, 2.0, b);
-  graph::CrsMatrix b2 = b;
-  for (scalar_t& v : b2.values) v *= 3.0;
-  graph::matrix_add_numeric(1.0, a, 2.0, b2, sum);
-  expect_same_matrix(sum, graph::matrix_add(1.0, a, 2.0, b2), "matrix_add replay");
+  // Same pattern, so the sum is entry-wise; its exact zeros stay entries.
+  const graph::CrsMatrix sum = graph::matrix_add(1.0, a, 2.0, b);
+  EXPECT_EQ(sum.row_map, a.row_map);
+  EXPECT_EQ(sum.entries, a.entries);
+  for (std::size_t e = 0; e < sum.values.size(); ++e) {
+    EXPECT_EQ(sum.values[e], 1.0 * a.values[e] + 2.0 * b.values[e]) << e;
+  }
 
-  graph::CrsMatrix t = graph::transpose_matrix(a);
-  const std::vector<offset_t> perm = graph::transpose_permutation(a);
+  std::vector<offset_t> perm;
+  graph::CrsMatrix t = graph::transpose_matrix(a, perm);
+  expect_same_matrix(t, graph::transpose_matrix(a), "transpose with permutation");
+  EXPECT_EQ(perm, serial_transpose_permutation(a));
   graph::CrsMatrix a3 = a;
   for (std::size_t i = 0; i < a3.values.size(); ++i) a3.values[i] += static_cast<scalar_t>(i);
   graph::transpose_numeric(a3, perm, t);
   expect_same_matrix(t, graph::transpose_matrix(a3), "transpose replay");
+}
+
+// ------------------------------------------------ smoothed prolongator
+
+/// What the one-pass prolongator replaced: `spgemm(A, P̂)`, a D⁻¹ row
+/// scale, `matrix_add`, the transpose and the serial permutation sweep.
+struct LegacyProlongator {
+  graph::CrsMatrix ap, p, r;
+  std::vector<offset_t> tperm;
+};
+
+LegacyProlongator legacy_prolongator(const graph::CrsMatrix& a, const graph::CrsMatrix& phat,
+                                     const std::vector<scalar_t>& inv_diag, scalar_t omega) {
+  LegacyProlongator out;
+  out.ap = graph::spgemm(a, phat);
+  for (ordinal_t i = 0; i < out.ap.num_rows; ++i) {
+    for (offset_t j = out.ap.row_map[i]; j < out.ap.row_map[i + 1]; ++j) {
+      out.ap.values[static_cast<std::size_t>(j)] *= inv_diag[static_cast<std::size_t>(i)];
+    }
+  }
+  out.p = graph::matrix_add(1.0, phat, -omega, out.ap);
+  out.r = graph::transpose_matrix(out.p);
+  out.tperm = serial_transpose_permutation(out.p);
+  return out;
+}
+
+/// Tentative prolongator of `labels` (normalized aggregate indicators).
+graph::CrsMatrix tentative_of(const std::vector<ordinal_t>& labels, ordinal_t nc) {
+  const ordinal_t n = static_cast<ordinal_t>(labels.size());
+  std::vector<ordinal_t> size(static_cast<std::size_t>(nc), 0);
+  for (const ordinal_t l : labels) ++size[static_cast<std::size_t>(l)];
+  graph::CrsMatrix phat;
+  phat.num_rows = n;
+  phat.num_cols = nc;
+  phat.row_map.resize(static_cast<std::size_t>(n) + 1);
+  std::iota(phat.row_map.begin(), phat.row_map.end(), offset_t{0});
+  for (const ordinal_t l : labels) {
+    phat.entries.push_back(l);
+    phat.values.push_back(1.0 / std::sqrt(static_cast<scalar_t>(size[static_cast<std::size_t>(l)])));
+  }
+  return phat;
+}
+
+/// Serial, then OpenMP at 1/3/4 threads under every schedule.
+std::vector<Context> prolongator_contexts() {
+  std::vector<Context> ctxs;
+  Context serial;
+  serial.backend = par::Backend::Serial;
+  ctxs.push_back(serial);
+  for (const par::Schedule s :
+       {par::Schedule::Static, par::Schedule::EdgeBalanced, par::Schedule::Dynamic}) {
+    for (const int threads : {1, 3, 4}) {
+      Context ctx;
+      ctx.backend = par::Backend::OpenMP;
+      ctx.num_threads = threads;
+      ctx.schedule = s;
+      ctxs.push_back(ctx);
+    }
+  }
+  return ctxs;
+}
+
+std::string context_name(const Context& ctx) {
+  return std::string(ctx.backend == par::Backend::Serial ? "serial" : "omp") + "/" +
+         std::to_string(ctx.num_threads) + "/" + std::to_string(static_cast<int>(ctx.schedule));
+}
+
+void expect_prolongator_matches(const graph::CrsMatrix& a, const graph::CrsMatrix& phat,
+                                const std::vector<scalar_t>& inv_diag, const std::string& what) {
+  const scalar_t omega = 2.0 / 3.0;
+  const LegacyProlongator ref = legacy_prolongator(a, phat, inv_diag, omega);
+  graph::CrsMatrix a2 = a;
+  for (std::size_t e = 0; e < a2.values.size(); ++e) {
+    if (a2.values[e] != 0) a2.values[e] *= 1.0 + 0.125 * static_cast<scalar_t>(e % 5);
+  }
+  const LegacyProlongator ref2 = legacy_prolongator(a2, phat, inv_diag, omega);
+  for (const Context& ctx : prolongator_contexts()) {
+    Context::Scope scope(ctx);
+    const std::string where = what + " " + context_name(ctx);
+    graph::CrsMatrix ap, p;
+    graph::smoothed_prolongator(a, phat, inv_diag, omega, ap, p);
+    std::vector<offset_t> tperm;
+    graph::CrsMatrix r = graph::transpose_matrix(p, tperm);
+    expect_same_matrix(ap, ref.ap, (where + " ap").c_str());
+    expect_same_matrix(p, ref.p, (where + " p").c_str());
+    expect_same_matrix(r, ref.r, (where + " r").c_str());
+    EXPECT_EQ(tperm, ref.tperm) << where;
+
+    // Replay the new values, then the old ones: each equals its cold pass.
+    graph::smoothed_prolongator_numeric(a2, phat, inv_diag, omega, ap, p);
+    graph::transpose_numeric(p, tperm, r);
+    expect_same_matrix(ap, ref2.ap, (where + " replayed ap").c_str());
+    expect_same_matrix(p, ref2.p, (where + " replayed p").c_str());
+    expect_same_matrix(r, ref2.r, (where + " replayed r").c_str());
+    graph::smoothed_prolongator_numeric(a, phat, inv_diag, omega, ap, p);
+    expect_same_matrix(p, ref.p, (where + " restored p").c_str());
+  }
+}
+
+TEST(SmoothedProlongator, MatchesLegacyLoopAcrossAggregateCounts) {
+  // A 2D mesh operator with hashed labels: rows touch about five
+  // aggregates, so nc <= 64 always walks the bitset, nc = 129 mixes both
+  // emits, and nc = 3000 (47 words) sorts nearly every row. Every tenth
+  // off-diagonal is an explicit zero, half of them -0.0, so signed-zero
+  // products reach the accumulator, some as a column's first product.
+  graph::CrsMatrix a = graph::laplace2d(64, 64);
+  const ordinal_t n = a.num_rows;
+  for (ordinal_t i = 0; i < n; ++i) {
+    for (offset_t e = a.row_map[i]; e < a.row_map[i + 1]; ++e) {
+      if (a.entries[static_cast<std::size_t>(e)] != i && e % 10 == 3) {
+        a.values[static_cast<std::size_t>(e)] = (e % 20 == 3) ? -0.0 : 0.0;
+      }
+    }
+  }
+  const std::vector<scalar_t> inv_diag = solver::inverted_diagonal(a);
+  for (const ordinal_t nc : {1, 63, 64, 65, 128, 129, 3000}) {
+    // The first nc rows claim one label each, so no column is empty; the
+    // rest hash to a label.
+    std::vector<ordinal_t> labels(static_cast<std::size_t>(n));
+    for (ordinal_t v = 0; v < n; ++v) {
+      labels[static_cast<std::size_t>(v)] =
+          v < nc ? v
+                 : static_cast<ordinal_t>(rng::splitmix64_mix(static_cast<std::uint64_t>(v)) %
+                                          static_cast<std::uint64_t>(nc));
+    }
+    expect_prolongator_matches(a, tentative_of(labels, nc), inv_diag,
+                               "nc=" + std::to_string(nc));
+  }
+}
+
+TEST(SmoothedProlongator, SingletonAggregatesAndZeroCouplings) {
+  // Size-1 aggregates (weight exactly 1) next to large ones, on an operator
+  // whose off-diagonals into a singleton's neighbors are explicit zeros.
+  graph::CrsMatrix a = graph::laplace3d(9, 9, 9);
+  const ordinal_t n = a.num_rows;
+  std::vector<ordinal_t> labels(static_cast<std::size_t>(n));
+  ordinal_t nc = 0;
+  for (ordinal_t v = 0; v < n; ++v) {
+    labels[static_cast<std::size_t>(v)] = v % 7 == 0 ? nc++ : -1;
+  }
+  const ordinal_t big = nc;
+  for (ordinal_t v = 0; v < n; ++v) {
+    if (labels[static_cast<std::size_t>(v)] < 0) labels[static_cast<std::size_t>(v)] = big + v / 60;
+  }
+  nc = big + (n - 1) / 60 + 1;
+  for (ordinal_t i = 0; i < n; ++i) {
+    for (offset_t e = a.row_map[i]; e < a.row_map[i + 1]; ++e) {
+      const ordinal_t j = a.entries[static_cast<std::size_t>(e)];
+      if (j != i && j % 7 == 0) a.values[static_cast<std::size_t>(e)] = -0.0;
+    }
+  }
+  expect_prolongator_matches(a, tentative_of(labels, nc), solver::inverted_diagonal(a),
+                             "singletons");
+}
+
+TEST(SmoothedProlongator, RejectsARowWithoutItsAggregate) {
+  // No diagonal in row 0 and no neighbor in its aggregate: A·P̂ row 0
+  // lacks column label(0), the case `matrix_add` would have merged in.
+  graph::CrsMatrix a;
+  a.num_rows = a.num_cols = 2;
+  a.row_map = {0, 1, 3};
+  a.entries = {1, 0, 1};
+  a.values = {-1.0, -1.0, 2.0};
+  const std::vector<scalar_t> inv_diag = {1.0, 0.5};
+  graph::CrsMatrix ap, p;
+  EXPECT_THROW(graph::smoothed_prolongator(a, tentative_of({0, 1}, 2), inv_diag, 2.0 / 3.0, ap, p),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------- topology / weighted
@@ -312,6 +517,58 @@ TEST(BuilderGalerkin, AmgBuildShimMatchesLegacyLoop) {
       expect_same_matrix(h.level(l).p, legacy[li].p, name);
       expect_same_matrix(h.level(l).r, legacy[li].r, name);
       EXPECT_EQ(h.level(l).inv_diag, legacy[li].inv_diag) << name;
+    }
+  }
+}
+
+TEST(BuilderGalerkin, ProlongatorPassMatchesLegacyLoopColdAndOnReplay) {
+  // Each level's P, D⁻¹·A·P̂, R and transpose permutation against the
+  // legacy steps on the level's own operator and tentative prolongator,
+  // for the power-law, mesh and RGG families, cold and on a warm replay.
+  std::vector<std::pair<std::string, graph::CrsMatrix>> family;
+  family.emplace_back("powerlaw",
+                      graph::laplacian_matrix(graph::power_law_graph(3000, 2.2, 3, 300, 5), 1.0));
+  family.emplace_back("laplace3d", graph::laplace3d(14, 14, 14));
+  family.emplace_back("rgg",
+                      graph::laplacian_matrix(graph::random_geometric_3d(4000, 14.0, 3), 1.0));
+  Options opts;
+  opts.min_coarse_size = 20;
+  const Builder builder(opts);
+  for (const auto& [name, a] : family) {
+    graph::CrsMatrix a2 = a;
+    for (std::size_t e = 0; e < a2.values.size(); ++e) {
+      a2.values[e] *= 1.0 + 0.25 * static_cast<scalar_t>(e % 3);
+    }
+    for (const Context& ctx : prolongator_contexts()) {
+      Context::Scope scope(ctx);
+      const std::string where = name + " " + context_name(ctx);
+      HierarchyHandle h;
+      (void)builder.build_galerkin(a, h);
+      ASSERT_GE(h.ops().size(), 2u) << where;
+      for (int rep = 0; rep < 2; ++rep) {
+        if (rep == 1) {
+          // Check builds assert the replay allocation-free under an
+          // AllocGuard inside rebuild_galerkin; here its scratch stays put.
+          const std::size_t warm = h.scratch_bytes();
+          const std::uint64_t grows = h.stats().scratch_grows;
+          (void)builder.rebuild_galerkin(a2, h);
+          EXPECT_EQ(h.scratch_bytes(), warm) << where;
+          EXPECT_EQ(h.stats().scratch_grows, grows) << where;
+        }
+        const std::vector<SetupWorkspace::GalerkinLevel>& gws = galerkin_workspace(h);
+        ASSERT_EQ(gws.size() + 1, h.ops().size()) << where;
+        for (std::size_t l = 0; l < gws.size(); ++l) {
+          const OperatorLevel& lvl = h.ops()[l];
+          const LegacyProlongator ref =
+              legacy_prolongator(lvl.a, gws[l].phat, lvl.inv_diag, opts.prolongator_omega);
+          const std::string at = where + " rep " + std::to_string(rep) + " level " +
+                                 std::to_string(l);
+          expect_same_matrix(gws[l].ap, ref.ap, (at + " ap").c_str());
+          expect_same_matrix(lvl.p, ref.p, (at + " p").c_str());
+          expect_same_matrix(lvl.r, ref.r, (at + " r").c_str());
+          EXPECT_EQ(gws[l].tperm, ref.tperm) << at;
+        }
+      }
     }
   }
 }

@@ -199,6 +199,30 @@ TEST_F(ObsTrace, ChunkSamplingZeroSuppressesChunkSpans) {
 }
 #endif  // PARMIS_HAVE_OPENMP
 
+TEST_F(ObsTrace, GalerkinBuildTracesOneProlongatorSpanPerLevel) {
+  // The smoothed prolongator is a child of each level's triple product, so
+  // the triple product's children account for it.
+  const graph::CrsMatrix a = graph::laplace3d(12, 12, 12);
+  multilevel::Options mo;
+  mo.min_coarse_size = 20;
+  multilevel::HierarchyHandle h;
+  obs::set_tracing(true);
+  const std::vector<multilevel::OperatorLevel>& ops =
+      multilevel::Builder(mo).build_galerkin(a, h);
+  obs::set_tracing(false);
+  ASSERT_GE(ops.size(), 3u);
+
+  const std::vector<obs::TraceEvent> pro = events_named("multilevel.prolongator");
+  const std::vector<obs::TraceEvent> tp = events_named("multilevel.triple_product");
+  ASSERT_EQ(pro.size(), ops.size() - 1);
+  ASSERT_EQ(tp.size(), pro.size());
+  for (std::size_t l = 0; l < pro.size(); ++l) {
+    EXPECT_EQ(pro[l].tid, tp[l].tid) << l;
+    EXPECT_GE(pro[l].start_ns, tp[l].start_ns) << l;
+    EXPECT_LE(pro[l].start_ns + pro[l].dur_ns, tp[l].start_ns + tp[l].dur_ns) << l;
+  }
+}
+
 /// Minimal structural JSON validator: brackets/braces balance outside of
 /// strings, strings terminate, no trailing garbage. Catches the classes of
 /// emitter bug (missing comma handling is caught by real parsers in CI's
