@@ -102,61 +102,6 @@ struct Arena {
 
 }  // namespace
 
-CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
-  assert(a.num_cols == b.num_rows);
-  PARMIS_SPAN("spgemm.symbolic");
-  CrsGraph c;
-  c.num_rows = a.num_rows;
-  c.num_cols = b.num_cols;
-  c.row_map.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
-  if (a.num_rows == 0) return c;
-
-  const offset_t* cost = product_cost_prefix(a, b.row_map);
-  std::vector<Arena> arenas(static_cast<std::size_t>(par::balanced_chunk_count()));
-  std::vector<int> arena_of(static_cast<std::size_t>(a.num_rows));
-  std::vector<offset_t> arena_off(static_cast<std::size_t>(a.num_rows));
-
-  // The single traversal: pattern of each row, deduplicated with the stamp
-  // workspace, sorted, appended to the chunk's arena. A row that has
-  // touched every column can gain nothing more, so it stops early.
-  const std::size_t ncols = static_cast<std::size_t>(b.num_cols);
-  par::balanced_chunks_by_work(a.num_rows, cost, [&](int chunk, ordinal_t lo, ordinal_t hi) {
-    Arena& ar = arenas[static_cast<std::size_t>(chunk)];
-    Workspace& ws = t_ws;
-    ws.ensure(b.num_cols);
-    for (ordinal_t i = lo; i < hi; ++i) {
-      ++ws.stamp;
-      ws.touched.clear();
-      for (ordinal_t k : a.row(i)) {
-        if (ws.touched.size() == ncols) break;
-        for (ordinal_t j : b.row(k)) {
-          if (ws.stamp_of[static_cast<std::size_t>(j)] != ws.stamp) {
-            ws.stamp_of[static_cast<std::size_t>(j)] = ws.stamp;
-            ws.touched.push_back(j);
-          }
-        }
-      }
-      sort_touched(ws, b.num_cols);
-      arena_of[static_cast<std::size_t>(i)] = chunk;
-      arena_off[static_cast<std::size_t>(i)] = static_cast<offset_t>(ar.cols.size());
-      ar.cols.insert(ar.cols.end(), ws.touched.begin(), ws.touched.end());
-      c.row_map[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(ws.touched.size());
-    }
-    g_rows_traversed.fetch_add(hi - lo, std::memory_order_relaxed);
-  });
-
-  par::inclusive_scan_inplace(
-      std::span<offset_t>(c.row_map.data() + 1, static_cast<std::size_t>(a.num_rows)));
-  c.entries.resize(static_cast<std::size_t>(c.row_map.back()));
-  par::balanced_for(a.num_rows, c.row_map.data(), [&](ordinal_t i) {
-    const Arena& ar = arenas[static_cast<std::size_t>(arena_of[static_cast<std::size_t>(i)])];
-    const offset_t len = c.row_map[i + 1] - c.row_map[i];
-    std::copy_n(ar.cols.begin() + static_cast<std::ptrdiff_t>(arena_off[static_cast<std::size_t>(i)]),
-                len, c.entries.begin() + static_cast<std::ptrdiff_t>(c.row_map[i]));
-  });
-  return c;
-}
-
 CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
   assert(a.num_cols == b.num_rows);
   PARMIS_CHECK_MSG(a.num_cols == b.num_rows, "spgemm operand shapes do not chain");

@@ -14,8 +14,8 @@
 /// re-traversal).
 ///
 /// Parallelism follows the work, not the row count. On a parallel context
-/// `spgemm`, `spgemm_symbolic` and the `spgemm_numeric` replay build the
-/// flop prefix of the product (`1 + Σ_k deg_B(k)` per row) and run through
+/// `spgemm` and the `spgemm_numeric` replay build the flop prefix of the
+/// product (`1 + Σ_k deg_B(k)` per row) and run through
 /// `par::balanced_chunks_by_work`: a product goes parallel once its flops
 /// reach `par::balanced_work_grain`, however few rows carry them. That is
 /// the case that matters for AMG setup — a coarse Galerkin product
@@ -170,9 +170,6 @@ struct FusedGalerkinScratch {
 void galerkin_fused_numeric(const CrsMatrix& a, const CrsMatrix& p,
                             FusedGalerkinScratch& scratch, CrsMatrix& c);
 
-/// Structure-only product: pattern of A * B (no values).
-[[nodiscard]] CrsGraph spgemm_symbolic(GraphView a, GraphView b);
-
 /// C = alpha * A + beta * B (same shape; sorted-row merge). Entries whose
 /// sum is exactly zero are kept, preserving the structural union.
 [[nodiscard]] CrsMatrix matrix_add(scalar_t alpha, const CrsMatrix& a, scalar_t beta,
@@ -221,7 +218,7 @@ void transpose_numeric(const CrsMatrix& a, std::span<const offset_t> perm, CrsMa
 void extract_diagonal(const CrsMatrix& a, std::span<scalar_t> d);
 
 /// Instrumentation: number of row inner-products computed by `spgemm` /
-/// `spgemm_symbolic` / `galerkin_fused` since the last reset (process-wide,
+/// `galerkin_fused` since the last reset (process-wide,
 /// relaxed atomic). A single-pass product traverses each output row exactly
 /// once, so after one `spgemm(a, b)` the counter advances by exactly
 /// `a.num_rows` — the regression guard against reintroducing the two-pass

@@ -19,8 +19,14 @@
 /// (no cross-lane reduction, no reassociation) may carry it, and the
 /// library is built with `-ffp-contract=off`, so every build computes the
 /// same per-lane operations in the same order: same bits on every CPU.
+///
+/// The K-wide kernels (row-major multi-vectors, K lanes per row) get their
+/// lane count as a compile-time constant through `with_lane_width`, the one
+/// lane-width dispatch of the library, so their per-row lane loops unroll
+/// and keep the lanes in registers.
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/config.hpp"
 
@@ -31,6 +37,24 @@
 #endif
 
 namespace parmis::par {
+
+/// Run `f(kw)` with the lane count `kk` as `std::integral_constant<int, kk>`
+/// for the widths 16, 8, 4, 2 and 1, and as the plain `int` otherwise.
+/// `f` is generic in `kw` and loops `for (int k = 0; k < kw; ++k)`: the
+/// constant instances get a fixed trip count, the `int` one reads the width
+/// at run time. Per lane the body is the same, so the width taken is a
+/// code-generation choice, never a bits choice.
+template <typename F>
+void with_lane_width(int kk, F&& f) {
+  switch (kk) {
+    case 16: return f(std::integral_constant<int, 16>{});
+    case 8: return f(std::integral_constant<int, 8>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 1: return f(std::integral_constant<int, 1>{});
+    default: return f(kk);
+  }
+}
 
 /// Average-degree threshold from paper §V-D: vector-level parallelism is
 /// profitable only for rows of at least ~16 entries.

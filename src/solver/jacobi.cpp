@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "graph/spgemm.hpp"
-#include "parallel/balanced_for.hpp"
+#include "graph/spmm.hpp"
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
@@ -14,180 +14,48 @@ namespace parmis::solver {
 
 namespace {
 
-/// Lane-blocked column group width of the fused multi-vector sweep, the
-/// same register-blocking `graph::spmm` uses.
-constexpr int kJacobiGroup = 16;
-
-/// One chunk of rows × one column group of a damped-Jacobi sweep: the row
-/// traversal feeds KK register accumulators and the write-out applies
-/// `x_next = x + omega * inv_diag[i] * (b - acc)` per lane — the exact
-/// expression (and evaluation order) of the single-vector sweep, so column
-/// c is bit-identical to `jacobi_smooth` on the gathered column. KK = 0
-/// selects the runtime-width remainder loop.
-template <int KK>
-void jacobi_sweep_chunk(const offset_t* row_map, const ordinal_t* entries,
-                        const scalar_t* values, const scalar_t* inv_diag,
-                        const scalar_t* __restrict b, const scalar_t* __restrict x,
-                        scalar_t* __restrict x_next, scalar_t omega, int k_count, int kk,
-                        ordinal_t lo, ordinal_t hi) {
-  for (ordinal_t i = lo; i < hi; ++i) {
-    scalar_t acc[kJacobiGroup] = {};
-    const offset_t jhi = row_map[i + 1];
-    for (offset_t j = row_map[i]; j < jhi; ++j) {
-      const scalar_t v = values[static_cast<std::size_t>(j)];
-      const scalar_t* xi = x +
-                           static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]) *
-                               static_cast<std::size_t>(k_count);
-      if constexpr (KK > 0) {
-        for (int k = 0; k < KK; ++k) acc[k] += v * xi[k];
-      } else {
-        for (int k = 0; k < kk; ++k) acc[k] += v * xi[k];
-      }
-    }
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    const int kw = KK > 0 ? KK : kk;
-    for (int k = 0; k < kw; ++k) {
-      x_next[base + static_cast<std::size_t>(k)] =
-          x[base + static_cast<std::size_t>(k)] +
-          omega * inv_diag[static_cast<std::size_t>(i)] *
-              (b[base + static_cast<std::size_t>(k)] - acc[k]);
-    }
-  }
-}
-
-/// One chunk of rows × one column group of the FIRST damped-Jacobi sweep
-/// from a zero initial guess, with the sweep's input recomputed on the fly:
-/// starting from x = 0, the previous pass would have produced
-/// `x1[t] = 0.0 + omega * inv_diag[t] * (b[t] - 0.0)`, so instead of
-/// materializing x1 to memory and gathering it back, each gathered operand
-/// evaluates that exact expression from `b` directly. Every subexpression
-/// (including the `0.0 +` prefix) matches the two-pass code, so the output
-/// bits are identical while two full multi-vector passes disappear.
-template <int KK>
-void jacobi_first_sweep_chunk(const offset_t* row_map, const ordinal_t* entries,
-                              const scalar_t* values, const scalar_t* inv_diag,
-                              const scalar_t* __restrict b, scalar_t* __restrict x_next,
-                              scalar_t omega, int k_count, int kk, ordinal_t lo, ordinal_t hi) {
-  for (ordinal_t i = lo; i < hi; ++i) {
-    scalar_t acc[kJacobiGroup] = {};
-    const offset_t jhi = row_map[i + 1];
-    for (offset_t j = row_map[i]; j < jhi; ++j) {
-      const scalar_t v = values[static_cast<std::size_t>(j)];
-      const std::size_t col = static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]);
-      const scalar_t t = omega * inv_diag[col];
-      const scalar_t* bi = b + col * static_cast<std::size_t>(k_count);
-      if constexpr (KK > 0) {
-        for (int k = 0; k < KK; ++k) acc[k] += v * (0.0 + t * (bi[k] - 0.0));
-      } else {
-        for (int k = 0; k < kk; ++k) acc[k] += v * (0.0 + t * (bi[k] - 0.0));
-      }
-    }
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    const scalar_t ti = omega * inv_diag[static_cast<std::size_t>(i)];
-    const int kw = KK > 0 ? KK : kk;
-    for (int k = 0; k < kw; ++k) {
-      const scalar_t bk = b[base + static_cast<std::size_t>(k)];
-      x_next[base + static_cast<std::size_t>(k)] = (0.0 + ti * (bk - 0.0)) + ti * (bk - acc[k]);
-    }
-  }
-}
-
-void jacobi_first_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                              std::span<const scalar_t> b, std::span<scalar_t> x_next,
-                              scalar_t omega, int k_count) {
-  const offset_t* row_map = a.row_map.data();
-  const ordinal_t* entries = a.entries.data();
-  const scalar_t* values = a.values.data();
-  par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
-    for (int k0 = 0; k0 < k_count; k0 += kJacobiGroup) {
-      const int kk = k_count - k0 < kJacobiGroup ? k_count - k0 : kJacobiGroup;
-      const scalar_t* bg = b.data() + static_cast<std::size_t>(k0);
-      scalar_t* ng = x_next.data() + static_cast<std::size_t>(k0);
-      switch (kk) {
-        case 16:
-          jacobi_first_sweep_chunk<16>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                       k_count, kk, lo, hi);
-          break;
-        case 8:
-          jacobi_first_sweep_chunk<8>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                      k_count, kk, lo, hi);
-          break;
-        case 4:
-          jacobi_first_sweep_chunk<4>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                      k_count, kk, lo, hi);
-          break;
-        case 2:
-          jacobi_first_sweep_chunk<2>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                      k_count, kk, lo, hi);
-          break;
-        case 1:
-          jacobi_first_sweep_chunk<1>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                      k_count, kk, lo, hi);
-          break;
-        default:
-          jacobi_first_sweep_chunk<0>(row_map, entries, values, inv_diag.data(), bg, ng, omega,
-                                      k_count, kk, lo, hi);
-          break;
-      }
-    }
-  });
-}
-
+/// One damped-Jacobi sweep `x_next = x + omega * inv_diag[i] * (b - A x)`,
+/// per lane the single-vector expression and evaluation order, so column c
+/// is bit-identical to `jacobi_smooth` on the gathered column.
 void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                         std::span<const scalar_t> b, std::span<const scalar_t> x,
                         std::span<scalar_t> x_next, scalar_t omega, int k_count) {
-  if (k_count == 1) {
-    // One column: the plain row loop is the faster code shape (the
-    // lane-blocked chunk measured ~1.2x slower at K = 1), with the same
-    // per-row accumulation order and update expression, so the same bits.
-    par::parallel_for(a.num_rows, [&](ordinal_t i) {
-      const std::size_t at = static_cast<std::size_t>(i);
-      scalar_t acc = 0;
-      for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-        acc += a.values[static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
-      }
-      x_next[at] = x[at] + omega * inv_diag[at] * (b[at] - acc);
-    });
-    return;
-  }
-  const offset_t* row_map = a.row_map.data();
-  const ordinal_t* entries = a.entries.data();
-  const scalar_t* values = a.values.data();
-  par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
-    for (int k0 = 0; k0 < k_count; k0 += kJacobiGroup) {
-      const int kk = k_count - k0 < kJacobiGroup ? k_count - k0 : kJacobiGroup;
-      const scalar_t* bg = b.data() + static_cast<std::size_t>(k0);
-      const scalar_t* xg = x.data() + static_cast<std::size_t>(k0);
-      scalar_t* ng = x_next.data() + static_cast<std::size_t>(k0);
-      switch (kk) {
-        case 16:
-          jacobi_sweep_chunk<16>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                 k_count, kk, lo, hi);
-          break;
-        case 8:
-          jacobi_sweep_chunk<8>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                k_count, kk, lo, hi);
-          break;
-        case 4:
-          jacobi_sweep_chunk<4>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                k_count, kk, lo, hi);
-          break;
-        case 2:
-          jacobi_sweep_chunk<2>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                k_count, kk, lo, hi);
-          break;
-        case 1:
-          jacobi_sweep_chunk<1>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                k_count, kk, lo, hi);
-          break;
-        default:
-          jacobi_sweep_chunk<0>(row_map, entries, values, inv_diag.data(), bg, xg, ng, omega,
-                                k_count, kk, lo, hi);
-          break;
-      }
-    }
-  });
+  const scalar_t* d = inv_diag.data();
+  const scalar_t* bp = b.data();
+  const scalar_t* xp = x.data();
+  graph::spmm_rows(a, xp, x_next.data(), k_count, graph::spmm_same_operand,
+                   [=](ordinal_t i, std::size_t at, const scalar_t* acc,
+                       scalar_t* __restrict out, auto kw) {
+                     const scalar_t di = d[static_cast<std::size_t>(i)];
+                     for (int k = 0; k < kw; ++k) {
+                       const std::size_t t = at + static_cast<std::size_t>(k);
+                       out[k] = xp[t] + omega * di * (bp[t] - acc[k]);
+                     }
+                   });
+}
+
+/// The first two damped-Jacobi sweeps from x = 0 in one traversal. The
+/// first sweep would produce `x1[t] = 0.0 + omega * inv_diag[t] * (b[t] -
+/// 0.0)`; instead of writing x1 and gathering it back, every gathered
+/// operand evaluates that expression from `b`. Every subexpression,
+/// including the `0.0 +` prefix, is the two-pass code's, so the bits are
+/// identical while two full multi-vector passes disappear.
+void jacobi_first_sweeps_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                               std::span<const scalar_t> b, std::span<scalar_t> x_next,
+                               scalar_t omega, int k_count) {
+  const scalar_t* d = inv_diag.data();
+  const scalar_t* bp = b.data();
+  graph::spmm_rows(
+      a, bp, x_next.data(), k_count,
+      [=](std::size_t col, scalar_t bv) { return 0.0 + omega * d[col] * (bv - 0.0); },
+      [=](ordinal_t i, std::size_t at, const scalar_t* acc, scalar_t* __restrict out,
+          auto kw) {
+        const scalar_t ti = omega * d[static_cast<std::size_t>(i)];
+        for (int k = 0; k < kw; ++k) {
+          const scalar_t bk = bp[at + static_cast<std::size_t>(k)];
+          out[k] = (0.0 + ti * (bk - 0.0)) + ti * (bk - acc[k]);
+        }
+      });
 }
 
 }  // namespace
@@ -261,7 +129,7 @@ void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> in
   //
   // With several columns the second sweep also skips re-reading that
   // output: it recomputes each gathered operand from b instead
-  // (jacobi_first_sweep_multi). For one column the recompute costs more
+  // (jacobi_first_sweeps_multi). For one column the recompute costs more
   // than the 8-byte read it saves (measured 1.33x slower), so K = 1 keeps
   // this two-pass form.
   //
@@ -271,7 +139,7 @@ void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> in
   std::span<scalar_t> cur = (rest % 2 == 0) ? out : ping;
   std::span<scalar_t> nxt = (rest % 2 == 0) ? ping : out;
   if (fused) {
-    jacobi_first_sweep_multi(a, inv_diag, b, cur, omega, k_count);
+    jacobi_first_sweeps_multi(a, inv_diag, b, cur, omega, k_count);
   } else {
     mv_for_each_lane(a.num_rows, k_count, [&](ordinal_t i, std::size_t at) {
       cur[at] = 0.0 + omega * inv_diag[static_cast<std::size_t>(i)] * (b[at] - 0.0);

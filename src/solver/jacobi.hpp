@@ -34,10 +34,10 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
                    scalar_t omega, std::span<scalar_t> x_next);
 
 /// Damped Jacobi over n x k_count row-major multi-vectors: one matrix
-/// traversal per sweep feeds all K columns, and each column runs the
-/// single-vector sweep (per-row accumulation in entry order, identical
-/// update expression), so column c is bit-identical to the same call on
-/// the gathered column. `x_next` is the caller-owned double buffer
+/// traversal per sweep (`graph::spmm_rows`) feeds all K columns, and each
+/// column runs the single-vector sweep (per-row accumulation in entry
+/// order, identical update expression), so column c is bit-identical to
+/// the same call on the gathered column. `x_next` is the caller-owned double buffer
 /// (`a.num_rows * k_count` elements); the sweeps ping-pong between it and
 /// `x`, with one copy back at the end for an odd sweep count.
 ///

@@ -8,6 +8,7 @@
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
+#include "parallel/simd.hpp"
 
 namespace parmis::solver {
 
@@ -20,41 +21,24 @@ void mv_foreach_row(ordinal_t n, F&& f) {
   par::parallel_for(n, std::forward<F>(f));
 }
 
-/// Fused dot over rows [lo, hi) with a compile-time lane count: the K
-/// accumulators stay in registers and the per-row multiply-add unrolls
-/// across lanes. Per lane the accumulation order is the same serial
-/// in-row-order sum as the runtime loop — a code-generation choice only.
-template <int KK>
-void dot_rows(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi, int k_count,
+/// Fused dot over rows [lo, hi) of a `kw`-column multi-vector (see
+/// `par::with_lane_width`): the K accumulators stay in registers and the
+/// per-row multiply-add unrolls across lanes. Per lane the accumulation
+/// order is the serial in-row-order sum whatever the width form.
+template <typename Lanes>
+void dot_rows(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi, Lanes kw,
               scalar_t* __restrict acc) {
   for (std::int64_t i = lo; i < hi; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    for (int c = 0; c < KK; ++c) {
-      acc[c] += a[base + static_cast<std::size_t>(c)] * b[base + static_cast<std::size_t>(c)];
-    }
-  }
-}
-
-void dot_rows_rt(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi,
-                 int k_count, scalar_t* __restrict acc) {
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    for (int c = 0; c < k_count; ++c) {
+    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(kw);
+    for (int c = 0; c < kw; ++c) {
       acc[c] += a[base + static_cast<std::size_t>(c)] * b[base + static_cast<std::size_t>(c)];
     }
   }
 }
 
 void dot_rows_dispatch(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi,
-                       int k_count, scalar_t* __restrict acc) {
-  switch (k_count) {
-    case 16: dot_rows<16>(a, b, lo, hi, k_count, acc); break;
-    case 8: dot_rows<8>(a, b, lo, hi, k_count, acc); break;
-    case 4: dot_rows<4>(a, b, lo, hi, k_count, acc); break;
-    case 2: dot_rows<2>(a, b, lo, hi, k_count, acc); break;
-    case 1: dot_rows<1>(a, b, lo, hi, k_count, acc); break;
-    default: dot_rows_rt(a, b, lo, hi, k_count, acc); break;
-  }
+                       int k_count, scalar_t* acc) {
+  par::with_lane_width(k_count, [&](auto kw) { dot_rows(a, b, lo, hi, kw, acc); });
 }
 
 bool all_active(std::span<const char> active, int k_count) {
@@ -86,12 +70,12 @@ void mv_row_chunks(ordinal_t n, F&& f) {
 /// same bits, but the constant trip count and `__restrict` let it
 /// vectorize. Used when every column is still active (the common case
 /// before deflation starts).
-template <int KK>
+template <typename Lanes>
 void axpy_cols_rows(const scalar_t* __restrict alpha, const scalar_t* __restrict x,
-                    scalar_t* __restrict y, std::int64_t lo, std::int64_t hi, int k_count) {
+                    scalar_t* __restrict y, std::int64_t lo, std::int64_t hi, Lanes kw) {
   for (std::int64_t i = lo; i < hi; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    for (int c = 0; c < KK; ++c) {
+    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(kw);
+    for (int c = 0; c < kw; ++c) {
       const std::size_t at = base + static_cast<std::size_t>(c);
       y[at] = alpha[static_cast<std::size_t>(c)] * x[at] + y[at];
     }
@@ -99,12 +83,12 @@ void axpy_cols_rows(const scalar_t* __restrict alpha, const scalar_t* __restrict
 }
 
 /// Branch-free y[·,c] = x[·,c] + beta[c]·y[·,c] (see axpy_cols_rows).
-template <int KK>
+template <typename Lanes>
 void xpay_cols_rows(const scalar_t* __restrict x, const scalar_t* __restrict beta,
-                    scalar_t* __restrict y, std::int64_t lo, std::int64_t hi, int k_count) {
+                    scalar_t* __restrict y, std::int64_t lo, std::int64_t hi, Lanes kw) {
   for (std::int64_t i = lo; i < hi; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-    for (int c = 0; c < KK; ++c) {
+    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(kw);
+    for (int c = 0; c < kw; ++c) {
       const std::size_t at = base + static_cast<std::size_t>(c);
       y[at] = x[at] + beta[static_cast<std::size_t>(c)] * y[at];
     }
@@ -194,23 +178,7 @@ void mv_axpy_cols(std::span<const scalar_t> alpha, std::span<const scalar_t> x,
     const scalar_t* xp = x.data();
     scalar_t* yp = y.data();
     mv_row_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
-      switch (k_count) {
-        case 16: axpy_cols_rows<16>(ap, xp, yp, lo, hi, k_count); break;
-        case 8: axpy_cols_rows<8>(ap, xp, yp, lo, hi, k_count); break;
-        case 4: axpy_cols_rows<4>(ap, xp, yp, lo, hi, k_count); break;
-        case 2: axpy_cols_rows<2>(ap, xp, yp, lo, hi, k_count); break;
-        case 1: axpy_cols_rows<1>(ap, xp, yp, lo, hi, k_count); break;
-        default:
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const std::size_t base =
-                static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-            for (int c = 0; c < k_count; ++c) {
-              const std::size_t at = base + static_cast<std::size_t>(c);
-              yp[at] = ap[static_cast<std::size_t>(c)] * xp[at] + yp[at];
-            }
-          }
-          break;
-      }
+      par::with_lane_width(k_count, [&](auto kw) { axpy_cols_rows(ap, xp, yp, lo, hi, kw); });
     });
     return;
   }
@@ -234,23 +202,7 @@ void mv_xpay_cols(std::span<const scalar_t> x, std::span<const scalar_t> beta,
     const scalar_t* bp = beta.data();
     scalar_t* yp = y.data();
     mv_row_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
-      switch (k_count) {
-        case 16: xpay_cols_rows<16>(xp, bp, yp, lo, hi, k_count); break;
-        case 8: xpay_cols_rows<8>(xp, bp, yp, lo, hi, k_count); break;
-        case 4: xpay_cols_rows<4>(xp, bp, yp, lo, hi, k_count); break;
-        case 2: xpay_cols_rows<2>(xp, bp, yp, lo, hi, k_count); break;
-        case 1: xpay_cols_rows<1>(xp, bp, yp, lo, hi, k_count); break;
-        default:
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const std::size_t base =
-                static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
-            for (int c = 0; c < k_count; ++c) {
-              const std::size_t at = base + static_cast<std::size_t>(c);
-              yp[at] = xp[at] + bp[static_cast<std::size_t>(c)] * yp[at];
-            }
-          }
-          break;
-      }
+      par::with_lane_width(k_count, [&](auto kw) { xpay_cols_rows(xp, bp, yp, lo, hi, kw); });
     });
     return;
   }

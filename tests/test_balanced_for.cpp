@@ -352,15 +352,6 @@ TEST(SpgemmFused, MatchesTwoPassReferenceBitExactly) {
   }
 }
 
-TEST(SpgemmFused, SymbolicMatchesNumericPattern) {
-  const graph::CrsMatrix a = skewed_test_matrix();
-  ScopedExecution scope(Backend::OpenMP, 0, Schedule::EdgeBalanced);
-  const graph::CrsMatrix c = graph::spgemm(a, a);
-  const graph::CrsGraph pattern = graph::spgemm_symbolic(a, a);
-  EXPECT_EQ(pattern.row_map, c.row_map);
-  EXPECT_EQ(pattern.entries, c.entries);
-}
-
 TEST(SpgemmFused, SinglePassTraversalCounter) {
   const graph::CrsMatrix a = skewed_test_matrix();
   const std::pair<Backend, int> cfgs[] = {{Backend::Serial, 1}, {Backend::OpenMP, 0}};
@@ -370,9 +361,6 @@ TEST(SpgemmFused, SinglePassTraversalCounter) {
     (void)graph::spgemm(a, a);
     // One inner product per output row — the two-pass kernel would report
     // 2 * num_rows here.
-    EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
-    graph::spgemm_reset_stats();
-    (void)graph::spgemm_symbolic(a, a);
     EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
   }
   // The fused Galerkin product forms each fine row's A·P row once and
@@ -524,10 +512,6 @@ TEST(SpgemmFused, FewRowsDenseProductMatchesReferenceAcrossConfigs) {
                 std::numeric_limits<scalar_t>::quiet_NaN());
       graph::spgemm_numeric(r, ap, replay);
       EXPECT_EQ(bits_of(replay.values), ref_bits) << where;
-
-      const graph::CrsGraph pattern = graph::spgemm_symbolic(r, ap);
-      EXPECT_EQ(pattern.row_map, c.row_map) << where;
-      EXPECT_EQ(pattern.entries, c.entries) << where;
     }
   }
 

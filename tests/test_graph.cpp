@@ -131,7 +131,8 @@ TEST(Ops, SquareMatchesBooleanSpGemmOnRandomGraphs) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const CrsGraph g = test::er_graph(50, 0.08, seed);
     const CrsGraph g2 = square(g);
-    // Oracle: (G+I)^2 pattern minus the diagonal, via symbolic SpGEMM.
+    // Oracle: (G+I)^2 pattern minus the diagonal, via SpGEMM. The values
+    // are positive, so no entry of the product cancels.
     CrsMatrix gi;
     gi.num_rows = g.num_rows;
     gi.num_cols = g.num_cols;
@@ -143,7 +144,7 @@ TEST(Ops, SquareMatchesBooleanSpGemmOnRandomGraphs) {
       }
       gi = matrix_from_coo(g.num_rows, g.num_cols, trips);
     }
-    const CrsGraph prod = spgemm_symbolic(gi, gi);
+    const CrsMatrix prod = spgemm(gi, gi);
     const CrsGraph oracle = remove_self_loops(prod);
     EXPECT_EQ(g2.row_map, oracle.row_map) << "seed " << seed;
     EXPECT_EQ(g2.entries, oracle.entries) << "seed " << seed;

@@ -152,7 +152,7 @@ TEST(Jacobi, ZeroStartAndPingPongMatchOneSweepAtATime) {
     for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(v[i]);
     return out;
   };
-  for (const int k : {1, 3}) {
+  for (const int k : {1, 2, 3, 4, 8, 16, 17}) {
     const std::size_t nk = n * static_cast<std::size_t>(k);
     const std::vector<scalar_t> b = random_vector(static_cast<ordinal_t>(nk), 8);
     const std::vector<scalar_t> x0 = random_vector(static_cast<ordinal_t>(nk), 9);

@@ -42,12 +42,13 @@ std::vector<graph::CrsMatrix> spmm_matrices() {
 TEST(Spmm, MatchesSpmvPerColumn) {
   // Column c of spmm must be bit-identical to spmv on the gathered column
   // — each row accumulates serially in entry order per column, exactly
-  // like the single-vector kernel. K values cross the register-block
-  // width so both the full-group and remainder lanes are exercised.
+  // like the single-vector kernel. K values take every lane-width instance
+  // and cross the register-block width, so both the full-group and
+  // remainder lanes are exercised.
   for (const graph::CrsMatrix& a : spmm_matrices()) {
     const ordinal_t n = a.num_rows;
     const std::size_t un = static_cast<std::size_t>(n);
-    for (const int k : {1, 3, 8, 16, 17}) {
+    for (const int k : {1, 2, 3, 4, 8, 16, 17}) {
       const std::size_t uk = static_cast<std::size_t>(k);
       std::vector<scalar_t> x(un * uk);
       std::vector<scalar_t> y(un * uk);
@@ -122,44 +123,47 @@ TEST(Spmm, OneColumnShapesMatchEightLaneColumns) {
   // spmm runs spmv's row loop and Jacobi apply_multi the two-pass form
   // (elementwise first sweep, then full sweeps) instead of the fused
   // first+second sweep. Both are code-generation choices, so a one-column
-  // call must give the bits of the same column inside an eight-lane call.
+  // call must give the bits of the same column inside a K-lane call, for
+  // every lane-width instance of the row kernel.
   const std::vector<graph::CrsMatrix> matrices = {
       graph::laplacian_matrix(graph::power_law_graph(3000, 2.2, 3, 300, 5), 1.0),
       graph::laplace3d(12, 12, 12)};
-  const int k = 8;
   for (const graph::CrsMatrix& a : matrices) {
     const ordinal_t n = a.num_rows;
     const std::size_t un = static_cast<std::size_t>(n);
-    std::vector<scalar_t> xm(un * k);
-    std::vector<scalar_t> ym(un * k);
-    solver::random_fill(xm, 21);
     std::vector<scalar_t> xc(un);
     std::vector<scalar_t> yc(un);
     std::vector<scalar_t> lane(un);
-    for (const auto& [backend, threads] : std::vector<std::pair<par::Backend, int>>{
-             {par::Backend::Serial, 1}, {par::Backend::OpenMP, 4}}) {
-      Context ctx;
-      ctx.backend = backend;
-      ctx.num_threads = threads;
-      Context::Scope scope(ctx);
-      graph::spmm(a, xm, ym, k);
-      for (int c = 0; c < k; ++c) {
-        solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
-        graph::spmm(a, xc, yc, 1);
-        solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
-        ASSERT_EQ(check::digest(lane), check::digest(yc))
-            << "spmm col=" << c << " rows=" << n << " threads=" << threads;
-      }
-      for (const int sweeps : {1, 2, 3}) {
-        const solver::JacobiPreconditioner jac(a, sweeps);
-        jac.apply_multi(xm, ym, n, k, {});
+    for (const int k : {2, 3, 4, 8, 16, 17}) {
+      const std::size_t uk = static_cast<std::size_t>(k);
+      std::vector<scalar_t> xm(un * uk);
+      std::vector<scalar_t> ym(un * uk);
+      solver::random_fill(xm, 21);
+      for (const auto& [backend, threads] : std::vector<std::pair<par::Backend, int>>{
+               {par::Backend::Serial, 1}, {par::Backend::OpenMP, 4}}) {
+        Context ctx;
+        ctx.backend = backend;
+        ctx.num_threads = threads;
+        Context::Scope scope(ctx);
+        graph::spmm(a, xm, ym, k);
         for (int c = 0; c < k; ++c) {
           solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
-          jac.apply_multi(xc, yc, n, 1, {});
+          graph::spmm(a, xc, yc, 1);
           solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
           ASSERT_EQ(check::digest(lane), check::digest(yc))
-              << "jacobi sweeps=" << sweeps << " col=" << c << " rows=" << n
-              << " threads=" << threads;
+              << "spmm k=" << k << " col=" << c << " rows=" << n << " threads=" << threads;
+        }
+        for (const int sweeps : {1, 2, 3}) {
+          const solver::JacobiPreconditioner jac(a, sweeps);
+          jac.apply_multi(xm, ym, n, k, {});
+          for (int c = 0; c < k; ++c) {
+            solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
+            jac.apply_multi(xc, yc, n, 1, {});
+            solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
+            ASSERT_EQ(check::digest(lane), check::digest(yc))
+                << "jacobi k=" << k << " sweeps=" << sweeps << " col=" << c << " rows=" << n
+                << " threads=" << threads;
+          }
         }
       }
     }
@@ -207,27 +211,32 @@ TEST(Spmm, DeterministicAcrossBackendsAndSchedules) {
 
 TEST(SpmmMultivector, DotAndNormsBitIdenticalToScalarKernels) {
   // n > reduce_chunk so the chunked tree is exercised: mv_dot must mirror
-  // parallel_reduce's chunk boundaries and combine order per column.
+  // parallel_reduce's chunk boundaries and combine order per column, for
+  // every lane-width instance.
   const ordinal_t n = 6000;
   const std::size_t un = static_cast<std::size_t>(n);
-  const int k = 5;
-  std::vector<scalar_t> a(un * k);
-  std::vector<scalar_t> b(un * k);
-  solver::random_fill(a, 17);
-  solver::random_fill(b, 19);
-
-  std::vector<scalar_t> dots(k);
-  std::vector<scalar_t> norms(k);
-  solver::mv_dot(a, b, n, k, dots);
-  solver::mv_norms(a, n, k, norms);
-
   std::vector<scalar_t> ac(un);
   std::vector<scalar_t> bc(un);
-  for (int c = 0; c < k; ++c) {
-    solver::gather_column(a, n, k, c, std::span<scalar_t>(ac));
-    solver::gather_column(b, n, k, c, std::span<scalar_t>(bc));
-    EXPECT_EQ(bits(solver::dot(ac, bc)), bits(dots[static_cast<std::size_t>(c)])) << "col " << c;
-    EXPECT_EQ(bits(solver::norm2(ac)), bits(norms[static_cast<std::size_t>(c)])) << "col " << c;
+  for (const int k : {1, 2, 3, 4, 8, 16, 17}) {
+    const std::size_t uk = static_cast<std::size_t>(k);
+    std::vector<scalar_t> a(un * uk);
+    std::vector<scalar_t> b(un * uk);
+    solver::random_fill(a, 17);
+    solver::random_fill(b, 19);
+
+    std::vector<scalar_t> dots(uk);
+    std::vector<scalar_t> norms(uk);
+    solver::mv_dot(a, b, n, k, dots);
+    solver::mv_norms(a, n, k, norms);
+
+    for (int c = 0; c < k; ++c) {
+      solver::gather_column(a, n, k, c, std::span<scalar_t>(ac));
+      solver::gather_column(b, n, k, c, std::span<scalar_t>(bc));
+      EXPECT_EQ(bits(solver::dot(ac, bc)), bits(dots[static_cast<std::size_t>(c)]))
+          << "k " << k << " col " << c;
+      EXPECT_EQ(bits(solver::norm2(ac)), bits(norms[static_cast<std::size_t>(c)]))
+          << "k " << k << " col " << c;
+    }
   }
 }
 
@@ -269,6 +278,35 @@ TEST(SpmmMultivector, MaskedOpsLeaveFrozenLanesUntouched) {
   for (std::size_t i = 0; i < un; ++i) {
     EXPECT_EQ(bits(y0[i * k + 1]), bits(y3[i * k + 1])) << "frozen lane, row " << i;
     EXPECT_EQ(bits(x[i * k + 0] + 0.25 * y0[i * k + 0]), bits(y3[i * k + 0])) << "row " << i;
+  }
+
+  // All columns active: the branch-free path of every lane-width instance,
+  // over enough rows for several parallel chunks, lane by lane against the
+  // scalar expression.
+  const ordinal_t rows = 1500;
+  const std::size_t urows = static_cast<std::size_t>(rows);
+  for (const int kc : {1, 2, 3, 4, 8, 16, 17}) {
+    const std::size_t ukc = static_cast<std::size_t>(kc);
+    std::vector<scalar_t> xa(urows * ukc);
+    std::vector<scalar_t> ya(urows * ukc);
+    std::vector<scalar_t> coef(ukc);
+    solver::random_fill(xa, 31);
+    solver::random_fill(ya, 37);
+    solver::random_fill(coef, 41);
+    const std::vector<char> all(ukc, 1);
+    std::vector<scalar_t> ax = ya;
+    solver::mv_axpy_cols(coef, xa, ax, rows, kc, all);
+    std::vector<scalar_t> xp = ya;
+    solver::mv_xpay_cols(xa, coef, xp, rows, kc, all);
+    for (std::size_t i = 0; i < urows; ++i) {
+      for (std::size_t c = 0; c < ukc; ++c) {
+        const std::size_t at = i * ukc + c;
+        ASSERT_EQ(bits(coef[c] * xa[at] + ya[at]), bits(ax[at]))
+            << "axpy k=" << kc << " row " << i << " col " << c;
+        ASSERT_EQ(bits(xa[at] + coef[c] * ya[at]), bits(xp[at]))
+            << "xpay k=" << kc << " row " << i << " col " << c;
+      }
+    }
   }
 }
 

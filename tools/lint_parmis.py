@@ -25,6 +25,11 @@ that are *specific to this codebase* and invisible to a generic tool:
                         src/parallel/simd.hpp. One macro keeps the ISA set,
                         the platform gate and the same-bits argument in one
                         place; a kernel opts in by carrying the macro.
+  R6  one-lane-dispatch `case 16:` (a lane-width switch) appears only in
+                        par::with_lane_width of src/parallel/simd.hpp. The
+                        K-wide kernels take their compile-time lane count
+                        from that one dispatch, so a new width or a wider
+                        build is one edit, not one per kernel.
 
 Usage:
   python3 tools/lint_parmis.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -71,6 +76,12 @@ RULES = [
         re.compile(r"\btarget_clones\b|__attribute__\s*\(\(\s*target\b|\bgnu::target(?:_clones)?\b"),
         lambda rel: rel != "src/parallel/simd.hpp",
         "raw ISA multi-versioning — mark the kernel PARMIS_WIDE_KERNEL (parallel/simd.hpp)",
+    ),
+    (
+        "one-lane-dispatch",
+        re.compile(r"\bcase\s+16\s*:"),
+        lambda rel: rel != "src/parallel/simd.hpp",
+        "lane-width switch — dispatch through par::with_lane_width (parallel/simd.hpp)",
     ),
 ]
 
@@ -133,6 +144,10 @@ SEEDED = {
         "src/graph/seeded.cpp",
         '__attribute__((target("avx2"))) void kernel(double* x);\n',
     ),
+    "one-lane-dispatch": (
+        "src/solver/seeded.cpp",
+        "switch (k_count) {\n  case 16: kernel<16>(x); break;\n}\n",
+    ),
     "unique-span-names": (
         "src/core/seeded.cpp",
         'PARMIS_SPAN("dup.name");\nPARMIS_SPAN("dup.name");\n',
@@ -144,9 +159,10 @@ CLEAN_SNIPPETS = [
     ("src/core/clean.cpp", "// int x = rand();  commented out\n"),
     ("src/core/allowed.cpp", "int* p = new int[4];  // lint-parmis: allow(no-naked-alloc)\n"),
     ("src/core/spans.cpp", 'PARMIS_SPAN("a.b");\nPARMIS_SPAN("a.c");\n'),
-    (  # R5 scoped to the one macro
+    (  # R5 scoped to the one macro, R6 to the one dispatch helper
         "src/parallel/simd.hpp",
-        '#define PARMIS_WIDE_KERNEL __attribute__((target_clones("avx2", "default")))\n',
+        '#define PARMIS_WIDE_KERNEL __attribute__((target_clones("avx2", "default")))\n'
+        "    case 16: return f(std::integral_constant<int, 16>{});\n",
     ),
 ]
 
