@@ -87,6 +87,36 @@ Result validate(graph::GraphView g, const GraphChecks& opts) {
   return Result::pass();
 }
 
+Result validate_edge_weights(graph::GraphView g, std::span<const ordinal_t> edge_weight) {
+  if (edge_weight.size() != static_cast<std::size_t>(g.num_entries())) {
+    return Result::failure("weights.parallel",
+                           std::to_string(edge_weight.size()) + " edge weights for " +
+                               std::to_string(g.num_entries()) + " entries");
+  }
+  for (ordinal_t v = 0; v < g.num_rows; ++v) {
+    for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
+      const ordinal_t c = g.entries[j];
+      const std::span<const ordinal_t> mate_row = g.row(c);
+      const auto mate = std::lower_bound(mate_row.begin(), mate_row.end(), v);
+      if (mate == mate_row.end() || *mate != v) {
+        return Result::failure("weights.symmetric",
+                               at_row(v) + "entry " + std::to_string(c) +
+                                   " has no transpose mate");
+      }
+      const offset_t jt = g.row_map[c] + (mate - mate_row.begin());
+      if (edge_weight[static_cast<std::size_t>(j)] != edge_weight[static_cast<std::size_t>(jt)]) {
+        return Result::failure("weights.symmetric",
+                               at_row(v) + "weight " +
+                                   std::to_string(edge_weight[static_cast<std::size_t>(j)]) +
+                                   " to " + std::to_string(c) + ", but " +
+                                   std::to_string(edge_weight[static_cast<std::size_t>(jt)]) +
+                                   " back");
+      }
+    }
+  }
+  return Result::pass();
+}
+
 Result validate(const graph::CrsMatrix& a, const MatrixChecks& opts) {
   if (a.row_map.size() != static_cast<std::size_t>(a.num_rows) + 1) {
     return Result::failure("crs.row_map.size",

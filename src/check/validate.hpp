@@ -63,6 +63,12 @@ struct GraphChecks {
 /// then the requested `GraphChecks`.
 [[nodiscard]] Result validate(graph::GraphView g, const GraphChecks& opts = {});
 
+/// Edge weights of a weighted graph: one weight per entry of `g`, and
+/// symmetric — the weight of (v, c) equals the weight of (c, v). Needs
+/// sorted rows (it finds the transpose mate by binary search); O(E log d).
+[[nodiscard]] Result validate_edge_weights(graph::GraphView g,
+                                           std::span<const ordinal_t> edge_weight);
+
 /// Additional matrix invariants on top of the structural ones.
 struct MatrixChecks {
   GraphChecks structure;

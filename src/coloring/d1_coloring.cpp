@@ -3,52 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
+#include "coloring/forbidden_set.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_scan.hpp"
 #include "random/hash.hpp"
 
 namespace parmis::coloring {
-
-namespace {
-
-/// First-fit helper: smallest color not present among `forbidden` colors,
-/// tracked in a stamp array.
-class ForbiddenSet {
- public:
-  void ensure(std::size_t max_colors) {
-    if (stamp_of_.size() < max_colors) stamp_of_.assign(max_colors, 0);
-  }
-
-  void begin() { ++stamp_; }
-
-  void forbid(ordinal_t c) {
-    if (c >= 0 && static_cast<std::size_t>(c) < stamp_of_.size()) {
-      stamp_of_[static_cast<std::size_t>(c)] = stamp_;
-    }
-  }
-
-  [[nodiscard]] ordinal_t first_allowed() const {
-    ordinal_t c = 0;
-    while (static_cast<std::size_t>(c) < stamp_of_.size() &&
-           stamp_of_[static_cast<std::size_t>(c)] == stamp_) {
-      ++c;
-    }
-    return c;
-  }
-
- private:
-  std::vector<std::uint64_t> stamp_of_;
-  std::uint64_t stamp_{0};
-};
-
-void forbid_if_colored(ForbiddenSet& forbidden, const std::vector<ordinal_t>& colors,
-                       ordinal_t w) {
-  const ordinal_t c = colors[static_cast<std::size_t>(w)];
-  if (c != invalid_ordinal) forbidden.forbid(c);
-}
-
-}  // namespace
 
 ColorSets color_sets(const Coloring& coloring) {
   ColorSets cs;
@@ -74,13 +35,13 @@ Coloring greedy_d1_coloring(graph::GraphView g) {
   Coloring result;
   result.colors.assign(static_cast<std::size_t>(n), invalid_ordinal);
 
-  ForbiddenSet forbidden;
+  detail::ForbiddenSet forbidden;
   forbidden.ensure(static_cast<std::size_t>(n) + 1);
   ordinal_t num_colors = 0;
   for (ordinal_t v = 0; v < n; ++v) {
     forbidden.begin();
     for (ordinal_t w : g.row(v)) {
-      forbid_if_colored(forbidden, result.colors, w);
+      forbidden.forbid(result.colors[static_cast<std::size_t>(w)]);
     }
     const ordinal_t c = forbidden.first_allowed();
     result.colors[static_cast<std::size_t>(v)] = c;
@@ -111,11 +72,11 @@ Coloring parallel_d1_coloring(graph::GraphView g) {
     // Speculate: first-fit against the committed colors snapshot.
     par::parallel_for(static_cast<ordinal_t>(worklist.size()), [&](ordinal_t i) {
       const ordinal_t v = worklist[static_cast<std::size_t>(i)];
-      thread_local ForbiddenSet forbidden;
+      thread_local detail::ForbiddenSet forbidden;
       forbidden.ensure(static_cast<std::size_t>(n) + 1);
       forbidden.begin();
       for (ordinal_t w : g.row(v)) {
-        forbid_if_colored(forbidden, result.colors, w);
+        forbidden.forbid(result.colors[static_cast<std::size_t>(w)]);
       }
       tentative[static_cast<std::size_t>(v)] = forbidden.first_allowed();
       speculated[static_cast<std::size_t>(v)] = rounds;

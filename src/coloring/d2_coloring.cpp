@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "coloring/forbidden_set.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_scan.hpp"
@@ -12,41 +13,6 @@
 namespace parmis::coloring {
 
 namespace {
-
-/// Stamp-based forbidden-color set (same idea as d1_coloring's, local copy
-/// to keep the translation units independent).
-class ForbiddenSet {
- public:
-  void ensure(std::size_t max_colors) {
-    if (stamp_of_.size() < max_colors) stamp_of_.assign(max_colors, 0);
-  }
-  void begin() { ++stamp_; }
-  void forbid(ordinal_t c) {
-    if (c != invalid_ordinal) stamp_of_[static_cast<std::size_t>(c)] = stamp_;
-  }
-  [[nodiscard]] ordinal_t first_allowed() const { return nth_allowed(0); }
-
-  /// The (k+1)-th smallest color not in the forbidden set. Used by the
-  /// windowed speculation below: spreading speculators over several
-  /// allowed colors instead of all picking the same first-fit color keeps
-  /// the per-round conflict sets small on dense graphs.
-  [[nodiscard]] ordinal_t nth_allowed(ordinal_t k) const {
-    ordinal_t c = 0;
-    for (;;) {
-      const bool forbidden = static_cast<std::size_t>(c) < stamp_of_.size() &&
-                             stamp_of_[static_cast<std::size_t>(c)] == stamp_;
-      if (!forbidden) {
-        if (k == 0) return c;
-        --k;
-      }
-      ++c;
-    }
-  }
-
- private:
-  std::vector<std::uint64_t> stamp_of_;
-  std::uint64_t stamp_{0};
-};
 
 /// Apply `f(u)` to every vertex within distance <= 2 of v, excluding v.
 template <typename F>
@@ -66,7 +32,7 @@ Coloring greedy_d2_coloring(graph::GraphView g) {
   Coloring result;
   result.colors.assign(static_cast<std::size_t>(n), invalid_ordinal);
 
-  ForbiddenSet forbidden;
+  detail::ForbiddenSet forbidden;
   forbidden.ensure(static_cast<std::size_t>(n) + 1);
   ordinal_t num_colors = 0;
   for (ordinal_t v = 0; v < n; ++v) {
@@ -114,7 +80,7 @@ Coloring parallel_d2_coloring(graph::GraphView g) {
     ++rounds;
     par::parallel_for(static_cast<ordinal_t>(worklist.size()), [&](ordinal_t i) {
       const ordinal_t v = worklist[static_cast<std::size_t>(i)];
-      thread_local ForbiddenSet forbidden;
+      thread_local detail::ForbiddenSet forbidden;
       forbidden.ensure(static_cast<std::size_t>(n) + 1 + window);
       forbidden.begin();
       for_each_within_2(g, v, [&](ordinal_t u) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "check/check.hpp"
@@ -56,7 +57,14 @@ AggregateMembers aggregate_members(const Aggregation& agg) {
   return m;
 }
 
-graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
+namespace {
+
+/// `coarse_graph`'s three passes, with the edge-weight channel compiled in
+/// (`Weighted`: `edge_weight` in, `coarse_weight` out) or out.
+template <bool Weighted>
+graph::CrsGraph contract(graph::GraphView g, const Aggregation& agg,
+                         std::span<const ordinal_t> edge_weight,
+                         std::vector<ordinal_t>* coarse_weight) {
   assert(agg.labels.size() == static_cast<std::size_t>(g.num_rows));
   PARMIS_CHECK_OK(check::validate(agg, g.num_rows));
   const ordinal_t nc = agg.num_aggregates;
@@ -75,54 +83,75 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   std::vector<offset_t> counts(static_cast<std::size_t>(nchunks) * nkeys, 0);
   auto chunk_row = [&](int q) { return counts.data() + static_cast<std::size_t>(q) * nkeys; };
 
-  // Fine rows in storage order: `take(cnt, a, fresh, k)` receives the
+  // Fine rows in storage order: `take(cnt, a, fresh, sum, k)` receives the
   // chunk's row of `counts`, a = label(v) and the k distinct foreign labels
   // among v's neighbors. Branch-free stamp dedup: v's own aggregate is
-  // pre-stamped, so it drops out.
-  auto walk_fine = [&](auto&& take) {
+  // pre-stamped, so it drops out. A walk `with_weights` also sums v's edge
+  // weights per label, sum[b] for each b in `fresh`.
+  auto walk_fine = [&](auto with_weights, auto&& take) {
+    constexpr bool weights = decltype(with_weights)::value;
     par::balanced_chunks(g.num_rows, by_cost ? g.row_map : nullptr,
                          [&](int q, ordinal_t lo, ordinal_t hi) {
       std::vector<ordinal_t> mark(nkeys, invalid_ordinal);
       ordinal_t max_degree = 0;
       for (ordinal_t v = lo; v < hi; ++v) max_degree = std::max(max_degree, g.degree(v));
       std::vector<ordinal_t> fresh(static_cast<std::size_t>(max_degree));
+      std::vector<ordinal_t> sum;
+      if constexpr (weights) sum.resize(nkeys);
       for (ordinal_t v = lo; v < hi; ++v) {
         mark[label[v]] = v;
+        if constexpr (weights) sum[label[v]] = 0;
         ordinal_t k = 0;
         for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
           const ordinal_t b = label[g.entries[j]];
           const ordinal_t old = mark[b];
           mark[b] = v;
           fresh[k] = b;
+          if constexpr (weights) sum[b] = (old != v ? 0 : sum[b]) + edge_weight[j];
           k += old != v;
         }
-        take(chunk_row(q), label[v], fresh.data(), k);
+        take(chunk_row(q), label[v], fresh.data(), sum.data(), k);
       }
     });
   };
   std::vector<offset_t> seg(nkeys + 1, 0);
   {
     PARMIS_SPAN("coarse_graph.count");
-    walk_fine([](offset_t* cnt, ordinal_t a, const ordinal_t*, ordinal_t k) { cnt[a] += k; });
+    walk_fine(std::false_type{},
+              [](offset_t* cnt, ordinal_t a, const ordinal_t*, const ordinal_t*, ordinal_t k) {
+                cnt[a] += k;
+              });
     par::chunked_cursor_scan(nc, nchunks, counts, seg);
     par::inclusive_scan_inplace(std::span<offset_t>(seg.data() + 1, nkeys));
   }
   // One bucket entry per (fine vertex, foreign aggregate) pair, filed under
-  // the vertex's aggregate. Every slot is written, so no zero fill.
+  // the vertex's aggregate, its summed weight at the same index of
+  // `bucket_w`. Every slot is written, so no zero fill.
   const auto bucket =
       std::make_unique_for_overwrite<ordinal_t[]>(static_cast<std::size_t>(seg[nkeys]));
+  std::unique_ptr<ordinal_t[]> bucket_w;
+  if constexpr (Weighted) {
+    bucket_w = std::make_unique_for_overwrite<ordinal_t[]>(static_cast<std::size_t>(seg[nkeys]));
+  }
   {
     PARMIS_SPAN("coarse_graph.group");
-    walk_fine([&](offset_t* cursor, ordinal_t a, const ordinal_t* fresh, ordinal_t k) {
-      std::copy_n(fresh, k, bucket.get() + seg[a] + cursor[a]);
-      cursor[a] += k;
-    });
+    walk_fine(std::bool_constant<Weighted>{},
+              [&](offset_t* cursor, ordinal_t a, const ordinal_t* fresh, const ordinal_t* sum,
+                  ordinal_t k) {
+                std::copy_n(fresh, k, bucket.get() + seg[a] + cursor[a]);
+                if constexpr (Weighted) {
+                  ordinal_t* w = bucket_w.get() + seg[a] + cursor[a];
+                  for (ordinal_t i = 0; i < k; ++i) w[i] = sum[fresh[i]];
+                }
+                cursor[a] += k;
+              });
   }
 
-  // Rows: dedup each segment in place, counting survivors b per chunk;
-  // then scatter each kept pair (a, b) into row b. Aggregates go in
-  // ascending order, so every row receives its columns sorted, and by
-  // symmetry row b of that transpose is the quotient row of b.
+  // Rows: dedup each segment in place, counting survivors b per chunk (and
+  // summing a duplicate's weight into its survivor's); then scatter each
+  // kept pair (a, b) into row b. Aggregates go in ascending order, so every
+  // row receives its columns sorted, and by symmetry row b of that
+  // transpose is the quotient row of b.
   PARMIS_SPAN("coarse_graph.rows");
   const offset_t* seg_cost = by_cost ? seg.data() : nullptr;
   const auto kept = std::make_unique_for_overwrite<offset_t[]>(nkeys);
@@ -130,6 +159,8 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   par::balanced_chunks(nc, seg_cost, [&](int q, ordinal_t lo, ordinal_t hi) {
     offset_t* cnt = chunk_row(q);
     std::vector<ordinal_t> mark(nkeys, invalid_ordinal);
+    std::vector<ordinal_t> sum;
+    if constexpr (Weighted) sum.resize(nkeys);
     for (ordinal_t a = lo; a < hi; ++a) {
       ordinal_t* row = bucket.get() + seg[a];
       offset_t k = 0;
@@ -138,8 +169,12 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
         const bool is_new = mark[b] != a;
         mark[b] = a;
         row[k] = b;
+        if constexpr (Weighted) sum[b] = (is_new ? 0 : sum[b]) + bucket_w[seg[a] + i];
         cnt[b] += is_new;
         k += is_new;
+      }
+      if constexpr (Weighted) {
+        for (offset_t i = 0; i < k; ++i) bucket_w[seg[a] + i] = sum[row[i]];
       }
       kept[a] = k;
     }
@@ -147,12 +182,15 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
   par::chunked_cursor_scan(nc, nchunks, counts, c.row_map);
   par::inclusive_scan_inplace(std::span<offset_t>(c.row_map.data() + 1, nkeys));
   c.entries.resize(static_cast<std::size_t>(c.row_map.back()));
+  if constexpr (Weighted) coarse_weight->resize(c.entries.size());
   par::balanced_chunks(nc, seg_cost, [&](int q, ordinal_t lo, ordinal_t hi) {
     offset_t* cursor = chunk_row(q);
     for (ordinal_t a = lo; a < hi; ++a) {
       for (offset_t i = seg[a]; i < seg[a] + kept[a]; ++i) {
         const ordinal_t b = bucket[i];
-        c.entries[c.row_map[b] + cursor[b]++] = a;
+        const offset_t at = c.row_map[b] + cursor[b]++;
+        c.entries[at] = a;
+        if constexpr (Weighted) (*coarse_weight)[at] = bucket_w[i];
       }
     }
   });
@@ -160,6 +198,22 @@ graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
                                                         .require_unique = true,
                                                         .require_loop_free = true,
                                                         .require_symmetric = true}));
+  return c;
+}
+
+}  // namespace
+
+graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg) {
+  return contract<false>(g, agg, {}, nullptr);
+}
+
+graph::CrsGraph coarse_graph(graph::GraphView g, const Aggregation& agg,
+                             std::span<const ordinal_t> edge_weight,
+                             std::vector<ordinal_t>& coarse_weight) {
+  assert(edge_weight.size() == static_cast<std::size_t>(g.num_entries()));
+  PARMIS_CHECK_OK(check::validate_edge_weights(g, edge_weight));
+  graph::CrsGraph c = contract<true>(g, agg, edge_weight, &coarse_weight);
+  PARMIS_CHECK_OK(check::validate_edge_weights(graph::GraphView(c), coarse_weight));
   return c;
 }
 

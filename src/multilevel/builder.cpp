@@ -134,11 +134,10 @@ const std::vector<Step>& Builder::build_steps(graph::GraphView g0, const Weighte
   StopReason stop = StopReason::MaxLevels;
   int nsteps = 0;
   for (int level = 0; level < opts_.max_levels; ++level) {
-    // Step slots are reused across builds on the same handle (their buffer
-    // capacities persist), so a warm weighted build — the recursive-
-    // bisection workload — touches the allocator only when a level
-    // outgrows every predecessor. A fresh slot recycles the spare parked
-    // by the last stalled build.
+    // Step slots are reused across builds on the same handle (their label
+    // buffers keep their capacity; each contraction replaces the coarse
+    // graph). A fresh slot recycles the spare parked by the last stalled
+    // build.
     if (static_cast<std::size_t>(level) == h.steps_.size()) {
       h.steps_.push_back(std::move(h.ws_.spare_step));
       h.ws_.spare_step = Step{};
@@ -174,14 +173,8 @@ const std::vector<Step>& Builder::build_steps(graph::GraphView g0, const Weighte
 
     {
       PARMIS_SPAN("multilevel.contract");
-      if (weighted) {
-        coarsen_weighted(*cur, step.aggregation.labels, step.aggregation.num_aggregates,
-                         step.coarse, h.ws_.contraction);
-      } else {
-        step.coarse.graph = core::coarse_graph(view, step.aggregation);
-        step.coarse.vertex_weight.clear();
-        step.coarse.edge_weight.clear();
-      }
+      step.coarse = weighted ? coarsen_weighted(*cur, step.aggregation)
+                             : WeightedGraph{core::coarse_graph(view, step.aggregation), {}, {}};
     }
     st.level_rows.push_back(step.coarse.graph.num_rows);
     st.level_entries.push_back(step.coarse.graph.num_entries());

@@ -44,8 +44,7 @@ std::size_t bytes_of(const Step& s) {
 }  // namespace
 
 std::size_t SetupWorkspace::capacity_bytes() const {
-  std::size_t total = coarsen.scratch_bytes() + contraction.capacity_bytes() +
-                      bytes_of(spare_step);
+  std::size_t total = coarsen.scratch_bytes() + bytes_of(spare_step);
   for (const GalerkinLevel& l : galerkin) {
     total += bytes_of(l.phat) + bytes_of(l.ap) + bytes_of(l.apc) + bytes_of(l.tperm) +
              l.fused.capacity_bytes();
@@ -55,11 +54,7 @@ std::size_t SetupWorkspace::capacity_bytes() const {
 
 std::size_t HierarchyHandle::scratch_bytes() const {
   std::size_t total = ws_.capacity_bytes();
-  for (const Step& s : steps_) {
-    total += bytes_of(s.aggregation.labels) + bytes_of(s.aggregation.roots) +
-             bytes_of(s.coarse.graph) + bytes_of(s.coarse.vertex_weight) +
-             bytes_of(s.coarse.edge_weight);
-  }
+  for (const Step& s : steps_) total += bytes_of(s);
   for (const OperatorLevel& l : ops_) {
     total += bytes_of(l.a) + bytes_of(l.p) + bytes_of(l.r) + bytes_of(l.inv_diag);
   }

@@ -5,15 +5,14 @@
 ///
 /// The handle is the multilevel analogue of `core::Mis2Handle` /
 /// `solver::SolveHandle`: it owns the built hierarchy *and* every piece of
-/// setup scratch (the nested `CoarsenHandle`, the weighted contraction
-/// maps, and — in Galerkin mode — the per-level tentative prolongators,
-/// SpGEMM intermediates, and transpose permutations). Because the scratch
-/// survives between builds, a *warm rebuild* of a hierarchy whose
-/// structure is fixed but whose matrix values changed (time-stepping)
-/// replays the Galerkin products value-only and performs **zero heap
-/// allocations** — asserted by the capacity-tracking tests through
-/// `scratch_bytes()` and `stats().scratch_grows`, exactly the
-/// `SolveHandle` contract.
+/// setup scratch (the nested `CoarsenHandle` and — in Galerkin mode — the
+/// per-level tentative prolongators, SpGEMM intermediates, and transpose
+/// permutations). Because the scratch survives between builds, a *warm
+/// rebuild* of a hierarchy whose structure is fixed but whose matrix
+/// values changed (time-stepping) replays the Galerkin products
+/// value-only and performs **zero heap allocations** — asserted by the
+/// capacity-tracking tests through `scratch_bytes()` and
+/// `stats().scratch_grows`, exactly the `SolveHandle` contract.
 
 #include <vector>
 
@@ -79,9 +78,6 @@ struct SetupWorkspace {
   /// Aggregation scratch (nested MIS-2 handle, HEM buffers), shared by
   /// every level of every build.
   core::CoarsenHandle coarsen;
-
-  /// Weighted-mode contraction maps, shared across levels.
-  ContractionWorkspace contraction;
 
   /// Parking slot for the step a stalled build aggregated into but did not
   /// keep: its buffers (size-n labels) are recycled by the next build

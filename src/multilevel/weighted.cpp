@@ -1,9 +1,8 @@
 #include "multilevel/weighted.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <utility>
 
-#include "parallel/parallel_for.hpp"
+#include "core/coarsen.hpp"
 
 namespace parmis::multilevel {
 
@@ -23,113 +22,13 @@ WeightedGraph WeightedGraph::unit(graph::GraphView g) {
       std::vector<ordinal_t>(g.entries, g.entries + g.num_entries())});
 }
 
-std::size_t ContractionWorkspace::capacity_bytes() const {
-  return member_offsets.capacity() * sizeof(offset_t) +
-         members.capacity() * sizeof(ordinal_t) + cursor.capacity() * sizeof(offset_t);
-}
-
-void coarsen_weighted(const WeightedGraph& fine, std::span<const ordinal_t> labels,
-                      ordinal_t num_coarse, WeightedGraph& coarse, ContractionWorkspace& ws) {
-  const graph::GraphView g = fine.graph;
-  assert(labels.size() == static_cast<std::size_t>(g.num_rows));
-
-  // Contraction maps (counting sort by label), built into the reusable
-  // workspace: `assign`/`resize` keep capacity, so warm contractions on
-  // same-sized levels allocate nothing.
-  ws.member_offsets.assign(static_cast<std::size_t>(num_coarse) + 1, 0);
-  for (ordinal_t v = 0; v < g.num_rows; ++v) {
-    assert(labels[static_cast<std::size_t>(v)] >= 0 &&
-           labels[static_cast<std::size_t>(v)] < num_coarse);
-    ++ws.member_offsets[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)]) + 1];
-  }
-  for (ordinal_t a = 0; a < num_coarse; ++a) {
-    ws.member_offsets[static_cast<std::size_t>(a) + 1] +=
-        ws.member_offsets[static_cast<std::size_t>(a)];
-  }
-  ws.members.resize(static_cast<std::size_t>(g.num_rows));
-  ws.cursor.assign(ws.member_offsets.begin(), ws.member_offsets.end() - 1);
-  for (ordinal_t v = 0; v < g.num_rows; ++v) {
-    ws.members[static_cast<std::size_t>(
-        ws.cursor[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])]++)] = v;
-  }
-
-  coarse.graph.num_rows = num_coarse;
-  coarse.graph.num_cols = num_coarse;
-  coarse.graph.row_map.assign(static_cast<std::size_t>(num_coarse) + 1, 0);
-  coarse.vertex_weight.assign(static_cast<std::size_t>(num_coarse), 0);
-  for (ordinal_t v = 0; v < g.num_rows; ++v) {
-    coarse.vertex_weight[static_cast<std::size_t>(labels[static_cast<std::size_t>(v)])] +=
-        fine.vertex_weight[static_cast<std::size_t>(v)];
-  }
-
-  // Per-coarse-row accumulation with a stamp/accumulator pair (same
-  // pattern as SpGEMM); summed weights, sorted columns.
-  struct Accumulator {
-    std::vector<std::uint64_t> stamp_of;
-    std::vector<std::int64_t> acc;
-    std::vector<ordinal_t> touched;
-    std::uint64_t stamp{0};
-    void ensure(ordinal_t n) {
-      if (stamp_of.size() < static_cast<std::size_t>(n)) {
-        stamp_of.assign(static_cast<std::size_t>(n), 0);
-        acc.assign(static_cast<std::size_t>(n), 0);
-        stamp = 0;
-      }
-    }
-  };
-  thread_local Accumulator t_acc;
-
-  auto collect = [&](ordinal_t a) {
-    t_acc.ensure(num_coarse);
-    ++t_acc.stamp;
-    t_acc.touched.clear();
-    for (offset_t mi = ws.member_offsets[static_cast<std::size_t>(a)];
-         mi < ws.member_offsets[static_cast<std::size_t>(a) + 1]; ++mi) {
-      const ordinal_t v = ws.members[static_cast<std::size_t>(mi)];
-      for (offset_t j = g.row_map[v]; j < g.row_map[v + 1]; ++j) {
-        const ordinal_t b = labels[static_cast<std::size_t>(g.entries[j])];
-        if (b == a) continue;
-        const std::int64_t w = fine.edge_weight[static_cast<std::size_t>(j)];
-        if (t_acc.stamp_of[static_cast<std::size_t>(b)] != t_acc.stamp) {
-          t_acc.stamp_of[static_cast<std::size_t>(b)] = t_acc.stamp;
-          t_acc.acc[static_cast<std::size_t>(b)] = w;
-          t_acc.touched.push_back(b);
-        } else {
-          t_acc.acc[static_cast<std::size_t>(b)] += w;
-        }
-      }
-    }
-  };
-
-  par::parallel_for(num_coarse, [&](ordinal_t a) {
-    collect(a);
-    coarse.graph.row_map[static_cast<std::size_t>(a) + 1] =
-        static_cast<offset_t>(t_acc.touched.size());
-  });
-  for (ordinal_t a = 0; a < num_coarse; ++a) {
-    coarse.graph.row_map[static_cast<std::size_t>(a) + 1] +=
-        coarse.graph.row_map[static_cast<std::size_t>(a)];
-  }
-  coarse.graph.entries.resize(static_cast<std::size_t>(coarse.graph.row_map.back()));
-  coarse.edge_weight.resize(static_cast<std::size_t>(coarse.graph.row_map.back()));
-  par::parallel_for(num_coarse, [&](ordinal_t a) {
-    collect(a);
-    std::sort(t_acc.touched.begin(), t_acc.touched.end());
-    offset_t o = coarse.graph.row_map[a];
-    for (ordinal_t b : t_acc.touched) {
-      coarse.graph.entries[static_cast<std::size_t>(o)] = b;
-      coarse.edge_weight[static_cast<std::size_t>(o)] =
-          static_cast<ordinal_t>(t_acc.acc[static_cast<std::size_t>(b)]);
-      ++o;
-    }
-  });
-}
-
-WeightedGraph coarsen_weighted(const WeightedGraph& fine, const std::vector<ordinal_t>& labels,
-                               ordinal_t num_coarse) {
+WeightedGraph coarsen_weighted(const WeightedGraph& fine, const core::Aggregation& agg) {
   WeightedGraph coarse;
-  ContractionWorkspace ws;
-  coarsen_weighted(fine, labels, num_coarse, coarse, ws);
+  coarse.graph = core::coarse_graph(fine.graph, agg, fine.edge_weight, coarse.edge_weight);
+  coarse.vertex_weight.assign(static_cast<std::size_t>(agg.num_aggregates), 0);
+  for (std::size_t v = 0; v < agg.labels.size(); ++v) {
+    coarse.vertex_weight[static_cast<std::size_t>(agg.labels[v])] += fine.vertex_weight[v];
+  }
   return coarse;
 }
 

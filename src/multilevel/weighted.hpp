@@ -10,14 +10,13 @@
 /// because weighted contraction is a property of the hierarchy, not of any
 /// one consumer.
 ///
-/// `coarsen_weighted` is deterministic for any backend/thread count; the
-/// workspace overload reuses the contraction maps (member offsets/lists and
-/// per-aggregate cursors) across hierarchy levels and across builds.
+/// `coarsen_weighted` is `core::coarse_graph` with its edge-weight channel
+/// plus the vertex-weight sums: deterministic for any backend/thread count.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
+#include "core/aggregation.hpp"
 #include "graph/crs.hpp"
 
 namespace parmis::multilevel {
@@ -43,29 +42,11 @@ struct WeightedGraph {
   [[nodiscard]] static WeightedGraph unit(graph::GraphView g);
 };
 
-/// Reusable scratch for `coarsen_weighted`: the contraction maps (CSR
-/// member lists of the labeling and the per-aggregate placement cursors).
-/// Capacities only grow, so repeated contractions on same-sized (or
-/// smaller) levels allocate nothing here.
-struct ContractionWorkspace {
-  std::vector<offset_t> member_offsets;  ///< aggregate -> member range (nc + 1)
-  std::vector<ordinal_t> members;        ///< member lists, label-sorted
-  std::vector<offset_t> cursor;          ///< placement cursors (nc)
-
-  /// Total heap capacity (bytes) currently held.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-};
-
-/// Quotient of `fine` under `labels` (an aggregation/matching assignment
-/// into [0, num_coarse)): vertex weights sum, parallel edges collapse with
-/// summed weights. Deterministic; rows sorted. The result is written into
-/// `coarse` reusing its buffer capacity; contraction maps come from `ws`.
-void coarsen_weighted(const WeightedGraph& fine, std::span<const ordinal_t> labels,
-                      ordinal_t num_coarse, WeightedGraph& coarse, ContractionWorkspace& ws);
-
-/// `coarsen_weighted` into a fresh result with transient scratch.
+/// Quotient of `fine` under `agg`: one vertex per aggregate carrying the
+/// summed vertex weights of its members, parallel edges collapsed with
+/// summed weights (`core::coarse_graph`'s weight channel, so `fine`'s edge
+/// weights must be symmetric). Deterministic; rows sorted.
 [[nodiscard]] WeightedGraph coarsen_weighted(const WeightedGraph& fine,
-                                             const std::vector<ordinal_t>& labels,
-                                             ordinal_t num_coarse);
+                                             const core::Aggregation& agg);
 
 }  // namespace parmis::multilevel

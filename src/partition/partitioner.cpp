@@ -176,8 +176,8 @@ Bisection multilevel_bisect_frac(const WeightedGraph& fine, double target_fracti
     throw std::runtime_error("injected fault: multilevel bisection failed");
   }
   // Coarsen all the way down through the unified Builder (one weighted
-  // hierarchy per bisection; aggregation scratch, contraction maps, and
-  // level storage are all reused across the recursive-bisection tree),
+  // hierarchy per bisection; aggregation scratch and step slots are reused
+  // across the recursive-bisection tree),
   // bisect the coarsest level, then project back up refining the boundary
   // at every level.
   const std::vector<multilevel::Step>& steps = builder.build_weighted(fine, mh);
@@ -276,15 +276,6 @@ std::int64_t edge_cut(graph::GraphView g, std::span<const ordinal_t> part) {
   return cut / 2;
 }
 
-double imbalance(std::span<const ordinal_t> part, ordinal_t k) {
-  if (part.empty() || k <= 0) return 0;
-  std::vector<std::int64_t> weight(static_cast<std::size_t>(k), 0);
-  for (ordinal_t p : part) ++weight[static_cast<std::size_t>(p)];
-  const std::int64_t max_w = *std::max_element(weight.begin(), weight.end());
-  const double ideal = static_cast<double>(part.size()) / k;
-  return static_cast<double>(max_w) / ideal - 1.0;
-}
-
 Bisection grow_bisection(const WeightedGraph& g, std::uint64_t seed) {
   return grow_bisection_frac(g, 0.5, seed);
 }
@@ -334,8 +325,8 @@ std::vector<ordinal_t> partition_labels_weighted(const WeightedGraph& g, ordinal
   std::vector<ordinal_t> identity(static_cast<std::size_t>(g.graph.num_rows));
   std::iota(identity.begin(), identity.end(), 0);
   // One Builder + one hierarchy handle for the whole recursive-bisection
-  // tree: aggregation scratch, contraction maps, and per-level hierarchy
-  // storage are reused across every level of every bisection.
+  // tree: aggregation scratch and per-level step slots are reused across
+  // every level of every bisection.
   const multilevel::Builder builder(builder_options(opts));
   multilevel::HierarchyHandle mh;
   partition_recursive(g, identity, k, 0, opts, builder, mh, part);

@@ -66,9 +66,6 @@ struct Partition {
 /// Edge cut of a k-way partition on an unweighted graph view.
 [[nodiscard]] std::int64_t edge_cut(graph::GraphView g, std::span<const ordinal_t> part);
 
-/// Max-part imbalance of a k-way partition with unit vertex weights.
-[[nodiscard]] double imbalance(std::span<const ordinal_t> part, ordinal_t k);
-
 /// Greedy BFS-grown bisection of a weighted graph (no refinement).
 [[nodiscard]] Bisection grow_bisection(const WeightedGraph& g, std::uint64_t seed);
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,8 +19,10 @@
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
 #include "multilevel/builder.hpp"
+#include "multilevel/weighted.hpp"
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
+#include "random/hash.hpp"
 #include "test_utils.hpp"
 
 namespace parmis::core {
@@ -264,6 +268,9 @@ graph::CrsGraph two_copies(const graph::CrsGraph& g) {
   return h;
 }
 
+/// Unweighted contraction against `set_quotient`, and weighted contraction
+/// against `test::map_quotient` under unit weights and under random
+/// symmetric weights.
 TEST(CoarseGraph, MatchesSetReferenceOnEveryConfig) {
   const std::vector<test::NamedGraph> inputs = {
       {"rgg", graph::random_geometric_3d(6000, 18.0, 3)},
@@ -296,10 +303,26 @@ TEST(CoarseGraph, MatchesSetReferenceOnEveryConfig) {
     single.labels.assign(static_cast<std::size_t>(in.g.num_rows), 0);
     single.roots = {0};
     aggs.emplace_back("single", single);
+    multilevel::WeightedGraph unit = multilevel::WeightedGraph::unit(in.g);
+    // Random symmetric weights: a hash of the unordered endpoint pair.
+    multilevel::WeightedGraph hashed = unit;
+    for (ordinal_t u = 0; u < in.g.num_rows; ++u) {
+      for (offset_t j = in.g.row_map[static_cast<std::size_t>(u)];
+           j < in.g.row_map[static_cast<std::size_t>(u) + 1]; ++j) {
+        const ordinal_t v = in.g.entries[static_cast<std::size_t>(j)];
+        hashed.edge_weight[static_cast<std::size_t>(j)] =
+            1 + static_cast<ordinal_t>(rng::hash_xorshift_star(
+                                           static_cast<std::uint64_t>(std::min(u, v)),
+                                           static_cast<std::uint64_t>(std::max(u, v))) %
+                                       1000);
+      }
+    }
 
     for (const auto& [agg_name, agg] : aggs) {
       const graph::CrsGraph ref = set_quotient(in.g, agg);
       if (agg_name == "single") EXPECT_EQ(ref.num_entries(), 0);
+      const multilevel::WeightedGraph unit_ref = test::map_quotient(unit, agg);
+      const multilevel::WeightedGraph hashed_ref = test::map_quotient(hashed, agg);
       for (const Context& ctx : ctxs) {
         const Context::Scope scope(ctx);
         const graph::CrsGraph c = coarse_graph(in.g, agg);
@@ -311,6 +334,15 @@ TEST(CoarseGraph, MatchesSetReferenceOnEveryConfig) {
         EXPECT_EQ(c.num_cols, ref.num_cols) << where;
         EXPECT_EQ(c.row_map, ref.row_map) << where;
         EXPECT_EQ(c.entries, ref.entries) << where;
+        for (const auto& [fine, wref] :
+             {std::pair{&unit, &unit_ref}, std::pair{&hashed, &hashed_ref}}) {
+          std::vector<ordinal_t> weight;
+          const graph::CrsGraph cw = coarse_graph(in.g, agg, fine->edge_weight, weight);
+          const std::string at = where + (fine == &unit ? " unit" : " hashed");
+          EXPECT_EQ(cw.row_map, wref->graph.row_map) << at;
+          EXPECT_EQ(cw.entries, wref->graph.entries) << at;
+          EXPECT_EQ(weight, wref->edge_weight) << at;
+        }
       }
     }
   }

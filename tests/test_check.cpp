@@ -22,6 +22,7 @@
 #include "check/digest.hpp"
 #include "check/validate.hpp"
 #include "core/aggregation.hpp"
+#include "core/coarsen.hpp"
 #include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/ops.hpp"
@@ -119,6 +120,18 @@ TEST(CheckValidate, NamesTheViolatedAggregationInvariant) {
   bad = agg;
   bad.roots[0] = bad.roots[1];  // root 0 now labeled with aggregate 1
   EXPECT_EQ(check::validate(bad, g.num_rows).invariant, "aggregation.roots.labeled");
+}
+
+TEST(CheckValidate, NamesTheViolatedEdgeWeightInvariant) {
+  const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(6, 6));
+  std::vector<ordinal_t> w(static_cast<std::size_t>(g.num_entries()), 1);
+  EXPECT_TRUE(check::validate_edge_weights(g, w));
+
+  w[0] = 2;  // (0, c) now outweighs its mate (c, 0)
+  EXPECT_EQ(check::validate_edge_weights(g, w).invariant, "weights.symmetric");
+
+  w.pop_back();
+  EXPECT_EQ(check::validate_edge_weights(g, w).invariant, "weights.parallel");
 }
 
 TEST(CheckValidate, NamesTheViolatedPartitionInvariant) {
@@ -250,6 +263,16 @@ TEST(CheckInvariants, CorruptGraphIsRejectedAtMis2Entry) {
   graph::CrsGraph g = small_path_graph();
   g.entries[5] = 0;  // break symmetry: (3,0) without (0,3)
   EXPECT_THROW((void)core::mis2(g), check::CheckError);
+}
+
+TEST(CheckInvariants, AsymmetricEdgeWeightsAreRejectedAtContraction) {
+  const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(8, 8));
+  const core::Aggregation agg = core::aggregate_mis2(g);
+  std::vector<ordinal_t> w(static_cast<std::size_t>(g.num_entries()), 1);
+  std::vector<ordinal_t> coarse_w;
+  (void)core::coarse_graph(g, agg, w, coarse_w);
+  w[0] = 2;  // (0, c) weighs 2, (c, 0) still 1
+  EXPECT_THROW((void)core::coarse_graph(g, agg, w, coarse_w), check::CheckError);
 }
 
 #else  // !PARMIS_CHECK_ENABLED

@@ -59,7 +59,7 @@ TEST(WeightedCoarsen, WeightsAreConserved) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(12, 12));
   WeightedGraph wg = WeightedGraph::unit(g);
   const core::Aggregation agg = core::aggregate_mis2(g);
-  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg.labels, agg.num_aggregates);
+  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg);
 
   // Vertex weight conserved.
   EXPECT_EQ(coarse.total_vertex_weight(), wg.total_vertex_weight());
@@ -85,7 +85,7 @@ TEST(WeightedCoarsen, CutIsPreservedUnderProjection) {
   const graph::CrsGraph g = graph::random_geometric_2d(2000, 6.0, 3);
   WeightedGraph wg = WeightedGraph::unit(g);
   const core::Aggregation agg = core::aggregate_mis2(g);
-  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg.labels, agg.num_aggregates);
+  const WeightedGraph coarse = multilevel::coarsen_weighted(wg, agg);
 
   // Arbitrary coarse split by parity.
   std::vector<char> coarse_side(static_cast<std::size_t>(coarse.graph.num_rows));

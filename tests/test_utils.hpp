@@ -2,15 +2,19 @@
 /// \file test_utils.hpp
 /// \brief Shared fixtures: graph families, adjacency helpers, thread sweeps.
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/aggregation.hpp"
 #include "graph/builders.hpp"
 #include "graph/crs.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
+#include "multilevel/weighted.hpp"
 #include "random/hash.hpp"
 
 namespace parmis::test {
@@ -121,6 +125,41 @@ inline std::vector<NamedGraph> test_graph_family() {
   fam.push_back({"rgg3d", graph::random_geometric_3d(400, 12.0, 17)});
   fam.push_back({"isolated_mix", graph::graph_from_edges(9, {{0, 1}, {1, 2}, {5, 6}})});
   return fam;
+}
+
+/// Serial weighted quotient through `std::map`, independent of the
+/// library's contraction (the weighted twin of test_aggregation's
+/// `set_quotient`): one row per aggregate holding every foreign label of a
+/// member's neighbor once, ascending, with the summed weight of the fine
+/// edges behind it; vertex weights summed per aggregate.
+inline multilevel::WeightedGraph map_quotient(const multilevel::WeightedGraph& fine,
+                                              const core::Aggregation& agg) {
+  std::vector<std::map<ordinal_t, std::int64_t>> rows(
+      static_cast<std::size_t>(agg.num_aggregates));
+  multilevel::WeightedGraph c;
+  c.vertex_weight.assign(static_cast<std::size_t>(agg.num_aggregates), 0);
+  for (ordinal_t v = 0; v < fine.graph.num_rows; ++v) {
+    const ordinal_t a = agg.labels[static_cast<std::size_t>(v)];
+    c.vertex_weight[static_cast<std::size_t>(a)] += fine.vertex_weight[static_cast<std::size_t>(v)];
+    for (offset_t j = fine.graph.row_map[static_cast<std::size_t>(v)];
+         j < fine.graph.row_map[static_cast<std::size_t>(v) + 1]; ++j) {
+      const ordinal_t b =
+          agg.labels[static_cast<std::size_t>(fine.graph.entries[static_cast<std::size_t>(j)])];
+      if (b != a) {
+        rows[static_cast<std::size_t>(a)][b] += fine.edge_weight[static_cast<std::size_t>(j)];
+      }
+    }
+  }
+  c.graph.num_rows = c.graph.num_cols = agg.num_aggregates;
+  c.graph.row_map.assign(1, 0);
+  for (const std::map<ordinal_t, std::int64_t>& row : rows) {
+    for (const auto& [b, w] : row) {
+      c.graph.entries.push_back(b);
+      c.edge_weight.push_back(static_cast<ordinal_t>(w));
+    }
+    c.graph.row_map.push_back(static_cast<offset_t>(c.graph.entries.size()));
+  }
+  return c;
 }
 
 }  // namespace parmis::test
