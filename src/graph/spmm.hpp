@@ -25,10 +25,22 @@
 /// At `k_count == 1` the kernel runs a flat row loop with one scalar
 /// accumulator (spmv's loop): the lane-blocked form measured about 1.2x
 /// slower for one column. Wider batches go in column groups of
-/// `spmm_group` lanes with the width a compile-time constant
+/// `par::lane_group` lanes with the width a compile-time constant
 /// (`par::with_lane_width`). Both forms accumulate every lane serially in
 /// entry order, so the form is a code-generation choice, never a bits
 /// choice.
+///
+/// The K > 1 form is a wide kernel (`parallel/simd.hpp`): each caller
+/// instantiates `spmm_wide_rows` with its hooks inside one non-template
+/// `PARMIS_WIDE_KERNEL` function over a chunk of rows (the two `spmm`
+/// overloads, `jacobi_sweep_rows`, `jacobi_first_sweeps_rows`) and hands
+/// it to `spmm_rows` as `wide_rows`. The loader binds its AVX-512F, AVX2 or
+/// baseline build; the lanes of a row are independent, so every build
+/// writes the same bits. The K = 1 loop keeps the one baseline build: one
+/// lane has nothing to spread over a wider vector. The wide builds want
+/// `x` in a `par::lane_vector` (cache-line aligned): at K = 8 a row of `x`
+/// is then one line, while at the 16-byte offset of a large `malloc` block
+/// every row load of the AVX-512 build splits across two.
 ///
 /// The epilogue must declare `out` as `scalar_t* __restrict out`. GCC keeps
 /// `__restrict` only on function parameters, not on block-scope pointers;
@@ -47,11 +59,6 @@
 #include "parallel/simd.hpp"
 
 namespace parmis::graph {
-
-/// Register-blocked column group of `spmm_rows`: one row traversal feeds up
-/// to this many accumulators. Wider batches traverse the rows once per
-/// group; column results are independent of the grouping.
-inline constexpr int spmm_group = 16;
 
 namespace detail {
 
@@ -77,7 +84,7 @@ void spmm_group_rows(const offset_t* row_map, const ordinal_t* entries, const sc
                      int k0, ordinal_t lo, ordinal_t hi, Lanes kw, Operand& operand,
                      Epilogue& epilogue) {
   for (ordinal_t i = lo; i < hi; ++i) {
-    scalar_t acc[spmm_group] = {};
+    scalar_t acc[par::lane_group] = {};
     const offset_t jhi = row_map[i + 1];
     for (offset_t j = row_map[i]; j < jhi; ++j) {
       const scalar_t v = values[static_cast<std::size_t>(j)];
@@ -95,33 +102,43 @@ void spmm_group_rows(const offset_t* row_map, const ordinal_t* entries, const sc
 /// The identity operand transform of `spmm_rows`.
 inline constexpr auto spmm_same_operand = [](std::size_t, scalar_t v) { return v; };
 
+/// Rows [lo, hi) of a `k_count > 1` product: column groups of at most
+/// `par::lane_group` lanes, each lane count a compile-time constant. The
+/// body of every K-wide clone point (see the file comment).
+template <typename Operand, typename Epilogue>
+void spmm_wide_rows(const CrsMatrix& a, const scalar_t* x, scalar_t* y, int k_count,
+                    ordinal_t lo, ordinal_t hi, Operand&& operand, Epilogue&& epilogue) {
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  for (int k0 = 0; k0 < k_count; k0 += par::lane_group) {
+    par::with_lane_width(std::min(k_count - k0, par::lane_group), [&](auto kw) {
+      detail::spmm_group_rows(a.row_map.data(), a.entries.data(), a.values.data(), x + k0, y, uk,
+                              k0, lo, hi, kw, operand, epilogue);
+    });
+  }
+}
+
 /// For every row i of `a` and lane k < `k_count`, accumulate
 /// `acc[k] += a(i, j) * operand(j, x[j * k_count + k])` over the row's
 /// entries in order, then hand the row to `epilogue` (see the file
-/// comment). Rows run over the cost-balanced `par::balanced_chunks` of
-/// `a.row_map`; every row is finished by one thread, so the bits do not
-/// depend on the partition.
-template <typename Operand, typename Epilogue>
+/// comment). At `k_count == 1` this runs the flat row loop; wider, it calls
+/// `wide_rows(lo, hi)`, the caller's clone point running `spmm_wide_rows`
+/// with the same hooks. Rows run over the cost-balanced chunks of
+/// `par::balanced_chunks_by_work` on `a.row_map`, so a product with few
+/// but long rows still goes parallel; every row is finished by one thread,
+/// so the bits do not depend on the partition.
+template <typename Operand, typename Epilogue, typename WideRows>
 void spmm_rows(const CrsMatrix& a, const scalar_t* x, scalar_t* y, int k_count,
-               Operand&& operand, Epilogue&& epilogue) {
+               Operand&& operand, Epilogue&& epilogue, WideRows&& wide_rows) {
   const offset_t* row_map = a.row_map.data();
-  const ordinal_t* entries = a.entries.data();
-  const scalar_t* values = a.values.data();
-  const std::size_t uk = static_cast<std::size_t>(k_count);
   if (k_count == 1) {
-    par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
-      detail::spmm_flat_rows(row_map, entries, values, x, y, lo, hi, operand, epilogue);
+    par::balanced_chunks_by_work(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
+      detail::spmm_flat_rows(row_map, a.entries.data(), a.values.data(), x, y, lo, hi, operand,
+                             epilogue);
     });
     return;
   }
-  par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
-    for (int k0 = 0; k0 < k_count; k0 += spmm_group) {
-      par::with_lane_width(std::min(k_count - k0, spmm_group), [&](auto kw) {
-        detail::spmm_group_rows(row_map, entries, values, x + k0, y, uk, k0, lo, hi, kw, operand,
-                                epilogue);
-      });
-    }
-  });
+  par::balanced_chunks_by_work(a.num_rows, row_map,
+                               [&](int, ordinal_t lo, ordinal_t hi) { wide_rows(lo, hi); });
 }
 
 /// Y = A * X for K column vectors stored row-major. Parallel over rows,

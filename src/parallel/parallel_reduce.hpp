@@ -29,6 +29,13 @@ namespace parmis::par {
 /// thread count) so the combine tree is invariant.
 inline constexpr std::int64_t reduce_chunk = 4096;
 
+/// Chunk count from which a reduction runs its chunks in parallel
+/// (65,536 elements). The gate counts chunks, not elements: a chunk is
+/// 4096 iterations of work, so the element grain of `parallel_for` would
+/// keep every reduction below two million elements on one thread. Where
+/// the chunks run never changes the combine tree.
+inline constexpr std::int64_t reduce_parallel_chunks = 16;
+
 namespace detail {
 
 /// Thread-local growable buffer for the per-chunk partials of
@@ -68,7 +75,7 @@ T parallel_reduce(Index n, F&& f, Join&& join, T identity) {
   // solver reduction) stage their partials in the thread-local scratch so
   // warm reductions allocate nothing; other types fall back to a vector.
   const auto run = [&](T* partial) {
-    parallel_for(nchunks, [&](std::int64_t c) {
+    parallel_for_grained(nchunks, reduce_parallel_chunks, [&](std::int64_t c) {
       const Index lo = static_cast<Index>(c * reduce_chunk);
       const Index hi = static_cast<Index>(std::min<std::int64_t>(len, (c + 1) * reduce_chunk));
       T acc = identity;

@@ -15,28 +15,79 @@
 /// A kernel whose speed is set by the vector width rather than by memory
 /// is marked `PARMIS_WIDE_KERNEL`: on x86-64 ELF the compiler emits an
 /// AVX-512F, an AVX2 and a baseline build of it, and the loader binds the
-/// widest one the CPU supports. Only kernels whose lanes are independent
-/// (no cross-lane reduction, no reassociation) may carry it, and the
-/// library is built with `-ffp-contract=off`, so every build computes the
-/// same per-lane operations in the same order: same bits on every CPU.
+/// widest one the CPU supports. Each build inlines everything it calls
+/// (`flatten`): a callee left out of line is built once, at the baseline
+/// width, and runs that way under every build. Only kernels whose lanes
+/// are independent (no cross-lane reduction, no reassociation) may carry
+/// it, and the library is built with `-ffp-contract=off`, so every build
+/// computes the same per-lane operations in the same order: same bits on
+/// every CPU.
 ///
 /// The K-wide kernels (row-major multi-vectors, K lanes per row) get their
 /// lane count as a compile-time constant through `with_lane_width`, the one
 /// lane-width dispatch of the library, so their per-row lane loops unroll
-/// and keep the lanes in registers.
+/// and keep the lanes in registers. Their K > 1 forms are wide kernels too:
+/// the lanes of a row are independent columns, each accumulated in its own
+/// order. The macro goes on a non-template function that runs the dispatch
+/// (clang rejects multiversioned function templates), and K = 1 never
+/// reaches it: one lane has nothing to spread over a wider vector.
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "common/config.hpp"
 
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && defined(__ELF__)
-#define PARMIS_WIDE_KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
+#define PARMIS_WIDE_KERNEL \
+  __attribute__((target_clones("avx512f", "avx2", "default"), flatten))
 #else
 #define PARMIS_WIDE_KERNEL
 #endif
 
 namespace parmis::par {
+
+/// Widest lane count `with_lane_width` fixes at compile time: a K-wide
+/// kernel takes a wider batch in groups of at most this many lanes.
+inline constexpr int lane_group = 16;
+
+/// Alignment of the buffers the K-wide kernels gather rows from: one cache
+/// line. An 8-lane row of doubles is 64 bytes; at the 16-byte offset that
+/// large `malloc` blocks start at, every such row straddles two lines and
+/// every full-row load of the AVX-512 build splits.
+inline constexpr std::size_t lane_buffer_align = 64;
+
+/// Allocator of `lane_vector`: every block starts on a cache line. It
+/// takes `lane_buffer_align` bytes more than asked from the plain
+/// `operator new`, starts the block at the next line boundary and keeps
+/// the raw pointer in the word before it. (The aligned `operator new`
+/// goes through glibc's `memalign`; with it, the mesh serving benchmark's
+/// peak RSS rose by about 8%.)
+template <typename T>
+struct LaneAllocator {
+  using value_type = T;
+  LaneAllocator() = default;
+  template <typename U>
+  LaneAllocator(const LaneAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    std::byte* raw = static_cast<std::byte*>(::operator new(n * sizeof(T) + lane_buffer_align));
+    const std::size_t skip =
+        lane_buffer_align - reinterpret_cast<std::uintptr_t>(raw) % lane_buffer_align;
+    std::byte* block = raw + skip;  // skip >= alignof(void*): room for raw
+    reinterpret_cast<std::byte**>(block)[-1] = raw;
+    return reinterpret_cast<T*>(block);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(reinterpret_cast<std::byte**>(p)[-1]);
+  }
+  friend bool operator==(const LaneAllocator&, const LaneAllocator&) noexcept { return true; }
+};
+
+/// A multi-vector buffer whose rows start on cache lines whenever a row is
+/// a multiple of 64 bytes (K = 8 or 16 doubles).
+template <typename T>
+using lane_vector = std::vector<T, LaneAllocator<T>>;
 
 /// Run `f(kw)` with the lane count `kk` as `std::integral_constant<int, kk>`
 /// for the widths 16, 8, 4, 2 and 1, and as the plain `int` otherwise.

@@ -34,6 +34,7 @@
 #include "graph/crs.hpp"
 #include "multilevel/builder.hpp"
 #include "parallel/context.hpp"
+#include "parallel/simd.hpp"
 #include "solver/chebyshev.hpp"
 #include "solver/dense_lu.hpp"
 #include "solver/preconditioner.hpp"
@@ -200,9 +201,9 @@ class AmgHierarchy final : public Preconditioner {
   // for one column at setup, so apply() and vcycle() perform zero heap
   // allocations (the warm-solve contract), and grown by ensure_mwork() to
   // the widest batch seen (apply_multi at width <= mwork_k_ allocates
-  // nothing).
-  mutable std::vector<std::vector<scalar_t>> mwork_r_, mwork_bc_, mwork_xc_;
-  mutable std::vector<std::vector<scalar_t>> mwork_s1_, mwork_s2_, mwork_s3_;
+  // nothing). Cache-line aligned: the K-wide kernels gather their rows.
+  mutable std::vector<par::lane_vector<scalar_t>> mwork_r_, mwork_bc_, mwork_xc_;
+  mutable std::vector<par::lane_vector<scalar_t>> mwork_s1_, mwork_s2_, mwork_s3_;
   mutable int mwork_k_ = 0;
 };
 

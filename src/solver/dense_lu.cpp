@@ -1,9 +1,11 @@
 #include "solver/dense_lu.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <string>
 
+#include "parallel/simd.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
 
@@ -71,6 +73,55 @@ void DenseLU::refactor(const graph::CrsMatrix& a, scalar_t diag_shift) {
   }
 }
 
+// The K > 1 clone point of the coarse solve (see parallel/simd.hpp).
+namespace detail {
+
+/// Forward and back substitution of lanes [k0, k0 + kw) of `b` into `x`
+/// (row-major n x uk, `lu` the combined n x n L\U factor, `perm` its row
+/// permutation), all lanes advancing together row by row. Per lane: the
+/// operations of the one-column solve, in its order.
+template <typename Lanes>
+void lu_solve_group(const scalar_t* lu, const ordinal_t* perm, ordinal_t n_rows,
+                    const scalar_t* __restrict b, scalar_t* __restrict x, std::size_t uk,
+                    Lanes kw) {
+  const std::size_t n = static_cast<std::size_t>(n_rows);
+  for (std::size_t i = 0; i < n; ++i) {
+    scalar_t acc[par::lane_group];
+    const scalar_t* bi = b + static_cast<std::size_t>(perm[i]) * uk;
+    for (int k = 0; k < kw; ++k) acc[k] = bi[k];
+    for (std::size_t j = 0; j < i; ++j) {
+      const scalar_t l = lu[i * n + j];
+      const scalar_t* xj = x + j * uk;
+      for (int k = 0; k < kw; ++k) acc[k] -= l * xj[k];
+    }
+    for (int k = 0; k < kw; ++k) x[i * uk + static_cast<std::size_t>(k)] = acc[k];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    scalar_t acc[par::lane_group];
+    for (int k = 0; k < kw; ++k) acc[k] = x[i * uk + static_cast<std::size_t>(k)];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const scalar_t u = lu[i * n + j];
+      const scalar_t* xj = x + j * uk;
+      for (int k = 0; k < kw; ++k) acc[k] -= u * xj[k];
+    }
+    const scalar_t diag = lu[i * n + i];
+    for (int k = 0; k < kw; ++k) x[i * uk + static_cast<std::size_t>(k)] = acc[k] / diag;
+  }
+}
+
+PARMIS_WIDE_KERNEL
+void lu_solve_lanes(const scalar_t* lu, const ordinal_t* perm, ordinal_t n, const scalar_t* b,
+                    scalar_t* x, int k_count) {
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  for (int k0 = 0; k0 < k_count; k0 += par::lane_group) {
+    par::with_lane_width(std::min(k_count - k0, par::lane_group), [&](auto kw) {
+      lu_solve_group(lu, perm, n, b + k0, x + k0, uk, kw);
+    });
+  }
+}
+
+}  // namespace detail
+
 void DenseLU::solve(std::span<const scalar_t> b, std::span<scalar_t> x) const {
   solve_multi(b, x, 1);
 }
@@ -78,31 +129,32 @@ void DenseLU::solve(std::span<const scalar_t> b, std::span<scalar_t> x) const {
 void DenseLU::solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x,
                           int k_count) const {
   const std::size_t n = static_cast<std::size_t>(n_);
-  const std::size_t uk = static_cast<std::size_t>(k_count);
   assert(k_count > 0);
-  assert(b.size() >= n * uk && x.size() >= n * uk);
-
-  for (std::size_t c = 0; c < uk; ++c) {
-    // Forward substitution on the permuted right-hand side (L has unit
-    // diagonal), then back substitution.
-    for (ordinal_t i = 0; i < n_; ++i) {
-      scalar_t acc =
-          b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)]) * uk + c];
-      for (ordinal_t j = 0; j < i; ++j) {
-        acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(j) * uk + c];
-      }
-      x[static_cast<std::size_t>(i) * uk + c] = acc;
+  assert(b.size() >= n * static_cast<std::size_t>(k_count) &&
+         x.size() >= n * static_cast<std::size_t>(k_count));
+  if (k_count > 1) {
+    detail::lu_solve_lanes(lu_.data(), perm_.data(), n_, b.data(), x.data(), k_count);
+    return;
+  }
+  // One column, on the baseline build: forward substitution on the
+  // permuted right-hand side (L has unit diagonal), then back substitution,
+  // each with a scalar accumulator.
+  for (ordinal_t i = 0; i < n_; ++i) {
+    scalar_t acc = b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
+    for (ordinal_t j = 0; j < i; ++j) {
+      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
+             x[static_cast<std::size_t>(j)];
     }
-    for (ordinal_t i = n_ - 1; i >= 0; --i) {
-      scalar_t acc = x[static_cast<std::size_t>(i) * uk + c];
-      for (ordinal_t j = i + 1; j < n_; ++j) {
-        acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(j) * uk + c];
-      }
-      x[static_cast<std::size_t>(i) * uk + c] =
-          acc / lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)];
+    x[static_cast<std::size_t>(i)] = acc;
+  }
+  for (ordinal_t i = n_ - 1; i >= 0; --i) {
+    scalar_t acc = x[static_cast<std::size_t>(i)];
+    for (ordinal_t j = i + 1; j < n_; ++j) {
+      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
+             x[static_cast<std::size_t>(j)];
     }
+    x[static_cast<std::size_t>(i)] =
+        acc / lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)];
   }
 }
 

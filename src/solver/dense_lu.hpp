@@ -30,9 +30,18 @@ class DenseLU {
   /// Solve A x = b: `solve_multi` at `k_count = 1`.
   void solve(std::span<const scalar_t> b, std::span<scalar_t> x) const;
 
-  /// Solve over n x k_count row-major multi-vectors: column c runs the
-  /// forward/back substitution on its own lane, so it is bit-identical to
-  /// the same call on the gathered column. Needs no scratch.
+  /// Solve over n x k_count row-major multi-vectors (`b` and `x` must not
+  /// overlap). Column c runs the forward/back substitution on its own lane,
+  /// so it is bit-identical to the same call on the gathered column. Lane
+  /// order: at k_count > 1 all lanes advance together, row by row, in
+  /// groups of at most `par::lane_group` lanes with the width fixed at
+  /// compile time, and each lane does the one-column solve's operations in
+  /// its order (accumulator seeded from the permuted `b` row, then
+  /// `acc -= L(i, j) * x(j)` for ascending j; back substitution likewise
+  /// with ascending j > i, then one division by the pivot). That form is a
+  /// wide kernel (`parallel/simd.hpp`): it runs the widest build the CPU
+  /// has. k_count == 1 keeps a scalar accumulator on the baseline build.
+  /// Needs no scratch.
   void solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x, int k_count) const;
 
   [[nodiscard]] ordinal_t size() const { return n_; }

@@ -22,7 +22,7 @@ std::span<scalar_t> SolveWorkspace::vec(std::size_t slot, std::size_t n) {
     pool.resize(slot + 1);
     ++grow_events;
   }
-  std::vector<scalar_t>& v = pool[slot];
+  par::lane_vector<scalar_t>& v = pool[slot];
   if (v.capacity() < n) {
     v.reserve(n);
     ++grow_events;
@@ -48,8 +48,8 @@ void SolveWorkspace::ensure_small(std::vector<int>& v, std::size_t n) {
 }
 
 std::size_t SolveWorkspace::capacity_bytes() const {
-  std::size_t bytes = pool.capacity() * sizeof(std::vector<scalar_t>);
-  for (const std::vector<scalar_t>& v : pool) bytes += v.capacity() * sizeof(scalar_t);
+  std::size_t bytes = pool.capacity() * sizeof(par::lane_vector<scalar_t>);
+  for (const par::lane_vector<scalar_t>& v : pool) bytes += v.capacity() * sizeof(scalar_t);
   bytes += (hess.capacity() + cs.capacity() + sn.capacity() + g.capacity() + y.capacity()) *
            sizeof(scalar_t);
   bytes += (bcol.capacity() + xcol.capacity() + batch_scalars.capacity()) * sizeof(scalar_t);

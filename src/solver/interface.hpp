@@ -30,6 +30,7 @@
 #include "common/registry.hpp"
 #include "core/mis2.hpp"
 #include "graph/crs.hpp"
+#include "parallel/simd.hpp"
 #include "solver/amg.hpp"
 #include "solver/chebyshev.hpp"
 #include "solver/options.hpp"
@@ -44,8 +45,9 @@ namespace parmis::solver {
 /// the zero-allocation tests assert on).
 struct SolveWorkspace {
   /// Pool of n x K multi-vectors (CG state, the GMRES Krylov basis,
-  /// Chebyshev temporaries). Slot k keeps its capacity across solves.
-  std::vector<std::vector<scalar_t>> pool;
+  /// Chebyshev temporaries), cache-line aligned for the K-wide kernels.
+  /// Slot k keeps its capacity across solves.
+  std::vector<par::lane_vector<scalar_t>> pool;
   /// GMRES small dense state (O(restart^2 K), matrix-size independent).
   std::vector<scalar_t> hess, cs, sn, g, y;
   /// Chebyshev solver state: the smoother built for the current matrix,

@@ -14,24 +14,17 @@ namespace parmis::solver {
 
 namespace {
 
-/// One damped-Jacobi sweep `x_next = x + omega * inv_diag[i] * (b - A x)`,
-/// per lane the single-vector expression and evaluation order, so column c
-/// is bit-identical to `jacobi_smooth` on the gathered column.
-void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                        std::span<const scalar_t> b, std::span<const scalar_t> x,
-                        std::span<scalar_t> x_next, scalar_t omega, int k_count) {
-  const scalar_t* d = inv_diag.data();
-  const scalar_t* bp = b.data();
-  const scalar_t* xp = x.data();
-  graph::spmm_rows(a, xp, x_next.data(), k_count, graph::spmm_same_operand,
-                   [=](ordinal_t i, std::size_t at, const scalar_t* acc,
-                       scalar_t* __restrict out, auto kw) {
-                     const scalar_t di = d[static_cast<std::size_t>(i)];
-                     for (int k = 0; k < kw; ++k) {
-                       const std::size_t t = at + static_cast<std::size_t>(k);
-                       out[k] = xp[t] + omega * di * (bp[t] - acc[k]);
-                     }
-                   });
+/// Epilogue of one damped-Jacobi sweep `x_next = x + omega * inv_diag[i] *
+/// (b - A x)`: per lane the single-vector expression and evaluation order.
+auto sweep_epilogue(const scalar_t* d, const scalar_t* bp, const scalar_t* xp, scalar_t omega) {
+  return [=](ordinal_t i, std::size_t at, const scalar_t* acc, scalar_t* __restrict out,
+             auto kw) {
+    const scalar_t di = d[static_cast<std::size_t>(i)];
+    for (int k = 0; k < kw; ++k) {
+      const std::size_t t = at + static_cast<std::size_t>(k);
+      out[k] = xp[t] + omega * di * (bp[t] - acc[k]);
+    }
+  };
 }
 
 /// The first two damped-Jacobi sweeps from x = 0 in one traversal. The
@@ -40,22 +33,72 @@ void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv
 /// operand evaluates that expression from `b`. Every subexpression,
 /// including the `0.0 +` prefix, is the two-pass code's, so the bits are
 /// identical while two full multi-vector passes disappear.
+auto first_sweeps_operand(const scalar_t* d, scalar_t omega) {
+  return [=](std::size_t col, scalar_t bv) { return 0.0 + omega * d[col] * (bv - 0.0); };
+}
+
+auto first_sweeps_epilogue(const scalar_t* d, const scalar_t* bp, scalar_t omega) {
+  return [=](ordinal_t i, std::size_t at, const scalar_t* acc, scalar_t* __restrict out,
+             auto kw) {
+    const scalar_t ti = omega * d[static_cast<std::size_t>(i)];
+    for (int k = 0; k < kw; ++k) {
+      const scalar_t bk = bp[at + static_cast<std::size_t>(k)];
+      out[k] = (0.0 + ti * (bk - 0.0)) + ti * (bk - acc[k]);
+    }
+  };
+}
+
+}  // namespace
+
+// The K > 1 clone points of the two sweeps (see graph/spmm.hpp).
+namespace detail {
+
+PARMIS_WIDE_KERNEL
+void jacobi_sweep_rows(const graph::CrsMatrix& a, const scalar_t* d, const scalar_t* bp,
+                       const scalar_t* xp, scalar_t* x_next, scalar_t omega, int k_count,
+                       ordinal_t lo, ordinal_t hi) {
+  graph::spmm_wide_rows(a, xp, x_next, k_count, lo, hi, graph::spmm_same_operand,
+                        sweep_epilogue(d, bp, xp, omega));
+}
+
+PARMIS_WIDE_KERNEL
+void jacobi_first_sweeps_rows(const graph::CrsMatrix& a, const scalar_t* d, const scalar_t* bp,
+                              scalar_t* x_next, scalar_t omega, int k_count, ordinal_t lo,
+                              ordinal_t hi) {
+  graph::spmm_wide_rows(a, bp, x_next, k_count, lo, hi, first_sweeps_operand(d, omega),
+                        first_sweeps_epilogue(d, bp, omega));
+}
+
+}  // namespace detail
+
+namespace {
+
+/// One damped-Jacobi sweep: column c is bit-identical to `jacobi_smooth`
+/// on the gathered column.
+void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                        std::span<const scalar_t> b, std::span<const scalar_t> x,
+                        std::span<scalar_t> x_next, scalar_t omega, int k_count) {
+  const scalar_t* d = inv_diag.data();
+  const scalar_t* bp = b.data();
+  const scalar_t* xp = x.data();
+  scalar_t* yp = x_next.data();
+  graph::spmm_rows(a, xp, yp, k_count, graph::spmm_same_operand,
+                   sweep_epilogue(d, bp, xp, omega), [&](ordinal_t lo, ordinal_t hi) {
+                     detail::jacobi_sweep_rows(a, d, bp, xp, yp, omega, k_count, lo, hi);
+                   });
+}
+
+/// The first two sweeps from x = 0 (see `first_sweeps_operand`).
 void jacobi_first_sweeps_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                                std::span<const scalar_t> b, std::span<scalar_t> x_next,
                                scalar_t omega, int k_count) {
   const scalar_t* d = inv_diag.data();
   const scalar_t* bp = b.data();
-  graph::spmm_rows(
-      a, bp, x_next.data(), k_count,
-      [=](std::size_t col, scalar_t bv) { return 0.0 + omega * d[col] * (bv - 0.0); },
-      [=](ordinal_t i, std::size_t at, const scalar_t* acc, scalar_t* __restrict out,
-          auto kw) {
-        const scalar_t ti = omega * d[static_cast<std::size_t>(i)];
-        for (int k = 0; k < kw; ++k) {
-          const scalar_t bk = bp[at + static_cast<std::size_t>(k)];
-          out[k] = (0.0 + ti * (bk - 0.0)) + ti * (bk - acc[k]);
-        }
-      });
+  scalar_t* yp = x_next.data();
+  graph::spmm_rows(a, bp, yp, k_count, first_sweeps_operand(d, omega),
+                   first_sweeps_epilogue(d, bp, omega), [&](ordinal_t lo, ordinal_t hi) {
+                     detail::jacobi_first_sweeps_rows(a, d, bp, yp, omega, k_count, lo, hi);
+                   });
 }
 
 }  // namespace

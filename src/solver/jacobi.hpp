@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/crs.hpp"
+#include "parallel/simd.hpp"
 #include "solver/preconditioner.hpp"
 
 namespace parmis::solver {
@@ -87,7 +88,7 @@ class JacobiPreconditioner final : public Preconditioner {
   std::vector<scalar_t> inv_diag_;
   int sweeps_;
   scalar_t omega_;
-  mutable std::vector<scalar_t> x_next_;
+  mutable par::lane_vector<scalar_t> x_next_;  // sweep ping-pong, rows gathered
 };
 
 }  // namespace parmis::solver

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -21,24 +22,23 @@ void mv_foreach_row(ordinal_t n, F&& f) {
   par::parallel_for(n, std::forward<F>(f));
 }
 
-/// Fused dot over rows [lo, hi) of a `kw`-column multi-vector (see
-/// `par::with_lane_width`): the K accumulators stay in registers and the
-/// per-row multiply-add unrolls across lanes. Per lane the accumulation
-/// order is the serial in-row-order sum whatever the width form.
+/// Fused dot over rows [lo, hi) of lanes [0, kw) of a multi-vector with
+/// row stride `stride` (see `par::with_lane_width`): the accumulators stay
+/// in a local array, in registers, and the per-row multiply-add unrolls
+/// across lanes. Per lane the accumulation order is the serial
+/// in-row-order sum whatever the width form.
 template <typename Lanes>
-void dot_rows(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi, Lanes kw,
-              scalar_t* __restrict acc) {
+void dot_rows(const scalar_t* a, const scalar_t* b, std::size_t stride, std::int64_t lo,
+              std::int64_t hi, Lanes kw, scalar_t* __restrict acc) {
+  scalar_t sum[par::lane_group];
+  for (int c = 0; c < kw; ++c) sum[c] = acc[c];
   for (std::int64_t i = lo; i < hi; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(kw);
+    const std::size_t base = static_cast<std::size_t>(i) * stride;
     for (int c = 0; c < kw; ++c) {
-      acc[c] += a[base + static_cast<std::size_t>(c)] * b[base + static_cast<std::size_t>(c)];
+      sum[c] += a[base + static_cast<std::size_t>(c)] * b[base + static_cast<std::size_t>(c)];
     }
   }
-}
-
-void dot_rows_dispatch(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi,
-                       int k_count, scalar_t* acc) {
-  par::with_lane_width(k_count, [&](auto kw) { dot_rows(a, b, lo, hi, kw, acc); });
+  for (int c = 0; c < kw; ++c) acc[c] = sum[c];
 }
 
 bool all_active(std::span<const char> active, int k_count) {
@@ -97,6 +97,50 @@ void xpay_cols_rows(const scalar_t* __restrict x, const scalar_t* __restrict bet
 
 }  // namespace
 
+// The K > 1 clone points of the lane kernels (see parallel/simd.hpp): each
+// runs the lane dispatch over rows [lo, hi). One column stays on the
+// baseline build.
+namespace detail {
+
+PARMIS_WIDE_KERNEL
+void mv_dot_rows(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi,
+                 int k_count, scalar_t* acc) {
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  for (int k0 = 0; k0 < k_count; k0 += par::lane_group) {
+    par::with_lane_width(std::min(k_count - k0, par::lane_group), [&](auto kw) {
+      dot_rows(a + k0, b + k0, uk, lo, hi, kw, acc + k0);
+    });
+  }
+}
+
+PARMIS_WIDE_KERNEL
+void mv_axpy_cols_rows(const scalar_t* alpha, const scalar_t* x, scalar_t* y, std::int64_t lo,
+                       std::int64_t hi, int k_count) {
+  par::with_lane_width(k_count, [&](auto kw) { axpy_cols_rows(alpha, x, y, lo, hi, kw); });
+}
+
+PARMIS_WIDE_KERNEL
+void mv_xpay_cols_rows(const scalar_t* x, const scalar_t* beta, scalar_t* y, std::int64_t lo,
+                       std::int64_t hi, int k_count) {
+  par::with_lane_width(k_count, [&](auto kw) { xpay_cols_rows(x, beta, y, lo, hi, kw); });
+}
+
+}  // namespace detail
+
+namespace {
+
+/// `mv_dot`'s accumulation over rows [lo, hi) into `acc`.
+void dot_rows_dispatch(const scalar_t* a, const scalar_t* b, std::int64_t lo, std::int64_t hi,
+                       int k_count, scalar_t* acc) {
+  if (k_count == 1) {
+    dot_rows(a, b, 1, lo, hi, std::integral_constant<int, 1>{}, acc);
+  } else {
+    detail::mv_dot_rows(a, b, lo, hi, k_count, acc);
+  }
+}
+
+}  // namespace
+
 void mv_dot(std::span<const scalar_t> a, std::span<const scalar_t> b, ordinal_t n, int k_count,
             std::span<scalar_t> out) {
   assert(k_count > 0);
@@ -119,7 +163,7 @@ void mv_dot(std::span<const scalar_t> a, std::span<const scalar_t> b, ordinal_t 
   // warm solver loops stay allocation-free (the AllocGuard contract).
   scalar_t* partial = reinterpret_cast<scalar_t*>(
       par::detail::reduce_scratch(static_cast<std::size_t>(nchunks) * k * sizeof(scalar_t)));
-  par::parallel_for(nchunks, [&](std::int64_t chunk) {
+  par::parallel_for_grained(nchunks, par::reduce_parallel_chunks, [&](std::int64_t chunk) {
     const std::int64_t lo = chunk * par::reduce_chunk;
     const std::int64_t hi = std::min<std::int64_t>(len, (chunk + 1) * par::reduce_chunk);
     scalar_t* p = partial + static_cast<std::size_t>(chunk) * k;
@@ -178,7 +222,11 @@ void mv_axpy_cols(std::span<const scalar_t> alpha, std::span<const scalar_t> x,
     const scalar_t* xp = x.data();
     scalar_t* yp = y.data();
     mv_row_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
-      par::with_lane_width(k_count, [&](auto kw) { axpy_cols_rows(ap, xp, yp, lo, hi, kw); });
+      if (k_count == 1) {
+        axpy_cols_rows(ap, xp, yp, lo, hi, std::integral_constant<int, 1>{});
+      } else {
+        detail::mv_axpy_cols_rows(ap, xp, yp, lo, hi, k_count);
+      }
     });
     return;
   }
@@ -202,7 +250,11 @@ void mv_xpay_cols(std::span<const scalar_t> x, std::span<const scalar_t> beta,
     const scalar_t* bp = beta.data();
     scalar_t* yp = y.data();
     mv_row_chunks(n, [&](std::int64_t lo, std::int64_t hi) {
-      par::with_lane_width(k_count, [&](auto kw) { xpay_cols_rows(xp, bp, yp, lo, hi, kw); });
+      if (k_count == 1) {
+        xpay_cols_rows(xp, bp, yp, lo, hi, std::integral_constant<int, 1>{});
+      } else {
+        detail::mv_xpay_cols_rows(xp, bp, yp, lo, hi, k_count);
+      }
     });
     return;
   }

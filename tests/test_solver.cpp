@@ -125,6 +125,44 @@ TEST(DenseLU, RandomSystemsRoundTrip) {
   }
 }
 
+TEST(DenseLU, SolveMultiMatchesSingleColumnSolvesBitExactly) {
+  // Column c of solve_multi must equal a one-column solve of column c bit
+  // for bit at every width: the K > 1 form advances all lanes together
+  // (and runs the widest build the CPU has), the K = 1 form keeps a scalar
+  // accumulator. The diagonal is tiny next to the off-diagonals, so partial
+  // pivoting swaps rows; right-hand sides carry inexact values of both
+  // signs and some -0.0.
+  const ordinal_t n = 70;
+  const std::size_t un = static_cast<std::size_t>(n);
+  rng::SplitMix64 gen(31);
+  std::vector<graph::Triplet> t;
+  for (ordinal_t i = 0; i < n; ++i) {
+    t.push_back({i, i, 1e-3 * (1.0 + gen.next_double())});
+    t.push_back({i, (i + 1) % n, 2.0 + gen.next_double()});
+    for (int k = 0; k < 6; ++k) {
+      t.push_back({i, static_cast<ordinal_t>(gen.next_below(n)), gen.next_double() - 0.5});
+    }
+  }
+  const DenseLU lu(graph::matrix_from_coo(n, n, t));
+  for (const int k : {1, 2, 3, 8, 16, 17}) {
+    const std::size_t uk = static_cast<std::size_t>(k);
+    std::vector<scalar_t> b = random_vector(n * k, 100 + static_cast<std::uint64_t>(k));
+    for (std::size_t at = 0; at < b.size(); at += 13) b[at] = -0.0;
+    std::vector<scalar_t> x(un * uk);
+    lu.solve_multi(b, x, k);
+    std::vector<scalar_t> bc(un);
+    std::vector<scalar_t> xc(un);
+    for (std::size_t c = 0; c < uk; ++c) {
+      for (std::size_t i = 0; i < un; ++i) bc[i] = b[i * uk + c];
+      lu.solve(bc, xc);
+      for (std::size_t i = 0; i < un; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(xc[i]), std::bit_cast<std::uint64_t>(x[i * uk + c]))
+            << "k " << k << " col " << c << " row " << i;
+      }
+    }
+  }
+}
+
 TEST(Jacobi, ReducesResidualMonotonically) {
   const graph::CrsMatrix a = graph::laplace2d(12, 12);
   const std::vector<scalar_t> inv_diag = inverted_diagonal(a);

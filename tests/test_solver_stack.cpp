@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -264,6 +265,20 @@ TEST(SolveHandle, MatchesFreeFunctionShims) {
     solvers().find("gmres").make()->solve(a, b, xf, opts, &prec, ws, rf);
     EXPECT_EQ(xh, xf);
     EXPECT_EQ(rh.iterations, rf.iterations);
+  }
+}
+
+TEST(SolveWorkspace, PoolSlotsStartOnCacheLines) {
+  // The K-wide kernels load whole rows of these buffers; at K = 8 a row of
+  // doubles is one cache line only when the buffer starts on one. Small
+  // and large (mmap-backed) sizes, fresh and grown slots.
+  SolveWorkspace ws;
+  for (const std::size_t n : {std::size_t{3}, std::size_t{80000}, std::size_t{160000}}) {
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      const std::span<scalar_t> v = ws.vec(slot, n);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % par::lane_buffer_align, 0u)
+          << "slot " << slot << " n " << n;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "graph/spmm.hpp"
 #include "graph/spmv.hpp"
 #include "parallel/context.hpp"
+#include "solver/amg.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/multivector.hpp"
 #include "solver/vector_ops.hpp"
@@ -204,6 +206,91 @@ TEST(Spmm, DeterministicAcrossBackendsAndSchedules) {
         EXPECT_EQ(check::digest_hex(reference), check::digest_hex(d))
             << "backend=" << static_cast<int>(backend) << " threads=" << threads
             << " schedule=" << static_cast<int>(s);
+      }
+    }
+  }
+}
+
+/// The (backend, threads) cells of the determinism sweeps below.
+const std::vector<std::pair<par::Backend, int>> kSweepConfigs = {
+    {par::Backend::Serial, 1}, {par::Backend::OpenMP, 1}, {par::Backend::OpenMP, 3},
+    {par::Backend::OpenMP, 4}};
+
+TEST(Spmm, FewLongRowsDeterministicAcrossConfigs) {
+  // R of the first AMG level of gen:powerlaw:10000 (the serving workload's
+  // operator): a few hundred rows carrying a quarter million entries, so
+  // the work gate, not the row count, sends the product parallel. Every
+  // (backend, threads, schedule) cell must give the same bits at K = 1
+  // (the flat row loop) and K = 8 (the wide build), in both forms.
+  const graph::CrsGraph g = graph::power_law_graph(10000, 2.2, 4, 166, 42);
+  const solver::AmgHierarchy h =
+      solver::AmgHierarchy::build(graph::laplacian_matrix(g, 1.0), {});
+  ASSERT_GE(h.num_levels(), 2);
+  const graph::CrsMatrix& r = h.level(0).r;
+  ASSERT_LT(r.num_rows, static_cast<ordinal_t>(par::parallel_for_grain));
+  ASSERT_GE(static_cast<std::int64_t>(r.num_entries()), par::balanced_work_grain);
+  for (const int k : {1, 8}) {
+    const std::size_t uk = static_cast<std::size_t>(k);
+    std::vector<scalar_t> x(static_cast<std::size_t>(r.num_cols) * uk);
+    solver::random_fill(x, 23);
+    std::vector<scalar_t> y0(static_cast<std::size_t>(r.num_rows) * uk);
+    solver::random_fill(y0, 29);
+    std::uint64_t ref_assign = 0;
+    std::uint64_t ref_axpby = 0;
+    bool first = true;
+    for (const par::Schedule s :
+         {par::Schedule::Static, par::Schedule::EdgeBalanced, par::Schedule::Dynamic}) {
+      for (const auto& [backend, threads] : kSweepConfigs) {
+        Context ctx;
+        ctx.backend = backend;
+        ctx.num_threads = threads;
+        ctx.schedule = s;
+        Context::Scope scope(ctx);
+        std::vector<scalar_t> y(y0.size());
+        graph::spmm(r, x, y, k);
+        const std::uint64_t assign = check::digest(y);
+        y = y0;
+        graph::spmm(0.7, r, x, -1.3, y, k);
+        const std::uint64_t axpby = check::digest(y);
+        if (first) {
+          ref_assign = assign;
+          ref_axpby = axpby;
+          first = false;
+        }
+        const std::string where = "k=" + std::to_string(k) +
+                                  " backend=" + std::to_string(static_cast<int>(backend)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " schedule=" + std::to_string(static_cast<int>(s));
+        EXPECT_EQ(check::digest_hex(ref_assign), check::digest_hex(assign)) << where;
+        EXPECT_EQ(check::digest_hex(ref_axpby), check::digest_hex(axpby)) << where;
+      }
+    }
+  }
+}
+
+TEST(SpmmMultivector, DotDeterministicAcrossThreadCounts) {
+  // 8,192 rows is two reduction chunks (serial below the chunk-count
+  // gate), 70,000 rows is 18 (parallel from 3 threads). Where the chunks
+  // run must never move a bit: every cell equals the Serial one.
+  for (const ordinal_t n : {8192, 70000}) {
+    for (const int k : {1, 3, 8}) {
+      const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
+      std::vector<scalar_t> a(nk);
+      std::vector<scalar_t> b(nk);
+      solver::random_fill(a, 41);
+      solver::random_fill(b, 43);
+      std::vector<std::uint64_t> ref;
+      for (const auto& [backend, threads] : kSweepConfigs) {
+        par::ScopedExecution scope(backend, threads);
+        std::vector<scalar_t> dots(static_cast<std::size_t>(k));
+        solver::mv_dot(a, b, n, k, dots);
+        std::vector<std::uint64_t> got;
+        for (const scalar_t d : dots) got.push_back(bits(d));
+        if (k == 1) got.push_back(bits(solver::dot(a, b)));
+        if (ref.empty()) ref = got;
+        EXPECT_EQ(ref, got) << "n=" << n << " k=" << k
+                            << " backend=" << static_cast<int>(backend)
+                            << " threads=" << threads;
       }
     }
   }
