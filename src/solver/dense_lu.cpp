@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "parallel/simd.hpp"
 #include "resilience/fault.hpp"
@@ -73,13 +74,15 @@ void DenseLU::refactor(const graph::CrsMatrix& a, scalar_t diag_shift) {
   }
 }
 
-// The K > 1 clone point of the coarse solve (see parallel/simd.hpp).
+// The coarse solve's lane kernel and its K > 1 clone point (see
+// parallel/simd.hpp).
 namespace detail {
 
 /// Forward and back substitution of lanes [k0, k0 + kw) of `b` into `x`
 /// (row-major n x uk, `lu` the combined n x n L\U factor, `perm` its row
-/// permutation), all lanes advancing together row by row. Per lane: the
-/// operations of the one-column solve, in its order.
+/// permutation), all lanes advancing together row by row. Each lane does
+/// the same operations in the same order whatever `kw`, so a column's bits
+/// do not depend on the batch it rides in.
 template <typename Lanes>
 void lu_solve_group(const scalar_t* lu, const ordinal_t* perm, ordinal_t n_rows,
                     const scalar_t* __restrict b, scalar_t* __restrict x, std::size_t uk,
@@ -128,33 +131,16 @@ void DenseLU::solve(std::span<const scalar_t> b, std::span<scalar_t> x) const {
 
 void DenseLU::solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x,
                           int k_count) const {
-  const std::size_t n = static_cast<std::size_t>(n_);
   assert(k_count > 0);
-  assert(b.size() >= n * static_cast<std::size_t>(k_count) &&
-         x.size() >= n * static_cast<std::size_t>(k_count));
-  if (k_count > 1) {
+  assert(b.size() >= static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_count) &&
+         x.size() >= static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_count));
+  // One column stays on the baseline build: a single lane has nothing to
+  // spread over a wider vector.
+  if (k_count == 1) {
+    detail::lu_solve_group(lu_.data(), perm_.data(), n_, b.data(), x.data(), 1,
+                           std::integral_constant<int, 1>{});
+  } else {
     detail::lu_solve_lanes(lu_.data(), perm_.data(), n_, b.data(), x.data(), k_count);
-    return;
-  }
-  // One column, on the baseline build: forward substitution on the
-  // permuted right-hand side (L has unit diagonal), then back substitution,
-  // each with a scalar accumulator.
-  for (ordinal_t i = 0; i < n_; ++i) {
-    scalar_t acc = b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-    for (ordinal_t j = 0; j < i; ++j) {
-      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-             x[static_cast<std::size_t>(j)];
-    }
-    x[static_cast<std::size_t>(i)] = acc;
-  }
-  for (ordinal_t i = n_ - 1; i >= 0; --i) {
-    scalar_t acc = x[static_cast<std::size_t>(i)];
-    for (ordinal_t j = i + 1; j < n_; ++j) {
-      acc -= lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] *
-             x[static_cast<std::size_t>(j)];
-    }
-    x[static_cast<std::size_t>(i)] =
-        acc / lu_[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)];
   }
 }
 

@@ -40,7 +40,8 @@ class DenseLU {
   /// `acc -= L(i, j) * x(j)` for ascending j; back substitution likewise
   /// with ascending j > i, then one division by the pivot). That form is a
   /// wide kernel (`parallel/simd.hpp`): it runs the widest build the CPU
-  /// has. k_count == 1 keeps a scalar accumulator on the baseline build.
+  /// has. k_count == 1 runs the same lane kernel at one lane on the
+  /// baseline build.
   /// Needs no scratch.
   void solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x, int k_count) const;
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 
+#include "check/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/spmv.hpp"
@@ -127,11 +128,11 @@ TEST(DenseLU, RandomSystemsRoundTrip) {
 
 TEST(DenseLU, SolveMultiMatchesSingleColumnSolvesBitExactly) {
   // Column c of solve_multi must equal a one-column solve of column c bit
-  // for bit at every width: the K > 1 form advances all lanes together
-  // (and runs the widest build the CPU has), the K = 1 form keeps a scalar
-  // accumulator. The diagonal is tiny next to the off-diagonals, so partial
-  // pivoting swaps rows; right-hand sides carry inexact values of both
-  // signs and some -0.0.
+  // for bit at every width: the K > 1 form advances all lanes together in
+  // groups (and runs the widest build the CPU has), the K = 1 form runs one
+  // lane on the baseline build. The diagonal is tiny next to the
+  // off-diagonals, so partial pivoting swaps rows; right-hand sides carry
+  // inexact values of both signs and some -0.0.
   const ordinal_t n = 70;
   const std::size_t un = static_cast<std::size_t>(n);
   rng::SplitMix64 gen(31);
@@ -150,6 +151,9 @@ TEST(DenseLU, SolveMultiMatchesSingleColumnSolvesBitExactly) {
     for (std::size_t at = 0; at < b.size(); at += 13) b[at] = -0.0;
     std::vector<scalar_t> x(un * uk);
     lu.solve_multi(b, x, k);
+    // The one-column order itself (accumulator seeded from the permuted b,
+    // ascending j, one division by the pivot) is pinned by its bits.
+    if (k == 1) EXPECT_EQ(check::digest_hex(check::digest(x)), "0xe1f23407e5b78fcd");
     std::vector<scalar_t> bc(un);
     std::vector<scalar_t> xc(un);
     for (std::size_t c = 0; c < uk; ++c) {
