@@ -14,18 +14,15 @@ namespace detail {
 // the master thread is blind to worker-thread noise (the handles' scratch
 // is always touched from the calling thread).
 thread_local std::uint64_t t_allocs = 0;
-thread_local std::uint64_t t_deallocs = 0;
 }  // namespace detail
 
 bool counting_available() { return true; }
 std::uint64_t thread_allocations() { return detail::t_allocs; }
-std::uint64_t thread_deallocations() { return detail::t_deallocs; }
 
 #else
 
 bool counting_available() { return false; }
 std::uint64_t thread_allocations() { return 0; }
-std::uint64_t thread_deallocations() { return 0; }
 
 #endif  // PARMIS_CHECK_INVARIANTS
 
@@ -52,11 +49,7 @@ void* counted_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  ++parmis::check::detail::t_deallocs;
-  std::free(p);
-}
+void counted_free(void* p) noexcept { std::free(p); }
 
 }  // namespace
 

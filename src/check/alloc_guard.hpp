@@ -40,9 +40,6 @@ namespace parmis::check {
 /// `counting_available()` is false.
 [[nodiscard]] std::uint64_t thread_allocations();
 
-/// Number of heap deallocations performed by the calling thread so far.
-[[nodiscard]] std::uint64_t thread_deallocations();
-
 /// RAII allocation scope: counts the calling thread's heap allocations
 /// between construction and the query. Nestable and re-entrant; costs two
 /// thread-local reads. Not a memory profiler — it counts events, not

@@ -347,9 +347,10 @@ bool all_finite(std::span<const scalar_t> v) {
   return true;
 }
 
-std::int64_t first_non_finite(std::span<const scalar_t> v) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!std::isfinite(v[i])) return static_cast<std::int64_t>(i);
+std::int64_t first_non_finite(std::span<const scalar_t> v, int k_count, int col) {
+  const std::size_t k = static_cast<std::size_t>(k_count);
+  for (std::size_t i = static_cast<std::size_t>(col); i < v.size(); i += k) {
+    if (!std::isfinite(v[i])) return static_cast<std::int64_t>(i / k);
   }
   return -1;
 }

@@ -117,8 +117,11 @@ struct MatrixChecks {
 /// check-build exit assertions on solution vectors.
 [[nodiscard]] bool all_finite(std::span<const scalar_t> v);
 
-/// Index of the first NaN/Inf element, or -1 when all are finite (the
-/// located variant the resilience layer's NonFiniteInput diagnostics use).
-[[nodiscard]] std::int64_t first_non_finite(std::span<const scalar_t> v);
+/// Row of the first NaN/Inf in column `col` of the n x `k_count`
+/// row-major multi-vector `v` (the whole vector at `k_count = 1`), or -1
+/// when the column is finite (the located variant the resilience layer's
+/// NonFiniteInput diagnostics use).
+[[nodiscard]] std::int64_t first_non_finite(std::span<const scalar_t> v, int k_count = 1,
+                                            int col = 0);
 
 }  // namespace parmis::check

@@ -114,12 +114,9 @@ class HierarchyHandle {
   /// Coarsening steps of the last topology/weighted build (empty after a
   /// Galerkin build).
   [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
-  /// Move the steps out (leaves the handle valid; scratch is retained).
-  [[nodiscard]] std::vector<Step> take_steps() { return std::move(steps_); }
 
   /// Operator levels of the last Galerkin build (empty otherwise).
   [[nodiscard]] const std::vector<OperatorLevel>& ops() const { return ops_; }
-  [[nodiscard]] std::vector<OperatorLevel> take_ops() { return std::move(ops_); }
 
   /// Summary of the last build on this handle.
   [[nodiscard]] const HierarchyStats& build_stats() const { return build_stats_; }

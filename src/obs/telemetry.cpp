@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/mis2.hpp"
 #include "graph/spgemm.hpp"
 #include "multilevel/hierarchy.hpp"
-#include "solver/handle.hpp"
 #include "solver/options.hpp"
 
 namespace parmis::obs {
@@ -16,22 +14,6 @@ void add_graph(Report& r, const std::string& name, std::int64_t num_rows,
   r.set("graph", name);
   r.set("num_rows", num_rows);
   r.set("num_entries", num_entries);
-}
-
-void add_kernel_stats(Report& r, const core::KernelStats& s) {
-  r.set("runs", s.runs);
-  r.set("kernel_iterations", s.iterations);
-  r.set("scratch_grows", s.scratch_grows);
-}
-
-void add_solve_stats(Report& r, const solver::SolveStats& s) {
-  r.set("solves", s.solves);
-  r.set("total_iterations", s.iterations);
-  r.set("converged_solves", s.converged);
-  r.set("prec_setups", s.prec_setups);
-  r.set("scratch_grows", s.scratch_grows);
-  r.set("failed_solves", s.failures);
-  r.set("fallback_attempts", s.fallback_attempts);
 }
 
 void add_iter_result(Report& r, const solver::IterResult& res) {

@@ -8,10 +8,6 @@
 /// `graph_partition --json`, and every `BENCH_*.json` on a single schema:
 ///
 ///   graph, num_rows, num_entries                       add_graph
-///   runs, kernel_iterations, scratch_grows             add_kernel_stats
-///   solves, total_iterations, converged_solves,
-///   prec_setups, scratch_grows, failed_solves,
-///   fallback_attempts                                  add_solve_stats
 ///   iterations, converged, relative_residual,
 ///   status, failure_* (when failed),
 ///   attempts (nested array, when chained)              add_iter_result
@@ -28,13 +24,9 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
-namespace parmis::core {
-struct KernelStats;
-}
 namespace parmis::solver {
-struct SolveStats;
 struct IterResult;
-}  // namespace parmis::solver
+}
 namespace parmis::multilevel {
 struct HierarchyStats;
 }
@@ -45,14 +37,6 @@ namespace parmis::obs {
 /// `num_entries`.
 void add_graph(Report& r, const std::string& name, std::int64_t num_rows,
                std::int64_t num_entries);
-
-/// Kernel-handle counters (`Mis2Handle`, `CoarsenHandle`): `runs`,
-/// `kernel_iterations`, `scratch_grows`.
-void add_kernel_stats(Report& r, const core::KernelStats& s);
-
-/// Solve-handle counters: `solves`, `total_iterations`, `converged_solves`,
-/// `prec_setups`, `scratch_grows`, `failed_solves`, `fallback_attempts`.
-void add_solve_stats(Report& r, const solver::SolveStats& s);
 
 /// One solve's outcome: `iterations`, `converged`, `relative_residual`,
 /// the taxonomy `status`, `failure_reason`/`failure_stage`/

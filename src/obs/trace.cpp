@@ -31,8 +31,7 @@ struct Event {
 
 constexpr std::size_t kBlockEvents = 4096;
 /// Hard per-thread cap (blocks * events ≈ 2M events ≈ 160 MB across 16
-/// threads worst case); past it events are counted as dropped, never lost
-/// silently.
+/// threads worst case); past it further events are discarded.
 constexpr std::size_t kMaxBlocks = 512;
 
 struct Block {
@@ -50,10 +49,7 @@ class EventBuffer {
   void record(const Event& e) {
     const std::uint64_t n = count_.load(std::memory_order_relaxed);
     const std::size_t block_idx = static_cast<std::size_t>(n / kBlockEvents);
-    if (block_idx >= kMaxBlocks) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (block_idx >= kMaxBlocks) return;
     Block* b = blocks_[block_idx].load(std::memory_order_relaxed);
     if (!b) {
       b = new Block;
@@ -68,10 +64,6 @@ class EventBuffer {
     return count_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
   /// Read event `i` (must be < count()).
   [[nodiscard]] const Event& at(std::uint64_t i) const {
     Block* b = blocks_[static_cast<std::size_t>(i / kBlockEvents)].load(
@@ -83,12 +75,10 @@ class EventBuffer {
   /// the owner thread is not recording (same contract as the readers).
   void clear() {
     count_.store(0, std::memory_order_release);
-    dropped_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<Block*> blocks_[kMaxBlocks] = {};
 };
 
@@ -225,14 +215,6 @@ std::uint64_t total_events() {
   std::lock_guard<std::mutex> lock(r.mu);
   std::uint64_t n = 0;
   for (const auto& buf : r.buffers) n += buf->count();
-  return n;
-}
-
-std::uint64_t dropped_events() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::uint64_t n = 0;
-  for (const auto& buf : r.buffers) n += buf->dropped();
   return n;
 }
 

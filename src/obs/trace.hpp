@@ -184,9 +184,6 @@ struct TraceEvent {
 /// Total events currently buffered across all threads.
 [[nodiscard]] std::uint64_t total_events();
 
-/// Events dropped because a thread's buffer hit its block limit.
-[[nodiscard]] std::uint64_t dropped_events();
-
 /// Bytes of event-block storage allocated since process start. Never
 /// advances while tracing is disabled — the zero-allocation contract the
 /// obs tests assert.

@@ -35,6 +35,7 @@
 
 #include "multilevel/hierarchy.hpp"
 #include "parallel/context.hpp"
+#include "parallel/simd.hpp"
 #include "solver/handle.hpp"
 
 namespace parmis::serve {
@@ -99,7 +100,8 @@ class HandlePool {
     std::string solver = "cg";
     std::string prec = "none";
     /// Optional fallback-chain spec (`resilience::FallbackPolicy` grammar,
-    /// `on:` clauses included) installed on every entry's handle.
+    /// `on:` clauses included) installed on every entry's handle, so it
+    /// covers single requests and batched waves alike (walked per column).
     std::string fallback;
     solver::PrecOptions prec_options;
     /// Context each entry's handle runs under. Serial by default: worker
@@ -122,8 +124,10 @@ class HandlePool {
     bool has_current = false;
     std::vector<scalar_t> b;   ///< per-request right-hand side (reused, warm)
     std::vector<scalar_t> x;   ///< per-request solution (reused, warm)
-    std::vector<scalar_t> bm;  ///< batched-wave rhs multi-vector (reused, warm)
-    std::vector<scalar_t> xm;  ///< batched-wave solution multi-vector (reused, warm)
+    /// Wave rhs/solution multi-vectors (reused, warm), cache-line aligned
+    /// for the K-wide kernels like the solver's own work buffers.
+    par::lane_vector<scalar_t> bm;
+    par::lane_vector<scalar_t> xm;
     // Atomic only so `stats()` can aggregate concurrently with a lease;
     // each counter has exactly one writer (the lease holder).
     std::atomic<std::uint64_t> warm_hits{0};

@@ -138,43 +138,9 @@ void Service::publish(std::shared_ptr<const ServingState> state) {
 }
 
 RequestOutcome Service::solve(const ServeRequest& req, std::span<scalar_t> x_out) {
-  obs::Timer timer;
-  PARMIS_SPAN("serve.request");
-  std::shared_ptr<const ServingState> st = state(req.epoch);
-  HandlePool::Lease lease = pool_.acquire();
-  HandlePool::Entry& e = lease.entry();
-  pool_.ensure(e, PrecKey{st->epoch, std::string()}, *st->a,
-               st->levels ? st->levels.get() : nullptr);
-
-  const std::size_t n = static_cast<std::size_t>(st->a->num_rows);
-  if (e.b.size() != n) {
-    e.b.resize(n);
-    e.x.resize(n);
-  }
-  solver::random_fill(e.b, req.rhs_seed);
-  solver::fill(e.x, 0.0);
-  const solver::IterResult& r = e.handle.solve(*st->a, e.b, e.x, opts_.iter);
-
-  RequestOutcome out;
-  out.id = req.id;
-  out.epoch = st->epoch;
-  out.status = r.status;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.relative_residual = r.relative_residual;
-  out.solution_digest = check::digest(e.x);
-  if (const auto* amg = dynamic_cast<const solver::AmgHierarchy*>(e.handle.preconditioner())) {
-    out.bottom_solve = amg->bottom_solve();
-  }
-  if (opts_.record_attempts) out.attempts = r.attempts;
-  if (!x_out.empty()) {
-    if (x_out.size() != n) {
-      throw std::invalid_argument("serve::solve: x_out size does not match the matrix");
-    }
-    solver::copy(e.x, x_out);
-  }
-  out.seconds = timer.seconds();
-  return out;
+  std::vector<RequestOutcome> out;
+  solve_wave(std::span<const ServeRequest>(&req, 1), out, x_out);
+  return std::move(out.front());
 }
 
 std::vector<RequestOutcome> Service::solve_batch(std::span<const ServeRequest> reqs,
@@ -199,8 +165,8 @@ std::vector<RequestOutcome> Service::solve_batch(std::span<const ServeRequest> r
   return out;
 }
 
-void Service::solve_wave(std::span<const ServeRequest> reqs,
-                         std::vector<RequestOutcome>& out) {
+void Service::solve_wave(std::span<const ServeRequest> reqs, std::vector<RequestOutcome>& out,
+                         std::span<scalar_t> x_out) {
   obs::Timer timer;
   PARMIS_SPAN("serve.batch_wave");
   const int wk = static_cast<int>(reqs.size());
@@ -220,6 +186,9 @@ void Service::solve_wave(std::span<const ServeRequest> reqs,
   if (e.bm.size() < nk) {
     e.bm.resize(nk);
     e.xm.resize(nk);
+  }
+  if (!x_out.empty() && x_out.size() != nk) {
+    throw std::invalid_argument("serve::solve: x_out size does not match the matrix");
   }
   std::span<scalar_t> bm(e.bm.data(), nk);
   std::span<scalar_t> xm(e.xm.data(), nk);
@@ -253,6 +222,7 @@ void Service::solve_wave(std::span<const ServeRequest> reqs,
     if (opts_.record_attempts) o.attempts = r.attempts;
     o.seconds = seconds / wk;
   }
+  if (!x_out.empty()) solver::copy(xm, x_out);
 }
 
 }  // namespace parmis::serve

@@ -131,11 +131,13 @@ class Service {
   /// instead of blocking forever. Returns the new epoch.
   std::uint64_t republish();
 
-  /// Serve one request: waits for the pinned epoch, leases a pool entry,
-  /// warms it for the state (LRU / level adoption / build), generates
-  /// b from the seed into entry-owned storage, solves from x0 = 0, and
+  /// Serve one request: a one-request wave of `solve_batch` (see
+  /// `solve_wave`) — waits for the pinned epoch, leases a pool entry,
+  /// warms it for the state (LRU / level adoption / build), generates b
+  /// from the seed into entry-owned storage, solves from x0 = 0, and
   /// digests the solution. When `x_out` is non-empty (size n) the solution
-  /// is copied into it.
+  /// is copied into it; any other size throws std::invalid_argument
+  /// before the solve.
   RequestOutcome solve(const ServeRequest& req, std::span<scalar_t> x_out = {});
 
   /// Serve a run of requests in batched waves: consecutive requests pinned
@@ -160,8 +162,12 @@ class Service {
 
  private:
   void publish(std::shared_ptr<const ServingState> state);
-  /// One same-epoch wave of `solve_batch`, appended to `out`.
-  void solve_wave(std::span<const ServeRequest> reqs, std::vector<RequestOutcome>& out);
+  /// One same-epoch wave of `solve_batch`, appended to `out` — the one
+  /// request body behind `solve` (a one-request wave) and `solve_batch`.
+  /// When `x_out` is non-empty (n x wave width, row-major) the solution
+  /// multi-vector is copied into it.
+  void solve_wave(std::span<const ServeRequest> reqs, std::vector<RequestOutcome>& out,
+                  std::span<scalar_t> x_out = {});
 
   Options opts_;
   HandlePool pool_;

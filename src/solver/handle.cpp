@@ -1,6 +1,5 @@
 #include "solver/handle.hpp"
 
-#include <cmath>
 #include <new>
 #include <stdexcept>
 
@@ -9,6 +8,7 @@
 #include "check/validate.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
+#include "solver/multivector.hpp"
 #include "solver/vector_ops.hpp"
 
 namespace parmis::solver {
@@ -109,196 +109,20 @@ void SolveHandle::setup(const graph::CrsMatrix& a) {
   ensure_preconditioner(a);
 }
 
-resilience::SolveStatus SolveHandle::run_attempt(const graph::CrsMatrix& a,
-                                                 std::span<const scalar_t> b,
-                                                 std::span<scalar_t> x, const IterOptions& opts,
-                                                 const std::string& sname,
-                                                 const std::string& pname,
-                                                 bool& used_transient) {
-  obs::Timer attempt_timer;
-  resilience::SolveStatus status = resilience::SolveStatus::MaxIterations;
-  resilience::FailureInfo failure;
-  bool ran = false;
-  try {
-    // Resolve the solver: the handle's cached instance when the name
-    // matches, a transient otherwise (chain entries diverging from the
-    // handle's configuration).
-    std::unique_ptr<Solver> transient_solver;
-    Solver* solver = nullptr;
-    if (sname == solver_name_) {
-      ensure_solver();
-      solver = solver_.get();
-    } else {
-      transient_solver = solvers().find(sname).make();
-      solver = transient_solver.get();
-      used_transient = true;
-    }
-    // Solvers that ignore preconditioning ("chebyshev") skip the build — an
-    // AMG setup nobody applies is the most expensive no-op in the stack.
-    std::unique_ptr<Preconditioner> transient_prec;
-    const Preconditioner* prec = nullptr;
-    if (solver->uses_preconditioner() && pname != "none") {
-      if (pname == prec_name_) {
-        ensure_preconditioner(a);
-        prec = prec_.get();
-      } else {
-        PARMIS_SPAN("solver.prec_setup.transient");
-        transient_prec = preconditioners().find(pname).make(a, prec_opts_, ctx_);
-        prec = transient_prec.get();
-        used_transient = true;
-        ++stats_.prec_setups;
-      }
-    }
-    solver->solve(a, b, x, opts, prec, ws_, result_);
-    status = result_.status;
-    failure = result_.failure;
-    ran = true;
-  } catch (const check::CheckError&) {
-    throw;  // invariant violations are bugs, not solve outcomes
-  } catch (const resilience::SolveError& e) {
-    status = e.status();
-    failure = e.info();
-  } catch (const std::bad_alloc&) {
-    status = resilience::SolveStatus::SetupFailed;
-    failure = resilience::FailureInfo{"setup", "setup.allocation", -1, -1};
-  } catch (const std::exception&) {
-    status = resilience::SolveStatus::SetupFailed;
-    failure = resilience::FailureInfo{"setup", "setup.exception", -1, -1};
-  }
-  AttemptInfo& rec = result_.attempts.emplace_back();
-  rec.solver = sname;
-  rec.prec = pname;
-  rec.status = status;
-  rec.failure = failure;
-  rec.iterations = ran ? result_.iterations : 0;
-  rec.relative_residual = ran ? result_.relative_residual : 0.0;
-  rec.seconds = attempt_timer.seconds();
-  return status;
-}
-
 const IterResult& SolveHandle::solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                                      std::span<scalar_t> x, const IterOptions& opts) {
-  const Context ctx = opts.ctx ? *opts.ctx : ctx_;
-  Context::Scope scope(ctx);
-  PARMIS_CHECK_OK(check::validate(a, {.structure = {}, .require_finite = true,
-                                      .require_square = true}));
-  PARMIS_CHECK(b.size() == static_cast<std::size_t>(a.num_rows));
-  PARMIS_CHECK(x.size() == static_cast<std::size_t>(a.num_rows));
-  result_.attempts.clear();  // keeps capacity: warm solves stay allocation-free
-
-  // Up-front input validation: a NaN/Inf in b or the initial guess would
-  // otherwise surface as a confusing mid-iteration Breakdown (or worse,
-  // converge the zero-rhs early-out against a poisoned norm).
-  std::int64_t bad = check::first_non_finite(b);
-  const char* reason = "input.b.nonfinite";
-  if (bad < 0) {
-    bad = check::first_non_finite(x);
-    reason = "input.x0.nonfinite";
-  }
-  if (bad >= 0) {
-    result_.iterations = 0;
-    result_.relative_residual = 0.0;
-    result_.converged = false;
-    result_.history.clear();
-    result_.status = resilience::SolveStatus::NonFiniteInput;
-    result_.failure = resilience::FailureInfo{"input", reason, -1, bad};
-    ++stats_.solves;
-    ++stats_.failures;
-    return result_;
-  }
-
-  const std::size_t bytes_before = scratch_bytes();
-  const std::uint64_t grows_before = ws_.grow_events;
-  const std::uint64_t setups_before = stats_.prec_setups;
-  obs::Span span("solver.solve");
-  span.arg("rows", a.num_rows);
-
-  // A configured fallback chain replaces the handle's solver/prec
-  // selection; retries restart from the original initial guess so a
-  // poisoned iterate never leaks into the next attempt.
-  const bool chained = !fallback_.empty();
-  const std::size_t budget = chained ? fallback_.budget() : 1;
-  if (chained) {
-    ws_.ensure_small(x0_, x.size());
-    copy(x, std::span<scalar_t>(x0_));
-  }
-
-  obs::Timer chain_timer;
-  bool used_transient = false;
-  std::uint64_t total_iterations = 0;
-  check::AllocGuard guard;
-  for (std::size_t attempt = 0; attempt < budget; ++attempt) {
-    const std::string& sname = chained ? fallback_.chain[attempt].solver : solver_name_;
-    const std::string& pname = chained ? fallback_.chain[attempt].prec : prec_name_;
-    IterOptions aopts = opts;
-    if (opts.timeout_ms > 0) {
-      // The wall-clock budget covers the whole chain: each attempt gets
-      // what is left, and an exhausted budget synthesizes a Timeout
-      // attempt without paying for another setup.
-      const double left = opts.timeout_ms - chain_timer.milliseconds();
-      if (left <= 0) {
-        AttemptInfo& rec = result_.attempts.emplace_back();
-        rec.solver = sname;
-        rec.prec = pname;
-        rec.status = resilience::SolveStatus::Timeout;
-        rec.failure = resilience::FailureInfo{"setup", "solve.deadline.chain", -1, -1};
-        rec.iterations = 0;
-        rec.relative_residual = 0.0;
-        rec.seconds = 0.0;
-        break;
-      }
-      aopts.timeout_ms = left;
-    }
-    if (attempt > 0) {
-      copy(std::span<const scalar_t>(x0_), x);
-      ++stats_.fallback_attempts;
-    }
-    const resilience::SolveStatus s = run_attempt(a, b, x, aopts, sname, pname, used_transient);
-    total_iterations += static_cast<std::uint64_t>(result_.attempts.back().iterations);
-    if (s == resilience::SolveStatus::Converged) break;
-    // Status-conditional fallback: the entry's on: clause decides whether
-    // this failure class is worth retrying down the chain.
-    if (chained && !fallback_.chain[attempt].allows_retry(s)) break;
-  }
-
-  const AttemptInfo& last = result_.attempts.back();
-  result_.status = last.status;
-  result_.failure = last.failure;
-  result_.converged = last.status == resilience::SolveStatus::Converged;
-  result_.iterations = last.iterations;
-  result_.relative_residual = last.relative_residual;
-
-  span.arg("iterations", result_.iterations);
-  ++stats_.solves;
-  stats_.iterations += total_iterations;
-  if (result_.converged) {
-    ++stats_.converged;
-  } else {
-    ++stats_.failures;
-  }
-  // grow_events additionally catches allocations capacity_bytes() cannot
-  // see (the Chebyshev smoother rebuild).
-  const bool grew = scratch_bytes() > bytes_before || ws_.grow_events > grows_before;
-  if (grew) ++stats_.scratch_grows;
-  // Warm-solve zero-allocation contract, enforced at the allocator: once
-  // scratch and preconditioner are warm, a repeat solve must not allocate.
-  // Exempt: tracing (obs event blocks allocate orthogonally), transient
-  // chain solvers/preconditioners, and failing solves (exception machinery
-  // and error messages allocate — the contract covers the happy path).
-  PARMIS_CHECK_MSG(grew || stats_.prec_setups > setups_before || obs::tracing_enabled() ||
-                       used_transient || resilience::is_failure(result_.status) ||
-                       guard.allocations() == 0,
-                   "warm solve allocated");
-  // A non-converged solve may legitimately hold a diverged iterate; only a
-  // converged result is contractually finite.
-  PARMIS_CHECK_MSG(!result_.converged || check::all_finite(x),
-                   "converged solve produced non-finite solution entries");
-  return result_;
+  return run(a, b, x, 1, opts, one_).results.front();
 }
 
 const BatchResult& SolveHandle::solve_batch(const graph::CrsMatrix& a,
                                             std::span<const scalar_t> b, std::span<scalar_t> x,
                                             int k_count, const IterOptions& opts) {
+  return run(a, b, x, k_count, opts, batch_);
+}
+
+const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                                    std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                                    BatchResult& out) {
   const Context ctx = opts.ctx ? *opts.ctx : ctx_;
   Context::Scope scope(ctx);
   PARMIS_CHECK_OK(check::validate(a, {.structure = {}, .require_finite = true,
@@ -309,36 +133,29 @@ const BatchResult& SolveHandle::solve_batch(const graph::CrsMatrix& a,
   PARMIS_CHECK(b.size() == n * uk);
   PARMIS_CHECK(x.size() == n * uk);
 
-  batch_result_.reset(k_count);
-  for (int c = 0; c < k_count; ++c) {
-    batch_result_.results[static_cast<std::size_t>(c)].attempts.clear();
-  }
+  out.reset(k_count);
+  // live_[c]: column c still takes attempts (capacity-preserving, like
+  // every other per-column array).
+  live_.assign(uk, 1);
+  int live = k_count;
 
-  // Per-column input validation: a poisoned column is excluded — finalized
-  // here with NonFiniteInput, lanes left untouched — while its batchmates
-  // solve normally (the per-RHS isolation contract).
+  // Up-front input validation, per column: a NaN/Inf in b or the initial
+  // guess would otherwise surface as a confusing mid-iteration Breakdown
+  // (or converge the zero-rhs early-out against a poisoned norm). A
+  // poisoned column is final here with NonFiniteInput and its lanes are
+  // left untouched, while its batchmates solve normally.
   for (int c = 0; c < k_count; ++c) {
-    const std::size_t sc = static_cast<std::size_t>(c);
-    std::int64_t bad = -1;
+    IterResult& r = out.results[static_cast<std::size_t>(c)];
+    r.attempts.clear();  // keeps capacity: warm solves stay allocation-free
+    std::int64_t bad = check::first_non_finite(b, k_count, c);
     const char* reason = "input.b.nonfinite";
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(b[i * uk + sc])) {
-        bad = static_cast<std::int64_t>(i);
-        break;
-      }
-    }
     if (bad < 0) {
+      bad = check::first_non_finite(x, k_count, c);
       reason = "input.x0.nonfinite";
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!std::isfinite(x[i * uk + sc])) {
-          bad = static_cast<std::int64_t>(i);
-          break;
-        }
-      }
     }
     if (bad < 0) continue;
-    batch_result_.excluded[sc] = 1;
-    IterResult& r = batch_result_.results[sc];
+    live_[static_cast<std::size_t>(c)] = 0;
+    --live;
     r.iterations = 0;
     r.relative_residual = 0.0;
     r.converged = false;
@@ -346,103 +163,198 @@ const BatchResult& SolveHandle::solve_batch(const graph::CrsMatrix& a,
     r.status = resilience::SolveStatus::NonFiniteInput;
     r.failure = resilience::FailureInfo{"input", reason, -1, bad};
   }
+  if (live == 0) {
+    stats_.solves += uk;
+    stats_.failures += uk;
+    return out;
+  }
 
   const std::size_t bytes_before = scratch_bytes();
   const std::uint64_t grows_before = ws_.grow_events;
   const std::uint64_t setups_before = stats_.prec_setups;
-  obs::Span span("solver.solve_batch");
+  obs::Span span("solver.solve");
   span.arg("rows", a.num_rows);
   span.arg("batch", k_count);
 
-  obs::Timer timer;
-  check::AllocGuard guard;
-  ensure_solver();
-  bool prec_primed = false;
-  if (solver_->uses_preconditioner() && prec_name_ != "none") {
-    ensure_preconditioner(a);
-    // Pre-size the preconditioner's internal multi-vector scratch for this
-    // batch width. A freshly built preconditioner (epoch swap, values
-    // refresh) grows it here on its first batch — growth, like the
-    // workspace pool's, is exempt from the warm zero-allocation contract.
-    if (prec_) prec_primed = prec_->prepare_multi(a.num_rows, k_count);
+  // A configured fallback chain replaces the handle's solver/prec
+  // selection; retried columns restart from their original initial guess
+  // so a poisoned iterate never leaks into the next attempt.
+  const bool chained = !fallback_.empty();
+  const std::size_t budget = chained ? fallback_.budget() : 1;
+  if (chained) {
+    ws_.ensure_small(x0_, x.size());
+    copy(x, std::span<scalar_t>(x0_));
   }
-  try {
-    solver_->solve_batch(a, b, x, k_count, opts, prec_.get(), ws_, batch_result_);
-  } catch (const check::CheckError&) {
-    throw;  // invariant violations are bugs, not solve outcomes
-  } catch (const resilience::SolveError& e) {
-    // A batch-wide throw (setup/workspace, not per-column iteration) lands
-    // on every live column: none of them produced a usable iterate.
-    for (int c = 0; c < k_count; ++c) {
-      if (batch_result_.excluded[static_cast<std::size_t>(c)]) continue;
-      IterResult& r = batch_result_.results[static_cast<std::size_t>(c)];
-      r.converged = false;
-      r.status = e.status();
-      r.failure = e.info();
-    }
-  } catch (const std::bad_alloc&) {
-    for (int c = 0; c < k_count; ++c) {
-      if (batch_result_.excluded[static_cast<std::size_t>(c)]) continue;
-      IterResult& r = batch_result_.results[static_cast<std::size_t>(c)];
-      r.converged = false;
-      r.status = resilience::SolveStatus::SetupFailed;
-      r.failure = resilience::FailureInfo{"setup", "setup.allocation", -1, -1};
-    }
-  }
-  const double seconds = timer.seconds();
 
-  bool any_failure = false;
+  obs::Timer chain_timer;
+  bool used_transient = false;
+  bool prec_primed = false;
   std::uint64_t total_iterations = 0;
-  for (int c = 0; c < k_count; ++c) {
-    const std::size_t sc = static_cast<std::size_t>(c);
-    const IterResult& r = batch_result_.results[sc];
+  check::AllocGuard guard;
+  for (std::size_t attempt = 0; attempt < budget && live > 0; ++attempt) {
+    const std::string& sname = chained ? fallback_.chain[attempt].solver : solver_name_;
+    const std::string& pname = chained ? fallback_.chain[attempt].prec : prec_name_;
+    IterOptions aopts = opts;
+    if (opts.timeout_ms > 0) {
+      // The wall-clock budget covers the whole chain: each attempt gets
+      // what is left, and an exhausted budget synthesizes a Timeout
+      // attempt without paying for another setup.
+      const double left = opts.timeout_ms - chain_timer.milliseconds();
+      if (left <= 0) {
+        for (std::size_t c = 0; c < uk; ++c) {
+          if (!live_[c]) continue;
+          AttemptInfo& rec = out.results[c].attempts.emplace_back();
+          rec.solver = sname;
+          rec.prec = pname;
+          rec.status = resilience::SolveStatus::Timeout;
+          rec.failure = resilience::FailureInfo{"setup", "solve.deadline.chain", -1, -1};
+          rec.iterations = 0;
+          rec.relative_residual = 0.0;
+          rec.seconds = 0.0;
+        }
+        break;
+      }
+      aopts.timeout_ms = left;
+    }
+    if (attempt > 0) {
+      mv_copy_cols(x0_, x, a.num_rows, k_count, live_);
+      stats_.fallback_attempts += static_cast<std::uint64_t>(live);
+    }
+    // The solvers skip excluded columns: this attempt runs the live ones.
+    for (std::size_t c = 0; c < uk; ++c) out.excluded[c] = live_[c] ? 0 : 1;
+
+    obs::Timer attempt_timer;
+    bool ran = false;
+    resilience::SolveStatus thrown = resilience::SolveStatus::SetupFailed;
+    resilience::FailureInfo thrown_failure;
+    try {
+      // Resolve the solver: the handle's cached instance when the name
+      // matches, a transient otherwise (chain entries diverging from the
+      // handle's configuration).
+      std::unique_ptr<Solver> transient_solver;
+      Solver* solver = nullptr;
+      if (sname == solver_name_) {
+        ensure_solver();
+        solver = solver_.get();
+      } else {
+        transient_solver = solvers().find(sname).make();
+        solver = transient_solver.get();
+        used_transient = true;
+      }
+      // Solvers that ignore preconditioning ("chebyshev") skip the build — an
+      // AMG setup nobody applies is the most expensive no-op in the stack.
+      std::unique_ptr<Preconditioner> transient_prec;
+      Preconditioner* prec = nullptr;
+      if (solver->uses_preconditioner() && pname != "none") {
+        if (pname == prec_name_) {
+          ensure_preconditioner(a);
+          prec = prec_.get();
+        } else {
+          PARMIS_SPAN("solver.prec_setup.transient");
+          transient_prec = preconditioners().find(pname).make(a, prec_opts_, ctx_);
+          prec = transient_prec.get();
+          used_transient = true;
+          ++stats_.prec_setups;
+        }
+        // Pre-size the preconditioner's multi-vector scratch for this
+        // width. A freshly built preconditioner (epoch swap, values
+        // refresh) grows it here on its first wide batch — growth, like
+        // the workspace pool's, is exempt from the zero-allocation check.
+        if (prec) prec_primed = prec->prepare_multi(a.num_rows, k_count) || prec_primed;
+      }
+      solver->solve_batch(a, b, x, k_count, aopts, prec, ws_, out);
+      ran = true;
+    } catch (const check::CheckError&) {
+      throw;  // invariant violations are bugs, not solve outcomes
+    } catch (const resilience::SolveError& e) {
+      thrown = e.status();
+      thrown_failure = e.info();
+    } catch (const std::bad_alloc&) {
+      thrown_failure = resilience::FailureInfo{"setup", "setup.allocation", -1, -1};
+    } catch (const std::exception&) {
+      thrown_failure = resilience::FailureInfo{"setup", "setup.exception", -1, -1};
+    }
+    // A throw (setup or workspace, not per-column iteration) lands on every
+    // live column: none of them produced a usable iterate.
+    const double seconds = attempt_timer.seconds();
+    for (std::size_t c = 0; c < uk; ++c) {
+      if (!live_[c]) continue;
+      const IterResult& r = out.results[c];
+      AttemptInfo& rec = out.results[c].attempts.emplace_back();
+      rec.solver = sname;
+      rec.prec = pname;
+      rec.status = ran ? r.status : thrown;
+      rec.failure = ran ? r.failure : thrown_failure;
+      rec.iterations = ran ? r.iterations : 0;
+      rec.relative_residual = ran ? r.relative_residual : 0.0;
+      rec.seconds = seconds;  // the attempt's wall clock: its columns solve together
+      total_iterations += static_cast<std::uint64_t>(rec.iterations);
+      // Status-conditional fallback: the entry's on: clause decides whether
+      // this failure class is worth retrying down the chain.
+      if (rec.status == resilience::SolveStatus::Converged ||
+          !(chained && fallback_.chain[attempt].allows_retry(rec.status))) {
+        live_[c] = 0;
+        --live;
+      }
+    }
+  }
+
+  // A column's final fields come from its last attempt; `excluded`
+  // reports the input exclusions (the columns no attempt ran on).
+  bool any_failure = false;
+  for (std::size_t c = 0; c < uk; ++c) {
+    IterResult& r = out.results[c];
+    out.excluded[c] = r.attempts.empty() ? 1 : 0;
+    if (!r.attempts.empty()) {
+      const AttemptInfo& last = r.attempts.back();
+      r.status = last.status;
+      r.failure = last.failure;
+      r.converged = last.status == resilience::SolveStatus::Converged;
+      r.iterations = last.iterations;
+      r.relative_residual = last.relative_residual;
+    }
     if (resilience::is_failure(r.status)) any_failure = true;
     if (r.converged) {
       ++stats_.converged;
     } else {
       ++stats_.failures;
     }
-    if (batch_result_.excluded[sc]) continue;
-    total_iterations += static_cast<std::uint64_t>(r.iterations);
-    AttemptInfo& rec = batch_result_.results[sc].attempts.emplace_back();
-    rec.solver = solver_name_;
-    rec.prec = prec_name_;
-    rec.status = r.status;
-    rec.failure = r.failure;
-    rec.iterations = r.iterations;
-    rec.relative_residual = r.relative_residual;
-    rec.seconds = seconds;  // whole-batch wall clock: columns solve together
   }
-  stats_.solves += static_cast<std::uint64_t>(k_count);
-  stats_.iterations += total_iterations;
   span.arg("iterations", static_cast<std::int64_t>(total_iterations));
-
+  stats_.solves += uk;
+  stats_.iterations += total_iterations;
+  // grow_events additionally catches allocations capacity_bytes() cannot
+  // see (the Chebyshev smoother rebuild).
   const bool grew = scratch_bytes() > bytes_before || ws_.grow_events > grows_before;
   if (grew) ++stats_.scratch_grows;
-  // The warm zero-allocation contract of solve(), batched: a repeat batch
-  // at a warm width must not allocate. The first batch at a wider K grows
-  // the workspace pool (and, for AMG, its multi-vector V-cycle scratch),
-  // which `grew` exempts; `prec_primed` exempts the first batch through a
-  // freshly built preconditioner, whose internal scratch grows in
-  // prepare_multi() above.
+  // Warm-solve zero-allocation contract, enforced at the allocator: once
+  // scratch and preconditioner are warm, a repeat solve at a warm width
+  // must not allocate. Exempt: growth (a wider K grows the workspace pool;
+  // `prec_primed`, the preconditioner's multi-vector scratch), setups,
+  // tracing (obs event blocks allocate orthogonally), transient chain
+  // solvers/preconditioners, and failing solves (exception machinery and
+  // error messages allocate — the contract covers the happy path).
   PARMIS_CHECK_MSG(grew || prec_primed || stats_.prec_setups > setups_before ||
-                       obs::tracing_enabled() || any_failure || guard.allocations() == 0,
-                   "warm batched solve allocated");
-  PARMIS_CHECK_MSG(!batch_result_.all_converged() || check::all_finite(x),
-                   "converged batched solve produced non-finite solution entries");
-  return batch_result_;
+                       obs::tracing_enabled() || used_transient || any_failure ||
+                       guard.allocations() == 0,
+                   "warm solve allocated");
+  // A non-converged solve may legitimately hold a diverged iterate; only a
+  // converged result is contractually finite.
+  PARMIS_CHECK_MSG(!out.all_converged() || check::all_finite(x),
+                   "converged solve produced non-finite solution entries");
+  return out;
 }
 
 std::size_t SolveHandle::scratch_bytes() const {
-  std::size_t batch_bytes =
-      batch_result_.results.capacity() * sizeof(IterResult) + batch_result_.excluded.capacity();
-  for (const IterResult& r : batch_result_.results) {
-    batch_bytes += r.history.capacity() * sizeof(double) +
-                   r.attempts.capacity() * sizeof(AttemptInfo);
+  std::size_t bytes = ws_.capacity_bytes() + x0_.capacity() * sizeof(scalar_t) + live_.capacity();
+  for (const BatchResult* br : {&one_, &batch_}) {
+    bytes += br->results.capacity() * sizeof(IterResult) + br->excluded.capacity();
+    for (const IterResult& r : br->results) {
+      bytes += r.history.capacity() * sizeof(double) +
+               r.attempts.capacity() * sizeof(AttemptInfo);
+    }
   }
-  return ws_.capacity_bytes() + result_.history.capacity() * sizeof(double) +
-         x0_.capacity() * sizeof(scalar_t) + result_.attempts.capacity() * sizeof(AttemptInfo) +
-         batch_bytes;
+  return bytes;
 }
 
 }  // namespace parmis::solver

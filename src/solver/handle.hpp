@@ -38,13 +38,13 @@ namespace parmis::solver {
 /// Cumulative per-handle telemetry (service counters; never reset by the
 /// handle itself).
 struct SolveStats {
-  std::uint64_t solves = 0;         ///< solve() calls completed
+  std::uint64_t solves = 0;         ///< columns solved (1 per solve(), K per solve_batch())
   std::uint64_t iterations = 0;     ///< total iterations across all solves
-  std::uint64_t converged = 0;      ///< solves that reached tolerance
+  std::uint64_t converged = 0;      ///< columns that reached tolerance
   std::uint64_t prec_setups = 0;    ///< preconditioner (re)builds
-  std::uint64_t scratch_grows = 0;  ///< solve() calls that grew scratch capacity
-  std::uint64_t failures = 0;           ///< solves whose final status was a failure
-  std::uint64_t fallback_attempts = 0;  ///< extra chain attempts beyond the first
+  std::uint64_t scratch_grows = 0;  ///< solve calls that grew scratch capacity
+  std::uint64_t failures = 0;           ///< columns whose final status was a failure
+  std::uint64_t fallback_attempts = 0;  ///< extra per-column chain attempts beyond the first
 };
 
 /// Reusable solver handle: solver + preconditioner selected by registry
@@ -87,46 +87,47 @@ class SolveHandle {
   /// the chain's first entry; each failed attempt (any status but
   /// Converged, filtered by the entry's optional `on:` status set) restores
   /// the original initial guess and tries the next entry, within the
-  /// chain's retry budget and the solve's `timeout_ms`. Entries naming the
-  /// handle's configured solver/preconditioner reuse its cached state;
-  /// other entries build transient ones per attempt. Throws
+  /// chain's retry budget and the solve's `timeout_ms`. In a batch the
+  /// decision is per column: only the columns that failed retryably run
+  /// the next entry, so column c of a chained batch equals a chained
+  /// `solve` of column c. Entries naming the handle's configured
+  /// solver/preconditioner reuse its cached state; other entries build
+  /// transient ones per attempt. Throws
   /// std::invalid_argument on a malformed spec and std::out_of_range on a
   /// name not in the registries. An empty spec clears the chain.
   void set_fallback(const std::string& spec);
   void set_fallback(resilience::FallbackPolicy policy);
   [[nodiscard]] const resilience::FallbackPolicy& fallback() const { return fallback_; }
 
-  /// Solve `a x = b` from the given initial `x` with the configured stack.
-  /// Builds (or reuses) the preconditioner for `a`, pins the execution
-  /// context (`opts.ctx` if set, else the handle's), runs the solver on
-  /// handle-owned scratch, and updates the telemetry counters. The returned
-  /// reference stays valid until the next solve on this handle.
-  ///
-  /// Resilience contract: `b`/`x` are validated for finiteness up front
-  /// (`status == NonFiniteInput`, no attempt runs); every attempt's outcome
-  /// lands in `result().attempts`; a configured fallback chain is walked as
-  /// documented on `set_fallback`. A failing solve never throws for
-  /// taxonomy-classified reasons — inspect `result().status`.
+  /// Solve `a x = b` from the given initial `x` with the configured stack:
+  /// `solve_batch` at K = 1, bit for bit, with its outcome in `result()`.
+  /// The returned reference stays valid until the next solve.
   const IterResult& solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                           std::span<scalar_t> x, const IterOptions& opts = {});
 
   /// Batched multi-RHS solve: `b`/`x` are n x k_count row-major
-  /// multi-vectors (element (i, c) at `i * k_count + c`). Runs the
-  /// configured solver's `solve_batch` — the fused block core for
-  /// "block-cg"/"block-gmres", the looped per-column default otherwise —
-  /// under the same context pinning and warm zero-allocation contract as
-  /// `solve`: once scratch and preconditioner are warm, a repeat batch of
-  /// the same width allocates nothing. Column c of the result is
-  /// bit-identical to `solve` on the gathered column.
+  /// multi-vectors (element (i, c) at `i * k_count + c`). Builds (or
+  /// reuses) the preconditioner for `a`, pins the execution context
+  /// (`opts.ctx` if set, else the handle's), runs the configured solver's
+  /// `solve_batch` — one fused block core for the Krylov entries, the
+  /// looped per-column default otherwise — on handle-owned scratch, and
+  /// updates the telemetry counters. Column c of the result is
+  /// bit-identical to `solve` on the gathered column. Once scratch and
+  /// preconditioner are warm, a repeat solve at the same width allocates
+  /// nothing. The returned reference stays valid until the next batched
+  /// solve.
   ///
-  /// Resilience contract: every column is validated for finiteness up
-  /// front; a poisoned column is excluded (its `IterResult` carries
-  /// NonFiniteInput and its lanes are left untouched) while its batchmates
-  /// solve normally. Mid-batch failures are likewise per column — the
-  /// block cores deflate a broken column and keep iterating the rest.
-  /// Fallback chains are not walked for batches (a chain retry is a
-  /// per-column decision; gather the column and call `solve` for that).
-  /// The returned reference stays valid until the next batched solve.
+  /// Resilience contract, per column: every column is validated for
+  /// finiteness up front — a poisoned one is excluded (its `IterResult`
+  /// carries NonFiniteInput, no attempt runs and its lanes stay
+  /// untouched) while its batchmates solve normally. Each attempt's
+  /// outcome lands in the column's `attempts`; a setup throw is
+  /// classified onto every column the attempt ran. A configured fallback
+  /// chain is walked per column as documented on `set_fallback`: a column
+  /// leaves the batch when it converges or its entry's `on:` set does not
+  /// retry its status, and the rest retry together from their original
+  /// initial guesses. A failing solve never throws for taxonomy-classified
+  /// reasons — inspect each column's `status`.
   const BatchResult& solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                                  std::span<scalar_t> x, int k_count,
                                  const IterOptions& opts = {});
@@ -156,8 +157,8 @@ class SolveHandle {
   /// null for "none").
   [[nodiscard]] const Preconditioner* preconditioner() const { return prec_.get(); }
 
-  [[nodiscard]] const IterResult& result() const { return result_; }
-  [[nodiscard]] const BatchResult& batch_result() const { return batch_result_; }
+  /// Outcome of the last `solve` (batched solves do not touch it).
+  [[nodiscard]] const IterResult& result() const { return one_.results.front(); }
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
 
   /// Heap capacity held by the iteration scratch (workspace pool, GMRES
@@ -167,12 +168,11 @@ class SolveHandle {
  private:
   void ensure_solver();
   void ensure_preconditioner(const graph::CrsMatrix& a);
-  /// One chain attempt: resolve solver/prec (cached or transient), run,
-  /// classify throws, and append the attempt record. Returns its status.
-  resilience::SolveStatus run_attempt(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                                      std::span<scalar_t> x, const IterOptions& opts,
-                                      const std::string& sname, const std::string& pname,
-                                      bool& used_transient);
+  /// The one solve body behind `solve` (K = 1 into `one_`) and
+  /// `solve_batch` (into `batch_`).
+  const BatchResult& run(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                         std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                         BatchResult& out);
 
   std::string solver_name_ = "cg";
   std::string prec_name_ = "none";
@@ -187,10 +187,11 @@ class SolveHandle {
 
   resilience::FallbackPolicy fallback_;
   std::vector<scalar_t> x0_;  ///< initial-guess snapshot for chain retries
+  std::vector<char> live_;    ///< per column: still taking chain attempts
 
   SolveWorkspace ws_;
-  IterResult result_;
-  BatchResult batch_result_;
+  BatchResult one_{.k = 1, .results = std::vector<IterResult>(1), .excluded = {0}};
+  BatchResult batch_;
   SolveStats stats_;
 };
 

@@ -94,6 +94,10 @@ void Solver::solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                          const Preconditioner* prec, SolveWorkspace& ws,
                          BatchResult& result) const {
   result.ensure(k_count);
+  if (k_count == 1) {  // a one-column multi-vector is the vector: no gather
+    if (!result.excluded[0]) solve(a, b, x, opts, prec, ws, result.results[0]);
+    return;
+  }
   const ordinal_t n = a.num_rows;
   ws.ensure_small(ws.bcol, static_cast<std::size_t>(n));
   ws.ensure_small(ws.xcol, static_cast<std::size_t>(n));

@@ -60,6 +60,21 @@ std::vector<std::pair<std::uint64_t, int>> looped_reference(const graph::CrsMatr
   return out;
 }
 
+/// Two attempt records agree in everything but their wall clock.
+void expect_same_attempts(const std::vector<solver::AttemptInfo>& want,
+                          const std::vector<solver::AttemptInfo>& got, const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::string at = where + " attempt " + std::to_string(i);
+    EXPECT_EQ(want[i].solver, got[i].solver) << at;
+    EXPECT_EQ(want[i].prec, got[i].prec) << at;
+    EXPECT_EQ(want[i].status, got[i].status) << at;
+    EXPECT_EQ(want[i].iterations, got[i].iterations) << at;
+    EXPECT_EQ(want[i].relative_residual, got[i].relative_residual) << at;
+    EXPECT_EQ(std::string(want[i].failure.reason), std::string(got[i].failure.reason)) << at;
+  }
+}
+
 /// The batched rhs multi-vector matching `looped_reference`'s seeds.
 std::vector<scalar_t> batched_rhs(const graph::CrsMatrix& a, int k) {
   const std::size_t un = static_cast<std::size_t>(a.num_rows);
@@ -244,6 +259,66 @@ TEST(Batch, NonFiniteColumnIsExcludedAndIsolated) {
   }
 }
 
+TEST(Batch, SetupFailuresAreClassifiedPerColumn) {
+  // A preconditioner setup that throws is an attempt outcome in a batch
+  // exactly as in `solve`: every live column carries the classified
+  // status, reason and attempt record, and nothing escapes as an
+  // exception.
+  const graph::CrsMatrix laplace = graph::laplace2d(32, 32);
+  graph::CrsMatrix zero_diag = laplace;
+  for (offset_t j = zero_diag.row_map[5]; j < zero_diag.row_map[6]; ++j) {
+    if (zero_diag.entries[static_cast<std::size_t>(j)] == 5) {
+      zero_diag.values[static_cast<std::size_t>(j)] = 0.0;
+    }
+  }
+  struct Case {
+    const char* name;
+    const graph::CrsMatrix* a;
+    const char* prec;
+    const char* coarsener;
+    resilience::SolveStatus status;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"unknown coarsener", &laplace, "amg", "no-such-coarsener",
+       resilience::SolveStatus::SetupFailed, "setup.exception"},
+      {"zero diagonal", &zero_diag, "jacobi", "mis2", resilience::SolveStatus::SingularOperator,
+       "setup.jacobi.zero_diagonal"},
+  };
+  const int k = 3;
+  for (const Case& tc : cases) {
+    const graph::CrsMatrix& a = *tc.a;
+    const std::size_t un = static_cast<std::size_t>(a.num_rows);
+    const auto configure = [&](solver::SolveHandle& h) {
+      h.prec_options().amg.hierarchy.coarsener = tc.coarsener;
+    };
+    solver::SolveHandle single("cg", tc.prec);
+    configure(single);
+    std::vector<scalar_t> b(un);
+    std::vector<scalar_t> x(un, 0.0);
+    solver::random_fill(b, 1);
+    const solver::IterResult want = single.solve(a, b, x, tight_opts());
+    EXPECT_EQ(tc.status, want.status) << tc.name;
+    EXPECT_EQ(std::string(tc.reason), std::string(want.failure.reason)) << tc.name;
+
+    solver::SolveHandle h("cg", tc.prec);
+    configure(h);
+    std::vector<scalar_t> xm(un * k, 0.0);
+    const std::vector<scalar_t> bm = batched_rhs(a, k);
+    const solver::BatchResult* br = nullptr;
+    ASSERT_NO_THROW(br = &h.solve_batch(a, bm, xm, k, tight_opts())) << tc.name;
+    for (int c = 0; c < k; ++c) {
+      const solver::IterResult& got = br->results[static_cast<std::size_t>(c)];
+      const std::string where = std::string(tc.name) + " col " + std::to_string(c);
+      EXPECT_EQ(0, br->excluded[static_cast<std::size_t>(c)]) << where;
+      EXPECT_EQ(want.status, got.status) << where;
+      EXPECT_FALSE(got.converged) << where;
+      EXPECT_EQ(std::string(want.failure.reason), std::string(got.failure.reason)) << where;
+      expect_same_attempts(want.attempts, got.attempts, where);
+    }
+  }
+}
+
 #if PARMIS_FAULT_ENABLED
 TEST(Batch, FaultPoisonsOnlyItsColumn) {
   // The injected CG breakdown hits column 0's recurrence; its batchmates
@@ -262,6 +337,61 @@ TEST(Batch, FaultPoisonsOnlyItsColumn) {
   EXPECT_FALSE(br.results[0].converged);
   for (const int c : {1, 2}) {
     EXPECT_EQ(resilience::SolveStatus::Converged, br.results[static_cast<std::size_t>(c)].status)
+        << "col " << c;
+  }
+}
+
+TEST(Batch, ChainsRunPerColumn) {
+  // The injected CG breakdown hits column 0 only, so only column 0 walks
+  // the chain on to GMRES: its outcome equals a chained `solve` of that
+  // column under the same fault, and its batchmates finish in one attempt
+  // with the bits of a chain-less batch.
+  const graph::CrsMatrix a = graph::laplace2d(10, 10);
+  const int k = 3;
+  const std::size_t un = static_cast<std::size_t>(a.num_rows);
+  const char* chain = "none+cg,none+gmres";
+  const std::vector<scalar_t> bm = batched_rhs(a, k);
+
+  solver::SolveHandle single("block-cg", "none");
+  single.set_fallback(chain);
+  std::vector<scalar_t> b0(un);
+  std::vector<scalar_t> x0(un, 0.0);
+  solver::gather_column(bm, a.num_rows, k, 0, std::span<scalar_t>(b0));
+  resilience::arm_faults_spec("cg.pap");
+  const solver::IterResult want = single.solve(a, b0, x0, tight_opts());
+  resilience::disarm_faults();
+  ASSERT_EQ(2u, want.attempts.size());
+  EXPECT_EQ(resilience::SolveStatus::Breakdown, want.attempts[0].status);
+  EXPECT_EQ(resilience::SolveStatus::Converged, want.status);
+
+  solver::SolveHandle plain("block-cg", "none");
+  std::vector<scalar_t> xp(un * k, 0.0);
+  resilience::arm_faults_spec("cg.pap");
+  (void)plain.solve_batch(a, bm, xp, k, tight_opts());
+  resilience::disarm_faults();
+
+  solver::SolveHandle h("block-cg", "none");
+  h.set_fallback(chain);
+  std::vector<scalar_t> xm(un * k, 0.0);
+  resilience::arm_faults_spec("cg.pap");
+  const solver::BatchResult& br = h.solve_batch(a, bm, xm, k, tight_opts());
+  resilience::disarm_faults();
+
+  std::vector<scalar_t> xc(un);
+  std::vector<scalar_t> xref(un);
+  const solver::IterResult& got0 = br.results[0];
+  EXPECT_EQ(want.status, got0.status);
+  EXPECT_EQ(want.iterations, got0.iterations);
+  expect_same_attempts(want.attempts, got0.attempts, "col 0");
+  solver::gather_column(xm, a.num_rows, k, 0, std::span<scalar_t>(xc));
+  EXPECT_EQ(check::digest_hex(check::digest(x0)), check::digest_hex(check::digest(xc)));
+  for (const int c : {1, 2}) {
+    const solver::IterResult& got = br.results[static_cast<std::size_t>(c)];
+    EXPECT_EQ(resilience::SolveStatus::Converged, got.status) << "col " << c;
+    EXPECT_EQ(1u, got.attempts.size()) << "col " << c;
+    solver::gather_column(xm, a.num_rows, k, c, std::span<scalar_t>(xc));
+    solver::gather_column(xp, a.num_rows, k, c, std::span<scalar_t>(xref));
+    EXPECT_EQ(check::digest_hex(check::digest(xref)), check::digest_hex(check::digest(xc)))
         << "col " << c;
   }
 }
@@ -301,6 +431,7 @@ TEST(Batch, ServiceSolveBatchMatchesSolve) {
     EXPECT_EQ(check::digest_hex(ref[i].solution_digest),
               check::digest_hex(got[i].solution_digest))
         << "request " << i;
+    expect_same_attempts(ref[i].attempts, got[i].attempts, "request " + std::to_string(i));
   }
 }
 
