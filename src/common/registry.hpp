@@ -6,7 +6,7 @@
 ///
 /// A registry is built once (a function-local static in its module) and
 /// never changes afterwards, so lookups are lock-free reads. Callers look
-/// a spec up by name and call its factory: `solvers().find("cg").make()`.
+/// a spec up by name and use it: `coarseners().find("hem").make()`.
 /// Lookups belong in setup paths (one per handle or builder build), never
 /// inside a kernel.
 

@@ -312,12 +312,8 @@ void AmgHierarchy::vcycle(std::span<const scalar_t> b, std::span<scalar_t> x) co
   cycle_level_multi(0, b, x, 1, /*x_is_zero=*/false);  // x is the caller's guess
 }
 
-void AmgHierarchy::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  apply_multi(r, z, handle_.ops().front().a.num_rows, 1, {});
-}
-
 void AmgHierarchy::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                               int k_count, std::span<scalar_t> /*scratch*/) const {
+                               int k_count) const {
   assert(n == handle_.ops().front().a.num_rows);
   ensure_mwork(k_count);
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);

@@ -128,9 +128,6 @@ class AmgHierarchy final : public Preconditioner {
   /// coarse LU. Throws std::invalid_argument on a structure mismatch.
   void rebuild(const graph::CrsMatrix& a_fine);
 
-  /// One V-cycle on A z = r from z = 0: `apply_multi` at `k_count = 1`.
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
-
   /// Grows the per-level multi-vector workspaces to batch width `k_count`
   /// so batched applies up to that width allocate nothing.
   bool prepare_multi(ordinal_t /*n*/, int k_count) override {
@@ -139,14 +136,15 @@ class AmgHierarchy final : public Preconditioner {
     return growing;
   }
 
-  /// V-cycle over n x k_count row-major multi-vectors: every grid transfer
+  /// One V-cycle on A Z = R from Z = 0, over n x k_count row-major
+  /// multi-vectors (`apply` is its K = 1 call): every grid transfer
   /// and smoother application is one fused multi-vector kernel, and column
   /// c of the result is bit-identical to the same call on the gathered
   /// column. The workspaces are sized for one column at setup and grown
   /// the first time a wider batch is seen; repeat applications at the same
   /// (or smaller) width allocate nothing.
   void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                   int k_count, std::span<scalar_t> scratch) const override;
+                   int k_count) const override;
 
   [[nodiscard]] std::string name() const override;
 

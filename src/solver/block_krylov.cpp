@@ -37,6 +37,7 @@
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/guard.hpp"
+#include "solver/core_prologue.hpp"
 #include "solver/interface.hpp"
 #include "solver/multivector.hpp"
 
@@ -44,47 +45,9 @@ namespace parmis::solver {
 
 namespace {
 
+using detail::begin_column;
+using detail::refill_guards;
 using resilience::SolveStatus;
-
-/// Per-column solve prologue shared by both cores: result reset (keeping
-/// its history capacity), history pre-reserve, zero-rhs early-out. Returns
-/// false when the column is already done (excluded or zero rhs); on true
-/// the column is live with bnorm_c > 0. An empty `excluded` excludes none.
-/// `attempts` is deliberately not touched — `SolveHandle` owns it.
-bool begin_column(const IterOptions& opts, std::span<scalar_t> x, ordinal_t n, int k_count,
-                  int c, scalar_t bnorm_c, std::span<const char> excluded, SolveWorkspace& ws,
-                  IterResult& r) {
-  if (!excluded.empty() && excluded[static_cast<std::size_t>(c)]) return false;
-  r.iterations = 0;
-  r.relative_residual = 0.0;
-  r.converged = false;
-  r.status = SolveStatus::MaxIterations;
-  r.failure.clear();
-  r.history.clear();
-  if (opts.track_history) {
-    ws.ensure_small(r.history, static_cast<std::size_t>(opts.max_iterations) + 1);
-    r.history.clear();
-  }
-  if (bnorm_c == 0) {
-    mv_fill_col(x, 0.0, n, k_count, c);
-    r.converged = true;
-    r.status = SolveStatus::Converged;
-    return false;
-  }
-  return true;
-}
-
-/// Preconditioner scratch for the default column-gathering `apply_multi`;
-/// a single column needs none.
-std::span<scalar_t> prec_scratch_slot(SolveWorkspace& ws, std::size_t slot, std::size_t n,
-                                      int k_count) {
-  return k_count > 1 ? ws.vec(slot, 2 * n) : std::span<scalar_t>();
-}
-
-void refill_guards(SolveWorkspace& ws, const IterOptions& opts, int k_count) {
-  ws.batch_guards.clear();  // keeps capacity; IterGuard holds no heap state
-  for (int c = 0; c < k_count; ++c) ws.batch_guards.emplace_back(opts.guard_config());
-}
 
 }  // namespace
 
@@ -137,7 +100,6 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   std::span<scalar_t> z_mv = ws.vec(1, nk);
   std::span<scalar_t> p_mv = ws.vec(2, nk);
   std::span<scalar_t> ap_mv = ws.vec(3, nk);
-  std::span<scalar_t> prec_scratch = prec_scratch_slot(ws, 4, un, k_count);
 
   // R = B - A X
   graph::spmm(a, x, r_mv, k_count);
@@ -145,7 +107,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
   auto precondition = [&](std::span<const scalar_t> in, std::span<scalar_t> out) {
     if (prec) {
-      prec->apply_multi(in, out, n, k_count, prec_scratch);
+      prec->apply_multi(in, out, n, k_count);
     } else {
       mv_copy(in, out);
     }
@@ -315,12 +277,10 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   };
 
   // Multi-vector slots: basis 0..m, then w, tmp, op (the Arnoldi gather
-  // when restarts desynchronize columns), preconditioner scratch. Touch
-  // them all up front so the pool never reallocates mid-solve (and so the
-  // workspace.alloc fault fires here).
+  // when restarts desynchronize columns). Touch them all up front so the
+  // pool never reallocates mid-solve (and so the workspace.alloc fault
+  // fires here).
   for (int i = 0; i <= m + 3; ++i) ws.vec(static_cast<std::size_t>(i), nk);
-  std::span<scalar_t> prec_scratch =
-      prec_scratch_slot(ws, static_cast<std::size_t>(m) + 4, un, k_count);
   auto basis = [&](int i) {
     return std::span<scalar_t>(ws.pool[static_cast<std::size_t>(i)].data(), nk);
   };
@@ -330,7 +290,7 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
   auto apply_right_prec = [&](std::span<const scalar_t> in, std::span<scalar_t> out) {
     if (prec) {
-      prec->apply_multi(in, out, n, k_count, prec_scratch);
+      prec->apply_multi(in, out, n, k_count);
     } else {
       mv_copy(in, out);
     }

@@ -10,6 +10,7 @@
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/guard.hpp"
+#include "solver/core_prologue.hpp"
 #include "solver/interface.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/multivector.hpp"
@@ -44,36 +45,6 @@ scalar_t estimate_lambda_max(const graph::CrsMatrix& a, std::span<const scalar_t
   return 1.1 * lambda;
 }
 
-/// Solve prologue: reset `result` (keeping its history capacity),
-/// pre-reserve the history when tracking is on, and handle the zero-rhs
-/// early-out (x = 0, converged). Returns false when the solve is already
-/// complete; on true, `bnorm` holds ||b|| > 0.
-bool begin_solve(const IterOptions& opts, std::span<const scalar_t> b, std::span<scalar_t> x,
-                 SolveWorkspace& ws, IterResult& result, scalar_t& bnorm) {
-  result.iterations = 0;
-  result.relative_residual = 0.0;
-  result.converged = false;
-  // Default assumption: the loop runs to its iteration budget. Every other
-  // exit (convergence, breakdown, guard trip) overwrites this. `attempts`
-  // is deliberately NOT touched — it is owned by SolveHandle, which runs
-  // several solver calls per chain into the same result.
-  result.status = resilience::SolveStatus::MaxIterations;
-  result.failure.clear();
-  result.history.clear();  // keeps capacity: warm tracked solves stay allocation-free
-  if (opts.track_history) {
-    ws.ensure_small(result.history, static_cast<std::size_t>(opts.max_iterations) + 1);
-    result.history.clear();
-  }
-  bnorm = norm2(b);
-  if (bnorm == 0) {
-    fill(x, 0.0);
-    result.converged = true;
-    result.status = resilience::SolveStatus::Converged;
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 ChebyshevSmoother::ChebyshevSmoother(const graph::CrsMatrix& a, int degree, scalar_t eig_ratio)
@@ -100,16 +71,10 @@ void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar
   smooth_multi(a, b, x, r, d, ad, 1);
 }
 
-void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                               std::span<scalar_t> x, std::span<scalar_t> r,
-                               std::span<scalar_t> d, std::span<scalar_t> ad) const {
-  smooth_multi(a, b, x, r, d, ad, 1);
-}
-
 void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                                      std::span<scalar_t> x, std::span<scalar_t> r,
                                      std::span<scalar_t> d, std::span<scalar_t> ad,
-                                     int k_count) const {
+                                     int k_count, std::span<const char> active) const {
   const ordinal_t n = a.num_rows;
   [[maybe_unused]] const std::size_t nk =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
@@ -119,7 +84,8 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
 
   // Three-term Chebyshev recurrence on the split-preconditioned system
   // (Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1), run
-  // per lane: each column sees exactly the single-vector recurrence.
+  // per lane: each column sees exactly the single-vector recurrence. Only
+  // the updates of X honor `active`; R, D and AD are scratch.
   const scalar_t theta = 0.5 * (lambda_max_ + lambda_min_);
   const scalar_t delta = 0.5 * (lambda_max_ - lambda_min_);
   const scalar_t sigma1 = theta / delta;
@@ -131,7 +97,14 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
     r[at] = pr;
     d[at] = pr / theta;
   });
-  mv_axpby(1.0, d, 1.0, x, n, k_count);
+  const auto update_x = [&] {
+    if (active.empty()) {
+      mv_axpby(1.0, d, 1.0, x, n, k_count);
+    } else {
+      mv_axpby_masked(1.0, d, 1.0, x, n, k_count, active);
+    }
+  };
+  update_x();
 
   scalar_t rho_prev = 1.0 / sigma1;
   for (int k = 1; k < degree_; ++k) {
@@ -145,20 +118,46 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
     mv_for_each_lane(n, k_count, [&](ordinal_t, std::size_t at) {
       d[at] = rho * rho_prev * d[at] + 2.0 * rho / delta * r[at];
     });
-    mv_axpby(1.0, d, 1.0, x, n, k_count);
+    update_x();
     rho_prev = rho;
   }
 }
 
 void chebyshev_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                     std::span<scalar_t> x, const IterOptions& opts, SolveWorkspace& ws,
-                     IterResult& result) {
+                     std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                     const Preconditioner* /*prec*/, SolveWorkspace& ws,
+                     std::span<IterResult> results, std::span<const char> excluded) {
+  using resilience::SolveStatus;
   assert(a.num_rows == a.num_cols);
-  const std::size_t n = static_cast<std::size_t>(a.num_rows);
-  assert(b.size() == n && x.size() == n);
+  assert(k_count >= 1);
+  const ordinal_t n = a.num_rows;
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  const std::size_t nk = static_cast<std::size_t>(n) * uk;
+  assert(b.size() == nk && x.size() == nk);
+  assert(results.size() >= uk);
 
-  scalar_t bnorm = 0;
-  if (!begin_solve(opts, b, x, ws, result, bnorm)) return;
+  // Per-column small state: [bnorm | relres | norms], each a K-wide lane.
+  ws.ensure_small(ws.batch_scalars, 3 * uk);
+  scalar_t* bnorm = ws.batch_scalars.data();
+  scalar_t* relres = bnorm + uk;
+  scalar_t* norms = relres + uk;
+  ws.ensure_small(ws.batch_ints, uk);
+  int* stopc = ws.batch_ints.data();
+  ws.batch_active.assign(uk, 0);
+  std::span<char> active(ws.batch_active.data(), uk);
+  detail::refill_guards(ws, opts, k_count);
+
+  mv_norms(b, n, k_count, std::span<scalar_t>(bnorm, uk));
+  int num_active = 0;
+  for (int c = 0; c < k_count; ++c) {
+    const std::size_t sc = static_cast<std::size_t>(c);
+    if (!detail::begin_column(opts, x, n, k_count, c, bnorm[sc], excluded, ws, results[sc])) {
+      continue;
+    }
+    active[sc] = 1;
+    ++num_active;
+  }
+  if (num_active == 0) return;
 
   // Reuse the smoother while the matrix and polynomial are unchanged (its
   // setup runs a power iteration — a cost warm solves must not repay).
@@ -178,41 +177,66 @@ void chebyshev_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
     ++ws.grow_events;
   }
 
-  std::span<scalar_t> r = ws.vec(0, n);
-  std::span<scalar_t> d = ws.vec(1, n);
-  std::span<scalar_t> ad = ws.vec(2, n);
-  std::span<scalar_t> resid = ws.vec(3, n);
+  std::span<scalar_t> r = ws.vec(0, nk);
+  std::span<scalar_t> d = ws.vec(1, nk);
+  std::span<scalar_t> ad = ws.vec(2, nk);
+  std::span<scalar_t> resid = ws.vec(3, nk);
 
-  graph::spmv(a, x, resid);
-  axpby(1.0, b, -1.0, resid);  // resid = b - A x
-  double relres = norm2(resid) / bnorm;
-  if (opts.track_history) result.history.push_back(relres);
-  resilience::IterGuard guard(opts.guard_config());
-  resilience::SolveStatus stop = guard.check(relres, 0, result.failure);
+  // relres[c] = ||B - A X||[c] / bnorm[c], appended to the history and
+  // guarded, for every active column after `iterations` sweeps.
+  auto measure = [&](int iterations) {
+    graph::spmm(a, x, resid, k_count);
+    mv_axpby(1.0, b, -1.0, resid, n, k_count);
+    mv_norms(resid, n, k_count, std::span<scalar_t>(norms, uk));
+    for (std::size_t sc = 0; sc < uk; ++sc) {
+      if (!active[sc]) continue;
+      IterResult& res = results[sc];
+      relres[sc] = norms[sc] / bnorm[sc];
+      if (opts.track_history) res.history.push_back(relres[sc]);
+      stopc[sc] = static_cast<int>(ws.batch_guards[sc].check(relres[sc], iterations, res.failure));
+    }
+  };
+  // Per-column epilogue; run once per column, at freeze.
+  auto finalize = [&](std::size_t sc) {
+    IterResult& res = results[sc];
+    if (static_cast<SolveStatus>(stopc[sc]) != SolveStatus::Converged) {
+      res.status = static_cast<SolveStatus>(stopc[sc]);
+    }
+    res.relative_residual = relres[sc];
+    res.converged = relres[sc] <= opts.tolerance;
+    if (res.converged) {
+      res.status = SolveStatus::Converged;
+      res.failure.clear();
+    }
+    active[sc] = 0;
+    --num_active;
+  };
 
-  while (stop == resilience::SolveStatus::Converged &&
-         result.iterations < opts.max_iterations && relres > opts.tolerance) {
+  measure(0);
+  // `it` is every active column's own iteration count: lockstep columns
+  // all start from 0 together and frozen columns never come back.
+  for (int it = 0; num_active > 0 && it < opts.max_iterations; ++it) {
+    for (std::size_t sc = 0; sc < uk; ++sc) {
+      if (!active[sc]) continue;
+      if (static_cast<SolveStatus>(stopc[sc]) != SolveStatus::Converged ||
+          relres[sc] <= opts.tolerance) {
+        finalize(sc);
+      }
+    }
+    if (num_active == 0) break;
     obs::Span iter_span("solver.iteration");
-    iter_span.arg("iteration", result.iterations);
-    ws.chebyshev->smooth(a, b, x, r, d, ad);
-    // Injected NaN (check builds): surfaces in the recomputed residual
-    // below, which the guard classifies as Breakdown.
-    if (PARMIS_FAULT_POINT("chebyshev.poison"))
+    iter_span.arg("iteration", it);
+    ws.chebyshev->smooth_multi(a, b, x, r, d, ad, k_count, active);
+    // Injected NaN (check builds), column 0 only: surfaces in the
+    // recomputed residual below, which the guard classifies as Breakdown.
+    if (PARMIS_FAULT_POINT("chebyshev.poison") && active[0]) {
       x[0] = std::numeric_limits<scalar_t>::quiet_NaN();
-    ++result.iterations;
-    graph::spmv(a, x, resid);
-    axpby(1.0, b, -1.0, resid);
-    relres = norm2(resid) / bnorm;
-    if (opts.track_history) result.history.push_back(relres);
-    stop = guard.check(relres, result.iterations, result.failure);
+    }
+    for (std::size_t sc = 0; sc < uk; ++sc) results[sc].iterations += active[sc] ? 1 : 0;
+    measure(it + 1);
   }
-
-  if (stop != resilience::SolveStatus::Converged) result.status = stop;
-  result.relative_residual = relres;
-  result.converged = relres <= opts.tolerance;
-  if (result.converged) {
-    result.status = resilience::SolveStatus::Converged;
-    result.failure.clear();
+  for (std::size_t sc = 0; sc < uk; ++sc) {
+    if (active[sc]) finalize(sc);
   }
 }
 

@@ -10,7 +10,8 @@
 ///
 /// Also usable as a stand-alone relaxation *solver* through the solver
 /// registry ("chebyshev", see solver/interface.hpp): repeated polynomial
-/// applications until the residual tolerance is met.
+/// applications until the residual tolerance is met, for one right-hand
+/// side or K.
 
 #include <span>
 #include <vector>
@@ -27,24 +28,21 @@ class ChebyshevSmoother {
                              scalar_t eig_ratio = 20.0);
 
   /// One application: x <- x + p(D⁻¹A) D⁻¹ (b - A x). Allocates its three
-  /// temporaries; prefer the scratch overload on hot paths.
+  /// temporaries; hot paths call `smooth_multi` with caller-owned scratch.
   void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
               std::span<scalar_t> x) const;
-
-  /// Allocation-free application into caller-owned scratch (`r`, `d`, `ad`
-  /// must each have `a.num_rows` elements): `smooth_multi` at
-  /// `k_count = 1`. The "chebyshev" registry solver runs this.
-  void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-              std::span<scalar_t> r, std::span<scalar_t> d, std::span<scalar_t> ad) const;
 
   /// Application over n x k_count row-major multi-vectors: every matrix
   /// application is one `spmm` and the recurrence runs per lane, so column
   /// c is bit-identical to the same call on the gathered column. Scratch
-  /// spans need `a.num_rows * k_count` elements each. The AMG V-cycle
-  /// smooths through it.
+  /// spans need `a.num_rows * k_count` elements each. A non-empty `active`
+  /// mask (one byte per column) restricts the writes of `x` to the active
+  /// columns: the "chebyshev" solver freezes its finished columns this
+  /// way. The AMG V-cycle smooths every column and passes none.
   void smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                     std::span<scalar_t> x, std::span<scalar_t> r, std::span<scalar_t> d,
-                    std::span<scalar_t> ad, int k_count) const;
+                    std::span<scalar_t> ad, int k_count,
+                    std::span<const char> active = {}) const;
 
   /// Warm-rebuild hook: refresh the inverted diagonal and re-run the power
   /// iteration against `a` (same shape, new values) without allocating.

@@ -39,58 +39,46 @@ ClusterMulticolorGS::ClusterMulticolorGS(const graph::CrsMatrix& a, const std::s
 }
 
 void ClusterMulticolorGS::sweep(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                                std::span<scalar_t> x, SweepDirection dir) const {
+                                std::span<scalar_t> x, SweepDirection dir, int k_count) const {
   const ordinal_t nc = coloring_.num_colors;
-  for (ordinal_t step = 0; step < nc; ++step) {
-    const ordinal_t color = dir == SweepDirection::Forward ? step : nc - 1 - step;
-    const offset_t begin = cluster_sets_.offsets[static_cast<std::size_t>(color)];
-    const offset_t count = cluster_sets_.offsets[static_cast<std::size_t>(color) + 1] - begin;
-    // Clusters of one color share no coupling: parallel across clusters,
-    // classical (sequential) GS inside each cluster. Each iteration is a
-    // whole cluster, so parallelize even for a handful of them.
-    par::parallel_for_grained(static_cast<ordinal_t>(count), 2, [&](ordinal_t k) {
-      const ordinal_t cluster =
-          cluster_sets_.vertices[static_cast<std::size_t>(begin + k)];
-      const offset_t mb = members_.offsets[static_cast<std::size_t>(cluster)];
-      const offset_t me = members_.offsets[static_cast<std::size_t>(cluster) + 1];
-      if (dir == SweepDirection::Forward) {
-        for (offset_t m = mb; m < me; ++m) {
-          const ordinal_t i = members_.members[static_cast<std::size_t>(m)];
-          scalar_t acc = b[static_cast<std::size_t>(i)];
-          for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-            const ordinal_t col = a.entries[static_cast<std::size_t>(j)];
-            if (col != i) acc -= a.values[static_cast<std::size_t>(j)] * x[static_cast<std::size_t>(col)];
-          }
-          x[static_cast<std::size_t>(i)] = acc * inv_diag_[static_cast<std::size_t>(i)];
-        }
-      } else {
+  const bool forward = dir == SweepDirection::Forward;
+  detail::for_each_lane_group(k_count, [&](int k0, auto kw, auto stride) {
+    for (ordinal_t step = 0; step < nc; ++step) {
+      const ordinal_t color = forward ? step : nc - 1 - step;
+      const offset_t begin = cluster_sets_.offsets[static_cast<std::size_t>(color)];
+      const offset_t count = cluster_sets_.offsets[static_cast<std::size_t>(color) + 1] - begin;
+      // Clusters of one color share no coupling: parallel across clusters,
+      // classical (sequential) GS inside each cluster. Each iteration is a
+      // whole cluster, so parallelize even for a handful of them.
+      par::parallel_for_grained(static_cast<ordinal_t>(count), 2, [&](ordinal_t k) {
+        const ordinal_t cluster =
+            cluster_sets_.vertices[static_cast<std::size_t>(begin + k)];
+        const offset_t mb = members_.offsets[static_cast<std::size_t>(cluster)];
+        const offset_t me = members_.offsets[static_cast<std::size_t>(cluster) + 1];
         // Row order within the cluster reverses on the backward sweep.
-        for (offset_t m = me - 1; m >= mb; --m) {
+        for (offset_t t = 0; t < me - mb; ++t) {
+          const offset_t m = forward ? mb + t : me - 1 - t;
           const ordinal_t i = members_.members[static_cast<std::size_t>(m)];
-          scalar_t acc = b[static_cast<std::size_t>(i)];
-          for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-            const ordinal_t col = a.entries[static_cast<std::size_t>(j)];
-            if (col != i) acc -= a.values[static_cast<std::size_t>(j)] * x[static_cast<std::size_t>(col)];
-          }
-          x[static_cast<std::size_t>(i)] = acc * inv_diag_[static_cast<std::size_t>(i)];
+          detail::gs_row_update(a, b.data() + k0, x.data() + k0, stride,
+                                inv_diag_[static_cast<std::size_t>(i)], i, kw);
         }
-      }
-    });
-  }
+      });
+    }
+  });
 }
 
 void ClusterMulticolorGS::symmetric_sweep(const graph::CrsMatrix& a,
                                           std::span<const scalar_t> b,
-                                          std::span<scalar_t> x) const {
-  sweep(a, b, x, SweepDirection::Forward);
-  sweep(a, b, x, SweepDirection::Backward);
+                                          std::span<scalar_t> x, int k_count) const {
+  sweep(a, b, x, SweepDirection::Forward, k_count);
+  sweep(a, b, x, SweepDirection::Backward, k_count);
 }
 
-void ClusterGsPreconditioner::apply(std::span<const scalar_t> r,
-                                    std::span<scalar_t> z) const {
-  fill(z, 0.0);
+void ClusterGsPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z,
+                                          ordinal_t n, int k_count) const {
+  fill(z.first(static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count)), 0.0);
   for (int s = 0; s < sweeps_; ++s) {
-    gs_.symmetric_sweep(a_, r, z);
+    gs_.symmetric_sweep(a_, r, z, k_count);
   }
 }
 

@@ -44,14 +44,15 @@ class ClusterMulticolorGS {
                       const core::Mis2Options& mis2_opts,
                       const Context& ctx = Context::default_ctx());
 
-  /// One cluster multicolor sweep. Backward reverses both the color order
-  /// and the row order within each cluster (paper §III-C).
+  /// One cluster multicolor sweep over n x k_count multi-vectors.
+  /// Backward reverses both the color order and the row order within each
+  /// cluster (paper §III-C).
   void sweep(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-             SweepDirection dir) const;
+             SweepDirection dir, int k_count = 1) const;
 
   /// Symmetric sweep — "cluster multicolor SGS".
   void symmetric_sweep(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                       std::span<scalar_t> x) const;
+                       std::span<scalar_t> x, int k_count = 1) const;
 
   [[nodiscard]] ordinal_t num_clusters() const { return aggregation_.num_aggregates; }
   [[nodiscard]] ordinal_t num_colors() const { return coloring_.num_colors; }
@@ -68,7 +69,7 @@ class ClusterMulticolorGS {
 };
 
 /// Preconditioner adapter: `sweeps` symmetric cluster-GS sweeps on
-/// A z = r from z = 0.
+/// A z = r from z = 0, K columns per sweep.
 class ClusterGsPreconditioner final : public Preconditioner {
  public:
   ClusterGsPreconditioner(const graph::CrsMatrix& a, int sweeps = 1,
@@ -83,7 +84,8 @@ class ClusterGsPreconditioner final : public Preconditioner {
                           const Context& ctx = Context::default_ctx())
       : a_(a), gs_(a, coarsener, mis2_opts, ctx), sweeps_(sweeps) {}
 
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
+  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+                   int k_count) const override;
   [[nodiscard]] std::string name() const override { return "cluster-multicolor-sgs"; }
   [[nodiscard]] const ClusterMulticolorGS& gs() const { return gs_; }
 

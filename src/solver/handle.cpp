@@ -21,8 +21,7 @@ SolveHandle::SolveHandle(const std::string& solver, const std::string& prec,
 }
 
 void SolveHandle::set_solver(const std::string& name) {
-  solver_ = solvers().find(name).make();  // validates: throws std::out_of_range if unknown
-  solver_name_ = name;
+  solver_ = &solvers().find(name);  // validates: throws std::out_of_range if unknown
 }
 
 void SolveHandle::set_preconditioner(const std::string& name) {
@@ -77,10 +76,6 @@ void SolveHandle::adopt_preconditioner(std::unique_ptr<Preconditioner> p,
   prec_matrix_ = &a;
   prec_rows_ = a.num_rows;
   prec_entries_ = a.num_entries();
-}
-
-void SolveHandle::ensure_solver() {
-  if (!solver_) solver_ = solvers().find(solver_name_).make();
 }
 
 void SolveHandle::ensure_preconditioner(const graph::CrsMatrix& a) {
@@ -192,7 +187,7 @@ const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const s
   std::uint64_t total_iterations = 0;
   check::AllocGuard guard;
   for (std::size_t attempt = 0; attempt < budget && live > 0; ++attempt) {
-    const std::string& sname = chained ? fallback_.chain[attempt].solver : solver_name_;
+    const std::string& sname = chained ? fallback_.chain[attempt].solver : solver_->name;
     const std::string& pname = chained ? fallback_.chain[attempt].prec : prec_name_;
     IterOptions aopts = opts;
     if (opts.timeout_ms > 0) {
@@ -228,24 +223,12 @@ const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const s
     resilience::SolveStatus thrown = resilience::SolveStatus::SetupFailed;
     resilience::FailureInfo thrown_failure;
     try {
-      // Resolve the solver: the handle's cached instance when the name
-      // matches, a transient otherwise (chain entries diverging from the
-      // handle's configuration).
-      std::unique_ptr<Solver> transient_solver;
-      Solver* solver = nullptr;
-      if (sname == solver_name_) {
-        ensure_solver();
-        solver = solver_.get();
-      } else {
-        transient_solver = solvers().find(sname).make();
-        solver = transient_solver.get();
-        used_transient = true;
-      }
+      const SolverSpec& solver = chained ? solvers().find(sname) : *solver_;
       // Solvers that ignore preconditioning ("chebyshev") skip the build — an
       // AMG setup nobody applies is the most expensive no-op in the stack.
       std::unique_ptr<Preconditioner> transient_prec;
       Preconditioner* prec = nullptr;
-      if (solver->uses_preconditioner() && pname != "none") {
+      if (solver.uses_preconditioner && pname != "none") {
         if (pname == prec_name_) {
           ensure_preconditioner(a);
           prec = prec_.get();
@@ -262,7 +245,8 @@ const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const s
         // the workspace pool's, is exempt from the zero-allocation check.
         if (prec) prec_primed = prec->prepare_multi(a.num_rows, k_count) || prec_primed;
       }
-      solver->solve_batch(a, b, x, k_count, aopts, prec, ws_, out);
+      solver.solve(a, b, x, k_count, aopts, prec, ws_,
+                   std::span<IterResult>(out.results.data(), uk), out.excluded);
       ran = true;
     } catch (const check::CheckError&) {
       throw;  // invariant violations are bugs, not solve outcomes
@@ -275,12 +259,14 @@ const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const s
       thrown_failure = resilience::FailureInfo{"setup", "setup.exception", -1, -1};
     }
     // A throw (setup or workspace, not per-column iteration) lands on every
-    // live column: none of them produced a usable iterate.
+    // live column: none of them produced a usable iterate, nor a residual
+    // history (clearing keeps capacity).
     const double seconds = attempt_timer.seconds();
     for (std::size_t c = 0; c < uk; ++c) {
       if (!live_[c]) continue;
-      const IterResult& r = out.results[c];
-      AttemptInfo& rec = out.results[c].attempts.emplace_back();
+      IterResult& r = out.results[c];
+      if (!ran) r.history.clear();
+      AttemptInfo& rec = r.attempts.emplace_back();
       rec.solver = sname;
       rec.prec = pname;
       rec.status = ran ? r.status : thrown;
@@ -332,8 +318,8 @@ const BatchResult& SolveHandle::run(const graph::CrsMatrix& a, std::span<const s
   // must not allocate. Exempt: growth (a wider K grows the workspace pool;
   // `prec_primed`, the preconditioner's multi-vector scratch), setups,
   // tracing (obs event blocks allocate orthogonally), transient chain
-  // solvers/preconditioners, and failing solves (exception machinery and
-  // error messages allocate — the contract covers the happy path).
+  // preconditioners, and failing solves (exception machinery and error
+  // messages allocate — the contract covers the happy path).
   PARMIS_CHECK_MSG(grew || prec_primed || stats_.prec_setups > setups_before ||
                        obs::tracing_enabled() || used_transient || any_failure ||
                        guard.allocations() == 0,

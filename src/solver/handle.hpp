@@ -66,7 +66,7 @@ class SolveHandle {
   /// if unknown. Cached preconditioner state is dropped.
   void set_preconditioner(const std::string& name);
 
-  [[nodiscard]] const std::string& solver_name() const { return solver_name_; }
+  [[nodiscard]] const std::string& solver_name() const { return solver_->name; }
   [[nodiscard]] const std::string& preconditioner_name() const { return prec_name_; }
 
   /// Setup-time preconditioner configuration. Edits affect the *next*
@@ -91,8 +91,8 @@ class SolveHandle {
   /// decision is per column: only the columns that failed retryably run
   /// the next entry, so column c of a chained batch equals a chained
   /// `solve` of column c. Entries naming the handle's configured
-  /// solver/preconditioner reuse its cached state; other entries build
-  /// transient ones per attempt. Throws
+  /// preconditioner reuse its cached state; other entries build transient
+  /// ones per attempt. Throws
   /// std::invalid_argument on a malformed spec and std::out_of_range on a
   /// name not in the registries. An empty spec clears the chain.
   void set_fallback(const std::string& spec);
@@ -109,10 +109,9 @@ class SolveHandle {
   /// multi-vectors (element (i, c) at `i * k_count + c`). Builds (or
   /// reuses) the preconditioner for `a`, pins the execution context
   /// (`opts.ctx` if set, else the handle's), runs the configured solver's
-  /// `solve_batch` — one fused block core for the Krylov entries, the
-  /// looped per-column default otherwise — on handle-owned scratch, and
-  /// updates the telemetry counters. Column c of the result is
-  /// bit-identical to `solve` on the gathered column. Once scratch and
+  /// K-wide core on handle-owned scratch, and updates the telemetry
+  /// counters. Column c of the result is bit-identical to `solve` on the
+  /// gathered column. Once scratch and
   /// preconditioner are warm, a repeat solve at the same width allocates
   /// nothing. The returned reference stays valid until the next batched
   /// solve.
@@ -122,7 +121,8 @@ class SolveHandle {
   /// carries NonFiniteInput, no attempt runs and its lanes stay
   /// untouched) while its batchmates solve normally. Each attempt's
   /// outcome lands in the column's `attempts`; a setup throw is
-  /// classified onto every column the attempt ran. A configured fallback
+  /// classified onto every column the attempt ran (iterations 0, history
+  /// cleared). A configured fallback
   /// chain is walked per column as documented on `set_fallback`: a column
   /// leaves the batch when it converges or its entry's `on:` set does not
   /// retry its status, and the rest retry together from their original
@@ -166,7 +166,6 @@ class SolveHandle {
   [[nodiscard]] std::size_t scratch_bytes() const;
 
  private:
-  void ensure_solver();
   void ensure_preconditioner(const graph::CrsMatrix& a);
   /// The one solve body behind `solve` (K = 1 into `one_`) and
   /// `solve_batch` (into `batch_`).
@@ -174,9 +173,8 @@ class SolveHandle {
                          std::span<scalar_t> x, int k_count, const IterOptions& opts,
                          BatchResult& out);
 
-  std::string solver_name_ = "cg";
+  const SolverSpec* solver_ = &solvers().find("cg");  ///< static registry entry
   std::string prec_name_ = "none";
-  std::unique_ptr<Solver> solver_;
   PrecOptions prec_opts_;
   Context ctx_ = Context::default_ctx();
 

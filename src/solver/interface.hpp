@@ -1,7 +1,7 @@
 #pragma once
 /// \file interface.hpp
-/// \brief The pluggable solver-stack interface: an abstract `Solver`, the
-/// shared `SolveWorkspace`, and string-keyed `Solver` / `Preconditioner`
+/// \brief The pluggable solver-stack interface: the solver cores, the
+/// shared `SolveWorkspace`, and string-keyed solver / `Preconditioner`
 /// registries.
 ///
 /// PR 1 made partitioning pluggable (`partition/interface.hpp`) and PR 2
@@ -15,6 +15,10 @@
 /// by name, so the three registries stack:
 ///
 ///   SolveHandle("cg", "amg")  with  prec_options().amg.hierarchy.coarsener = "hem"
+///
+/// Every layer is K-wide: a solver entry is one core over n x K
+/// multi-vectors (`SolveFn`), a preconditioner is one `apply_multi`, and a
+/// single right-hand side is the K = 1 call of the same body.
 ///
 /// Every registered solver and preconditioner is deterministic: iteration
 /// counts and solution vectors are bit-identical on the Serial and OpenMP
@@ -59,10 +63,8 @@ struct SolveWorkspace {
   int chebyshev_degree = 0;
   double chebyshev_eig_ratio = 0;
 
-  // --- per-column state (Krylov cores and the looped fallback) -----------
-  /// Column gather/scatter scratch for the looped default `solve_batch`.
-  std::vector<scalar_t> bcol, xcol;
-  /// Per-column small state of the Krylov cores (O(k), solver-partitioned).
+  // --- per-column state of the solver cores ------------------------------
+  /// Per-column small state of the cores (O(k), solver-partitioned).
   std::vector<scalar_t> batch_scalars;
   /// Per-column integer state (phase machine positions, stop codes).
   std::vector<int> batch_ints;
@@ -92,47 +94,27 @@ struct SolveWorkspace {
   [[nodiscard]] std::size_t capacity_bytes() const;
 };
 
-/// Abstract base every outer solver implements. Implementations are
-/// stateless; all scratch comes from the workspace and all configuration
-/// from the options, so one instance serves any number of handles.
-class Solver {
- public:
-  virtual ~Solver() = default;
+/// Signature of every solver core: solve `a X = B` from the given initial
+/// `X`, where `b`/`x` are n x k_count row-major multi-vectors and
+/// `results` holds one `IterResult` per column (its history capacity is
+/// reused). `prec` may be null (unpreconditioned). Columns with
+/// `excluded[c] != 0` are skipped entirely — their result and their lanes
+/// of `x` are left untouched; an empty `excluded` excludes none. A
+/// single-RHS solve is the `k_count = 1` call with a one-element
+/// `results`. The caller pins the execution context (`SolveHandle` does).
+using SolveFn = void (*)(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                         std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                         const Preconditioner* prec, SolveWorkspace& ws,
+                         std::span<IterResult> results, std::span<const char> excluded);
 
-  /// Registry name of this solver.
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// False when solve() ignores `prec` (e.g. "chebyshev" carries its own
-  /// diagonal scaling); `SolveHandle` skips the preconditioner build then.
-  [[nodiscard]] virtual bool uses_preconditioner() const { return true; }
-
-  /// Solve `a x = b` from the given initial `x`, writing the outcome into
-  /// `result` (reusing its history capacity). `prec` may be null
-  /// (unpreconditioned). The caller is responsible for pinning the
-  /// execution context (`SolveHandle::solve` does).
-  virtual void solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                     std::span<scalar_t> x, const IterOptions& opts,
-                     const Preconditioner* prec, SolveWorkspace& ws,
-                     IterResult& result) const = 0;
-
-  /// Batched multi-RHS solve: `b` and `x` are n x k_count row-major
-  /// multi-vectors, `result` carries one `IterResult` per column. Columns
-  /// flagged `result.excluded[c]` are skipped entirely (their result and
-  /// their lanes of `x` are left untouched). The default loops `solve`
-  /// over gathered columns through workspace scratch — trivially
-  /// bit-identical to k single solves; the Krylov solvers override it with
-  /// their fused SpMM-based core, whose `solve` is the same core at K = 1.
-  virtual void solve_batch(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                           std::span<scalar_t> x, int k_count, const IterOptions& opts,
-                           const Preconditioner* prec, SolveWorkspace& ws,
-                           BatchResult& result) const;
-};
-
-/// Registry entry: a name, a one-line description, and a factory.
+/// Registry entry: a name, a one-line description, and the core.
 struct SolverSpec {
   std::string name;
   std::string description;
-  std::function<std::unique_ptr<Solver>()> make;
+  /// False when `solve` ignores `prec` ("chebyshev" carries its own
+  /// diagonal scaling); `SolveHandle` skips the preconditioner build then.
+  bool uses_preconditioner = true;
+  SolveFn solve = nullptr;
 };
 
 /// All registered solvers, stable order (the Table V outer solver first).
@@ -175,17 +157,16 @@ const Registry<PreconditionerSpec>& preconditioners();
 
 // ------------------------------------------------- workspace-based cores
 
-/// The Krylov cores behind the "cg"/"gmres" registry entries and their
-/// "block-cg"/"block-gmres" aliases (block_krylov.cpp), operating entirely
-/// on workspace scratch. `b`/`x` are n x k_count row-major multi-vectors
-/// and `results` holds one `IterResult` per column; a single-RHS solve is
-/// the `k_count = 1` call with a one-element `results`. K right-hand sides
-/// advance in lockstep over one SpMM per iteration, each column running
-/// its own scalar recurrence, so column c is bit-identical to a K = 1
-/// solve of that column. Converged or failed columns are deflated (frozen
-/// via the masked multi-vector kernels) and carry their own
-/// status/failure. Columns with `excluded[c] != 0` are skipped entirely;
-/// an empty `excluded` excludes none.
+/// The cores behind the registry entries, each a `SolveFn` operating
+/// entirely on workspace scratch. K right-hand sides advance in lockstep
+/// over one SpMM per matrix application, each column running its own
+/// scalar recurrence, so column c is bit-identical to a K = 1 solve of
+/// that column. Converged or failed columns are frozen (the masked
+/// multi-vector kernels never write their lanes again) and carry their
+/// own status/failure.
+///
+/// CG and restarted GMRES (block_krylov.cpp) behind "cg"/"gmres" and their
+/// "block-cg"/"block-gmres" aliases.
 void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                     std::span<scalar_t> x, int k_count, const IterOptions& opts,
                     const Preconditioner* prec, SolveWorkspace& ws,
@@ -195,10 +176,11 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                        const Preconditioner* prec, SolveWorkspace& ws,
                        std::span<IterResult> results, std::span<const char> excluded = {});
 
-/// The relaxation core behind the "chebyshev" registry entry
-/// (chebyshev.cpp); single right-hand side.
+/// Chebyshev polynomial relaxation (chebyshev.cpp) behind "chebyshev";
+/// ignores `prec`.
 void chebyshev_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                     std::span<scalar_t> x, const IterOptions& opts, SolveWorkspace& ws,
-                     IterResult& result);
+                     std::span<scalar_t> x, int k_count, const IterOptions& opts,
+                     const Preconditioner* prec, SolveWorkspace& ws,
+                     std::span<IterResult> results, std::span<const char> excluded = {});
 
 }  // namespace parmis::solver

@@ -132,12 +132,6 @@ void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag
   jacobi_smooth_multi(a, inv_diag, b, x, sweeps, omega, x_next, 1);
 }
 
-void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                   scalar_t omega, std::span<scalar_t> x_next) {
-  jacobi_smooth_multi(a, inv_diag, b, x, sweeps, omega, x_next, 1);
-}
-
 void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                          std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                          scalar_t omega, std::span<scalar_t> x_next, int k_count,
@@ -194,13 +188,8 @@ void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> in
   }
 }
 
-void JacobiPreconditioner::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  apply_multi(r, z, a_.num_rows, 1, {});
-}
-
 void JacobiPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z,
-                                       ordinal_t n, int k_count,
-                                       std::span<scalar_t> /*scratch*/) const {
+                                       ordinal_t n, int k_count) const {
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
   if (x_next_.size() < nk) x_next_.resize(nk);
   if (sweeps_ <= 0) {

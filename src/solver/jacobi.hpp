@@ -22,17 +22,11 @@ namespace parmis::solver {
 void inverted_diagonal_into(const graph::CrsMatrix& a, std::span<scalar_t> d);
 
 /// `sweeps` iterations of damped Jacobi: x <- x + omega D^{-1} (b - A x).
-/// Fully parallel and deterministic. Allocates its double-buffer; prefer
-/// the scratch overload on hot paths.
+/// Fully parallel and deterministic. Allocates its double-buffer; hot
+/// paths call `jacobi_smooth_multi` with caller-owned scratch.
 void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                    scalar_t omega);
-
-/// Allocation-free variant: `x_next` is the caller-owned double buffer
-/// (`a.num_rows` elements). `jacobi_smooth_multi` at `k_count = 1`.
-void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                   scalar_t omega, std::span<scalar_t> x_next);
 
 /// Damped Jacobi over n x k_count row-major multi-vectors: one matrix
 /// traversal per sweep (`graph::spmm_rows`) feeds all K columns, and each
@@ -64,8 +58,6 @@ class JacobiPreconditioner final : public Preconditioner {
       : a_(a), inv_diag_(inverted_diagonal(a)), sweeps_(sweeps), omega_(omega),
         x_next_(static_cast<std::size_t>(a.num_rows)) {}
 
-  /// `apply_multi` at `k_count = 1`.
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
   /// Grows the sweep double buffer to `n * k_count` so batched applies up
   /// to that width allocate nothing.
   bool prepare_multi(ordinal_t n, int k_count) override {
@@ -78,8 +70,8 @@ class JacobiPreconditioner final : public Preconditioner {
   /// `n * k_count` on the first batched apply (callers that skip
   /// `prepare_multi`) and is reused warm thereafter; it is sized for
   /// K = 1 at construction.
-  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n, int k_count,
-                   std::span<scalar_t> scratch) const override;
+  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+                   int k_count) const override;
   [[nodiscard]] std::string name() const override { return "jacobi"; }
   [[nodiscard]] std::span<const scalar_t> inv_diag() const { return inv_diag_; }
 

@@ -105,9 +105,6 @@ struct BatchResult {
 
   /// Full per-batch reset: sizes to `k_count`, clears every exclusion.
   void reset(int k_count);
-  /// Size without clearing exclusions (used by solver cores, which must
-  /// honor flags the caller set between reset() and the solve).
-  void ensure(int k_count);
   [[nodiscard]] int converged_count() const;
   [[nodiscard]] bool all_converged() const;
 };

@@ -4,7 +4,9 @@
 ///
 /// Concrete implementations are selected by name through the
 /// string-keyed registry in solver/interface.hpp ("none", "jacobi", "gs",
-/// "cluster-gs", "amg") and cached per matrix by `SolveHandle`.
+/// "cluster-gs", "amg") and cached per matrix by `SolveHandle`. Every
+/// implementation is K-wide: its one virtual, `apply_multi`, takes n x K
+/// multi-vectors, and a single-vector `apply` is its K = 1 call.
 
 #include <algorithm>
 #include <span>
@@ -14,11 +16,10 @@
 
 namespace parmis::solver {
 
-/// Applies z = M^{-1} r for some approximation M of the system matrix.
+/// Applies Z = M^{-1} R for some approximation M of the system matrix.
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  virtual void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Pre-size any internal multi-vector scratch for batches of width
@@ -30,41 +31,25 @@ class Preconditioner {
   /// multi-vector state.
   virtual bool prepare_multi(ordinal_t /*n*/, int /*k_count*/) { return false; }
 
-  /// Batched apply: Z = M^{-1} R columnwise, for n x k_count row-major
-  /// multi-vectors (element (i, c) at `i * k_count + c`). Column c of Z is
-  /// bit-identical to `apply` on the gathered column — every registered
-  /// preconditioner is columnwise-independent, so a NaN-poisoned column
-  /// can never contaminate its batchmates. The default calls `apply`
-  /// directly at `k_count = 1` (a one-column multi-vector is the vector)
-  /// and otherwise gathers each column through `scratch` (size >= 2 n);
-  /// implementations with fused multi-vector kernels override it and
-  /// ignore `scratch`.
+  /// Z = M^{-1} R columnwise, for n x k_count row-major multi-vectors
+  /// (element (i, c) at `i * k_count + c`). Every lane runs the
+  /// single-vector expressions in the single-vector order, so column c of
+  /// Z is bit-identical to `apply` on the gathered column and a
+  /// NaN-poisoned column can never contaminate its batchmates.
   virtual void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                           int k_count, std::span<scalar_t> scratch) const {
-    if (k_count == 1) {
-      apply(r, z);
-      return;
-    }
-    const std::size_t un = static_cast<std::size_t>(n);
-    const std::size_t k = static_cast<std::size_t>(k_count);
-    std::span<scalar_t> rc = scratch.subspan(0, un);
-    std::span<scalar_t> zc = scratch.subspan(un, un);
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::size_t i = 0; i < un; ++i) rc[i] = r[i * k + c];
-      apply(rc, zc);
-      for (std::size_t i = 0; i < un; ++i) z[i * k + c] = zc[i];
-    }
+                           int k_count) const = 0;
+
+  /// z = M^{-1} r for one vector: `apply_multi` at `k_count = 1`.
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
+    apply_multi(r, z, static_cast<ordinal_t>(r.size()), 1);
   }
 };
 
 /// No-op preconditioner (M = I).
 class IdentityPreconditioner final : public Preconditioner {
  public:
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override {
-    std::copy(r.begin(), r.end(), z.begin());
-  }
   void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t /*n*/,
-                   int /*k_count*/, std::span<scalar_t> /*scratch*/) const override {
+                   int /*k_count*/) const override {
     std::copy(r.begin(), r.end(), z.begin());
   }
   [[nodiscard]] std::string name() const override { return "identity"; }

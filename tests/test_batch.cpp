@@ -91,8 +91,9 @@ std::vector<scalar_t> batched_rhs(const graph::CrsMatrix& a, int k) {
 /// `single_name` single-RHS solve of that column: same solution bits,
 /// iteration count, residual history and taxonomy status — for every
 /// preconditioner × backend × thread count × schedule cell. "cg"/"gmres"
-/// run one core for `solve` (K = 1) and `solve_batch` (K), and
-/// "block-cg"/"block-gmres" are their aliases. The matrix crosses
+/// run one core for `solve` (K = 1) and `solve_batch` (K), every
+/// preconditioner one `apply_multi`, and "block-cg"/"block-gmres" are
+/// their aliases. The matrix crosses
 /// reduce_chunk (17^3 = 4913 rows) so the chunked reduction tree in mv_dot
 /// is exercised. K = 3 takes the runtime-width lane loops, K = 17 crosses
 /// the 16-lane register group.
@@ -108,7 +109,7 @@ void expect_batch_columns_match_single_rhs(const char* single_name, const char* 
     std::uint64_t digest;
     solver::IterResult result;
   };
-  for (const char* pname : {"none", "jacobi", "amg"}) {
+  for (const char* pname : {"none", "jacobi", "gs", "cluster-gs", "amg"}) {
     // Reference: one `solve` per column under the default context.
     std::vector<Column> ref;
     {
@@ -169,26 +170,49 @@ TEST(Batch, BlockGmresMatchesLooped) {
   expect_batch_columns_match_single_rhs("gmres", "block-gmres");
 }
 
-TEST(Batch, DefaultLoopedBatchMatchesSolve) {
-  // Solvers without a fused core ("chebyshev") fall back to
-  // gather/solve/scatter per column — trivially bit-identical to K
-  // separate solve() calls.
+TEST(Batch, ChebyshevBatchMatchesSolve) {
+  // "chebyshev" is one K-wide core like the Krylov solvers: column c of a
+  // batch equals a `solve` of that column in bits, iterations and history.
+  // The columns finish at different iterations (179, 180, 180, 185), so
+  // the first ones freeze while the rest keep sweeping: a frozen column's
+  // lanes of x must not move again. K = 1 and K run the same body, so the
+  // digests and iteration counts are also pinned to the values the
+  // per-column single-RHS solver produced before the core went K-wide.
   const graph::CrsMatrix a = graph::laplace2d(14, 11);
-  const int k = 3;
-  const solver::IterOptions opts = tight_opts();
-  const std::vector<std::pair<std::uint64_t, int>> ref =
-      looped_reference(a, "chebyshev", "none", k, opts);
-
+  const int k = 4;
   const std::size_t un = static_cast<std::size_t>(a.num_rows);
-  solver::SolveHandle h("chebyshev", "none");
+  solver::IterOptions opts = tight_opts();
+  opts.track_history = true;
+  // Random right-hand sides (seeds 1..3) and a unit spike at the middle row.
+  std::vector<scalar_t> bm = batched_rhs(a, k);
+  for (std::size_t i = 0; i < un; ++i) bm[i * k + 3] = i == un / 2 ? 1.0 : 0.0;
+  const std::vector<std::pair<const char*, int>> pinned = {{"0xd9e1783c56e4042f", 179},
+                                                           {"0xdb92f2f1fae49791", 180},
+                                                           {"0x8c36d23f91c2e6c3", 180},
+                                                           {"0xa414cba967099c71", 185}};
+
+  solver::SolveHandle single("chebyshev", "none");
+  solver::SolveHandle batch("chebyshev", "none");
   std::vector<scalar_t> xm(un * k, 0.0);
-  const solver::BatchResult& br = h.solve_batch(a, batched_rhs(a, k), xm, k, opts);
+  const solver::BatchResult& br = batch.solve_batch(a, bm, xm, k, opts);
+  std::vector<scalar_t> bc(un);
   std::vector<scalar_t> xc(un);
   for (int c = 0; c < k; ++c) {
     const std::size_t uc = static_cast<std::size_t>(c);
-    EXPECT_EQ(ref[uc].second, br.results[uc].iterations) << "col " << c;
+    const std::string where = "col " + std::to_string(c);
+    solver::gather_column(bm, a.num_rows, k, c, std::span<scalar_t>(bc));
+    std::vector<scalar_t> x(un, 0.0);
+    const solver::IterResult& want = single.solve(a, bc, x, opts);
+    EXPECT_TRUE(want.converged) << where;
+    EXPECT_EQ(pinned[uc].first, check::digest_hex(check::digest(x))) << where;
+    EXPECT_EQ(pinned[uc].second, want.iterations) << where;
+
+    const solver::IterResult& got = br.results[uc];
+    EXPECT_EQ(want.status, got.status) << where;
+    EXPECT_EQ(want.iterations, got.iterations) << where;
+    EXPECT_EQ(want.history, got.history) << where;
     solver::gather_column(xm, a.num_rows, k, c, std::span<scalar_t>(xc));
-    EXPECT_EQ(ref[uc].first, check::digest(xc)) << "col " << c;
+    EXPECT_EQ(pinned[uc].first, check::digest_hex(check::digest(xc))) << where;
   }
 }
 
@@ -263,7 +287,8 @@ TEST(Batch, SetupFailuresAreClassifiedPerColumn) {
   // A preconditioner setup that throws is an attempt outcome in a batch
   // exactly as in `solve`: every live column carries the classified
   // status, reason and attempt record, and nothing escapes as an
-  // exception.
+  // exception. Each handle first converges a tracked warm solve, so the
+  // failed attempt must also drop that solve's residual history.
   const graph::CrsMatrix laplace = graph::laplace2d(32, 32);
   graph::CrsMatrix zero_diag = laplace;
   for (offset_t j = zero_diag.row_map[5]; j < zero_diag.row_map[6]; ++j) {
@@ -286,33 +311,48 @@ TEST(Batch, SetupFailuresAreClassifiedPerColumn) {
        "setup.jacobi.zero_diagonal"},
   };
   const int k = 3;
+  solver::IterOptions opts = tight_opts();
+  opts.track_history = true;
   for (const Case& tc : cases) {
     const graph::CrsMatrix& a = *tc.a;
     const std::size_t un = static_cast<std::size_t>(a.num_rows);
-    const auto configure = [&](solver::SolveHandle& h) {
+    // The warm solve runs on the clean Laplacian with the default
+    // coarsener; then the case's coarsener and matrix take over.
+    const auto break_setup = [&](solver::SolveHandle& h) {
       h.prec_options().amg.hierarchy.coarsener = tc.coarsener;
+      h.invalidate();
     };
     solver::SolveHandle single("cg", tc.prec);
-    configure(single);
     std::vector<scalar_t> b(un);
     std::vector<scalar_t> x(un, 0.0);
     solver::random_fill(b, 1);
-    const solver::IterResult want = single.solve(a, b, x, tight_opts());
+    ASSERT_TRUE(single.solve(laplace, b, x, opts).converged) << tc.name;
+    ASSERT_FALSE(single.result().history.empty()) << tc.name;
+    break_setup(single);
+    solver::fill(x, 0.0);
+    const solver::IterResult want = single.solve(a, b, x, opts);
     EXPECT_EQ(tc.status, want.status) << tc.name;
     EXPECT_EQ(std::string(tc.reason), std::string(want.failure.reason)) << tc.name;
+    EXPECT_EQ(0, want.iterations) << tc.name;
+    EXPECT_TRUE(want.history.empty()) << tc.name;
+    EXPECT_TRUE(single.result().history.empty()) << tc.name;
 
     solver::SolveHandle h("cg", tc.prec);
-    configure(h);
     std::vector<scalar_t> xm(un * k, 0.0);
     const std::vector<scalar_t> bm = batched_rhs(a, k);
+    ASSERT_TRUE(h.solve_batch(laplace, bm, xm, k, opts).all_converged()) << tc.name;
+    break_setup(h);
+    solver::fill(xm, 0.0);
     const solver::BatchResult* br = nullptr;
-    ASSERT_NO_THROW(br = &h.solve_batch(a, bm, xm, k, tight_opts())) << tc.name;
+    ASSERT_NO_THROW(br = &h.solve_batch(a, bm, xm, k, opts)) << tc.name;
     for (int c = 0; c < k; ++c) {
       const solver::IterResult& got = br->results[static_cast<std::size_t>(c)];
       const std::string where = std::string(tc.name) + " col " + std::to_string(c);
       EXPECT_EQ(0, br->excluded[static_cast<std::size_t>(c)]) << where;
       EXPECT_EQ(want.status, got.status) << where;
       EXPECT_FALSE(got.converged) << where;
+      EXPECT_EQ(0, got.iterations) << where;
+      EXPECT_TRUE(got.history.empty()) << where;
       EXPECT_EQ(std::string(want.failure.reason), std::string(got.failure.reason)) << where;
       expect_same_attempts(want.attempts, got.attempts, where);
     }

@@ -56,9 +56,9 @@ TEST(SolverRegistry, NamesAndLookup) {
   ASSERT_GE(names.size(), 3u);
   EXPECT_EQ(names.front(), "cg");  // the Table V outer solver leads
   for (const std::string& name : names) {
-    const auto solver = solvers().find(name).make();
-    ASSERT_NE(solver, nullptr);
-    EXPECT_EQ(solver->name(), name);
+    const SolverSpec& spec = solvers().find(name);
+    EXPECT_EQ(spec.name, name);
+    EXPECT_NE(spec.solve, nullptr) << name;
   }
 }
 
@@ -122,7 +122,7 @@ TEST(SolveHandle, WarmSolvesAreAllocationFreeAndBitIdentical) {
   for (const std::string& sname : solvers().names()) {
     // Solvers that ignore preconditioning never build one ("chebyshev").
     const std::uint64_t expect_setups =
-        solvers().find(sname).make()->uses_preconditioner() ? 1u : 0u;
+        solvers().find(sname).uses_preconditioner ? 1u : 0u;
     SolveHandle h(sname, "jacobi");
     std::vector<scalar_t> x(static_cast<std::size_t>(a.num_rows), 0);
     h.solve(a, b, x, opts);
@@ -250,7 +250,8 @@ TEST(SolveHandle, MatchesFreeFunctionShims) {
     const IterResult& rh = h.solve(a, b, xh, opts);
     SolveWorkspace ws;
     IterResult rf;
-    solvers().find("cg").make()->solve(a, b, xf, opts, nullptr, ws, rf);
+    solvers().find("cg").solve(a, b, xf, 1, opts, nullptr, ws, std::span<IterResult>(&rf, 1),
+                               {});
     EXPECT_EQ(xh, xf);  // bitwise
     EXPECT_EQ(rh.iterations, rf.iterations);
   }
@@ -262,7 +263,8 @@ TEST(SolveHandle, MatchesFreeFunctionShims) {
     PointGsPreconditioner prec(a);  // the registry's "gs" at default sweeps
     SolveWorkspace ws;
     IterResult rf;
-    solvers().find("gmres").make()->solve(a, b, xf, opts, &prec, ws, rf);
+    solvers().find("gmres").solve(a, b, xf, 1, opts, &prec, ws,
+                                  std::span<IterResult>(&rf, 1), {});
     EXPECT_EQ(xh, xf);
     EXPECT_EQ(rh.iterations, rf.iterations);
   }

@@ -157,10 +157,10 @@ TEST(Spmm, OneColumnShapesMatchEightLaneColumns) {
         }
         for (const int sweeps : {1, 2, 3}) {
           const solver::JacobiPreconditioner jac(a, sweeps);
-          jac.apply_multi(xm, ym, n, k, {});
+          jac.apply_multi(xm, ym, n, k);
           for (int c = 0; c < k; ++c) {
             solver::gather_column(xm, n, k, c, std::span<scalar_t>(xc));
-            jac.apply_multi(xc, yc, n, 1, {});
+            jac.apply_multi(xc, yc, n, 1);
             solver::gather_column(ym, n, k, c, std::span<scalar_t>(lane));
             ASSERT_EQ(check::digest(lane), check::digest(yc))
                 << "jacobi k=" << k << " sweeps=" << sweeps << " col=" << c << " rows=" << n
